@@ -18,8 +18,7 @@ from .bounds import (DSDecomposition, Permutation, ds_decompose,
                      modular_upper_bound, sqrt_curvature, totally_normalize)
 from .constraints import Constraint, modular_minimize_constrained
 from .core import (AffineModular, GroundSet, MemoizedOracle, SetFunctionOracle,
-                   brute_force_minimize, check_submodular, gain, memoized,
-                   normalized)
+                   brute_force_minimize, check_submodular, gain, memoized)
 from .featsel import (CostModel, Dataset, build_objective, empirical_entropy,
                       evaluate_cost, greedy_select, mutual_information,
                       naive_bayes_cv, parse_sparse_dataset)
@@ -45,6 +44,6 @@ __all__ = [
     "local_search_max", "memoized", "min_norm_point", "minima_lower_bounds",
     "mod_mod", "modular_lower_bound", "modular_minimize_constrained",
     "modular_upper_bound", "mutual_information", "naive_bayes_cv",
-    "normalized", "parse_sparse_dataset", "sqrt_curvature", "sub_sup",
+    "parse_sparse_dataset", "sqrt_curvature", "sub_sup",
     "sup_sub", "totally_normalize",
 ]

@@ -17,8 +17,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (AffineModular, GroundSet, SetFunctionOracle, evaluate_table,
-                   mask_of, set_of, subsets_canonical)
+from .core import (AffineModular, SetFunctionOracle, chain_gains, evaluate_table,
+                   mask_of)
 
 
 @dataclass(frozen=True)
@@ -32,29 +32,13 @@ class Permutation:
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"order must be a permutation of 1..{n}, got {self.order}")
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
     def prefix(self, i: int) -> frozenset:
         """The chain set holding the first i elements."""
         return frozenset(self.order[:i])
 
-    def prefixes(self):
-        """All chain sets, empty set through the full set."""
-        S = set()
-        yield frozenset()
-        for j in self.order:
-            S.add(j)
-            yield frozenset(S)
-
     def chain_contains(self, Y: Iterable[int]) -> bool:
         Y = frozenset(Y)
         return self.prefix(len(Y)) == Y
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
 
 
 def modular_lower_bound(g: SetFunctionOracle, Y: Iterable[int],
@@ -68,16 +52,7 @@ def modular_lower_bound(g: SetFunctionOracle, Y: Iterable[int],
     Y = g.ground.check_subset(Y)
     if not sigma.chain_contains(Y):
         raise ValueError(f"permutation chain {sigma.order} does not contain {sorted(Y)}")
-    n = g.ground.n
-    weights = np.empty(n)
-    prev = 0.0
-    running: set[int] = set()
-    for j in sigma.order:
-        running.add(j)
-        cur = g(frozenset(running))
-        weights[j - 1] = cur - prev
-        prev = cur
-    return AffineModular(0.0, weights)
+    return AffineModular(0.0, chain_gains(g, sigma.order))
 
 
 def modular_upper_bound(f: SetFunctionOracle, X: Iterable[int],
@@ -145,23 +120,6 @@ def totally_normalize(f: SetFunctionOracle) -> NormalizedParts:
 
     part = SetFunctionOracle(ground, fprime, name=f.name + "_monotone")
     return NormalizedParts(part, AffineModular(0.0, k))
-
-
-@dataclass
-class TotalNormalization:
-    """Instance-level normalization v = f' - g' + k of a difference f - g."""
-
-    f_prime: SetFunctionOracle
-    k: AffineModular
-    g_prime: SetFunctionOracle
-
-
-def totally_normalize_instance(f: SetFunctionOracle,
-                               g: SetFunctionOracle) -> TotalNormalization:
-    nf = totally_normalize(f)
-    ng = totally_normalize(g)
-    k = AffineModular(0.0, nf.shift.weights - ng.shift.weights)
-    return TotalNormalization(nf.polymatroid, k, ng.polymatroid)
 
 
 def sqrt_curvature(n: int) -> float:

@@ -50,7 +50,6 @@ def _build_parser() -> _Parser:
                      choices=("best_of_both", "alternate"))
     opt.add_argument("--constraint", help="card_le=K, card_eq=K, or @file.json")
     opt.add_argument("--max-iters", dest="max_iters", type=int)
-    opt.add_argument("--inner-sfm", dest="inner_sfm", choices=("min_norm", "brute"))
     opt.add_argument("--dg-mode", dest="dg_mode",
                      choices=("deterministic", "randomized"))
     opt.add_argument("--out", help="prefix for trace .json and .csv files")
@@ -92,7 +91,7 @@ def _build_parser() -> _Parser:
 _DEFAULTS = {
     "algo": "modmod", "epsilon": 0.0, "seed": 0, "heuristic": "g_gain",
     "ub_strategy": "best_of_both", "constraint": None, "max_iters": 200,
-    "inner_sfm": "min_norm", "dg_mode": "deterministic", "out": None,
+    "dg_mode": "deterministic", "out": None,
     "lambdas": "0.01", "methods": "all", "cost": "modular", "blocks": None,
     "alpha": 1.0, "folds": 10, "budget": None,
 }
@@ -153,8 +152,7 @@ def cmd_optimize(cfg: dict) -> int:
     inst = DSInstance(f, g)
     opts = SolverOptions(epsilon=cfg["epsilon"], max_iters=cfg["max_iters"],
                          heuristic=cfg["heuristic"], ub_strategy=cfg["ub_strategy"],
-                         seed=cfg["seed"], sfm_method=cfg["inner_sfm"],
-                         dg_mode=cfg["dg_mode"])
+                         seed=cfg["seed"], dg_mode=cfg["dg_mode"])
     if algo == "subsup":
         trace = sub_sup(inst, opts)
     elif algo == "supsub":
@@ -197,8 +195,7 @@ def cmd_certify(cfg: dict) -> int:
              f"bound1: {bound1:.6f}",
              f"bound2: {bound2:.6f}"]
     if ground.n <= BRUTE_CERTIFY_MAX_N:
-        v = SetFunctionOracle(ground, lambda S: f(S) - g(S), name="v")
-        best_set, best_val = brute_force_minimize(v)
+        best_set, best_val = brute_force_minimize(DSInstance(f, g).v_oracle())
         lines += [f"brute-force minimum: {best_val:.6f} at {sorted(best_set)}",
                   f"gap1: {best_val - bound1:.6f}",
                   f"gap2: {best_val - bound2:.6f}"]
@@ -265,8 +262,9 @@ def cmd_featsel(cfg: dict) -> int:
     for m in methods:
         if m not in FEATSEL_METHODS:
             raise UsageError(f"unknown method {m!r}")
+    if cfg.get("budget") is not None and "subsup" in methods:
+        raise UsageError("--budget cannot constrain subsup; leave subsup out of --methods")
     alpha, folds, seed = cfg["alpha"], cfg["folds"], cfg["seed"]
-    budget = cfg.get("budget")
     majority = float(np.max(np.bincount(
         np.unique(ds.labels, return_inverse=True)[1])) / ds.n_rows)
 
@@ -304,15 +302,18 @@ def cmd_featsel(cfg: dict) -> int:
 
 
 def _run_method(method: str, ds, cost, objective, cfg: dict) -> frozenset:
+    budget = cfg.get("budget")
     if method in ("grf", "grnf"):
-        selected, _ = greedy_select(ds, cost, method, cfg.get("budget"), cfg["alpha"])
+        selected, _ = greedy_select(ds, cost, method, budget, cfg["alpha"])
         return selected
     opts = SolverOptions(epsilon=cfg.get("epsilon", 0.0),
                          max_iters=cfg.get("max_iters", 200), seed=cfg["seed"])
-    solver = {"subsup": sub_sup, "modmod": mod_mod}.get(method)
-    if solver is not None:
-        return solver(objective.instance, opts).final_set
-    return sup_sub(objective.instance, opts).final_set
+    if method == "subsup":
+        return sub_sup(objective.instance, opts).final_set
+    constraint = (Constraint.none() if budget is None
+                  else Constraint.cardinality_le(min(budget, ds.n_features)))
+    solver = sup_sub if method == "supsub" else mod_mod
+    return solver(objective.instance, opts, constraint).final_set
 
 
 def main(argv=None) -> int:

@@ -150,9 +150,6 @@ class Constraint:
             return sum(self.costs[i - 1] for i in S) <= self.budget
         raise ValueError(f"unknown constraint kind {self.kind!r}")
 
-    def empty_is_feasible(self) -> bool:
-        return self.is_feasible(frozenset())
-
     def to_dict(self) -> dict:
         d = {"kind": self.kind}
         if self.k is not None:

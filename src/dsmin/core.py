@@ -10,6 +10,7 @@ exhaustive helpers) put element ``j`` on bit ``j - 1``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
@@ -47,9 +48,6 @@ class GroundSet:
                 raise ValueError(f"element {j} outside ground set 1..{self.n}")
         return S
 
-    def complement(self, X: Iterable[int]) -> frozenset:
-        return self.full - frozenset(X)
-
 
 def subset_key(X: Iterable[int]) -> tuple:
     """Canonical sort key: cardinality first, then sorted indices."""
@@ -57,8 +55,9 @@ def subset_key(X: Iterable[int]) -> tuple:
     return (len(t), t)
 
 
-def canonical_min(sets: Iterable[Iterable[int]]) -> frozenset:
-    return frozenset(min(sets, key=subset_key))
+def flips(X: frozenset, ground: GroundSet) -> list[frozenset]:
+    """The single-element additions and deletions at X, in element order."""
+    return [X - {j} if j in X else X | {j} for j in ground.elements()]
 
 
 def subsets_canonical(ground: GroundSet) -> Iterator[frozenset]:
@@ -98,15 +97,16 @@ class SetFunctionOracle:
         self.call_count += 1
         return float(self._fn(S))
 
-    def reset_count(self) -> None:
-        self.call_count = 0
-
     def __repr__(self):
         return f"SetFunctionOracle({self.name}, n={self.ground.n}, calls={self.call_count})"
 
 
 class MemoizedOracle(SetFunctionOracle):
-    """Caching view of another oracle; ``call_count`` counts cache misses only."""
+    """Caching view of another oracle; ``call_count`` counts cache misses only.
+
+    Every value it computes must be finite; a NaN or an infinity raises
+    ``ValueError`` naming the set.
+    """
 
     def __init__(self, inner: SetFunctionOracle, name: str | None = None):
         super().__init__(inner.ground, inner._fn, name or inner.name)
@@ -119,21 +119,14 @@ class MemoizedOracle(SetFunctionOracle):
             return hit
         self.call_count += 1
         val = float(self._fn(S))
+        if not math.isfinite(val):
+            raise ValueError(f"{self.name} is not finite at {sorted(S)}: {val!r}")
         self._cache[S] = val
         return val
 
 
 def memoized(oracle: SetFunctionOracle) -> MemoizedOracle:
     return MemoizedOracle(oracle)
-
-
-def normalized(oracle: SetFunctionOracle) -> SetFunctionOracle:
-    """Shift an oracle so that the empty set evaluates to exactly 0."""
-    base = oracle(frozenset())
-    if base == 0.0:
-        return oracle
-    return SetFunctionOracle(oracle.ground, lambda S, _o=oracle._fn, _b=base: _o(S) - _b,
-                             name=oracle.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +141,6 @@ class AffineModular:
     offset: float
     weights: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
     def weight(self, j: int) -> float:
         return float(self.weights[j - 1])
 
@@ -163,15 +152,26 @@ class AffineModular:
     def __sub__(self, other: "AffineModular") -> "AffineModular":
         return AffineModular(self.offset - other.offset, self.weights - other.weights)
 
-    def __add__(self, other: "AffineModular") -> "AffineModular":
-        return AffineModular(self.offset + other.offset, self.weights + other.weights)
-
-    def as_oracle(self, ground: GroundSet, name: str = "modular") -> SetFunctionOracle:
-        return SetFunctionOracle(ground, self.value, name=name)
-
     @staticmethod
     def from_weights(weights, offset: float = 0.0) -> "AffineModular":
         return AffineModular(float(offset), np.asarray(weights, dtype=float).copy())
+
+
+def chain_gains(f: SetFunctionOracle, order: Iterable[int]) -> np.ndarray:
+    """Telescoped gains of a normalized f along the chain of prefixes of ``order``.
+
+    Entry ``j - 1`` holds f(prefix ending at j) minus f(the prefix before
+    it), starting from 0 at the empty set.  Evaluates f once per prefix.
+    """
+    gains = np.empty(f.ground.n)
+    prev = 0.0
+    running: set[int] = set()
+    for j in order:
+        running.add(j)
+        cur = f(frozenset(running))
+        gains[j - 1] = cur - prev
+        prev = cur
+    return gains
 
 
 def gain(f: SetFunctionOracle, j: int, X: Iterable[int]) -> float:
@@ -252,19 +252,4 @@ def check_submodular(f: SetFunctionOracle, tol: float = FLOAT_TOL) -> bool:
             rhs = vals[base | ba | bb] + vals[base]
             if np.any(lhs < rhs - tol):
                 return False
-    return True
-
-
-def check_monotone(f: SetFunctionOracle, tol: float = FLOAT_TOL) -> bool:
-    """Exhaustively test that adding any element never decreases f."""
-    n = f.ground.n
-    if n > SUBMODULAR_CHECK_MAX_N:
-        raise ValueError(f"monotonicity check refused for n={n} > {SUBMODULAR_CHECK_MAX_N}")
-    vals = evaluate_table(f)
-    masks = np.arange(1 << n)
-    for a in range(n):
-        ba = 1 << a
-        base = masks[(masks & ba) == 0]
-        if np.any(vals[base | ba] < vals[base] - tol):
-            return False
     return True

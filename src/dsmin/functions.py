@@ -109,6 +109,7 @@ def _weights_array(params: dict, key: str = "weights") -> np.ndarray:
     _require(key in params, f"missing '{key}'")
     w = np.asarray(params[key], dtype=float)
     _require(w.ndim == 1 and len(w) >= 1, f"'{key}' must be a non-empty vector")
+    _require(np.all(np.isfinite(w)), f"'{key}' must be finite")
     return w
 
 
@@ -158,7 +159,8 @@ def _build_graph_cut(params, ground):
         u, v = int(e[0]), int(e[1])
         w = float(e[2]) if len(e) == 3 else 1.0
         _require(1 <= u <= n and 1 <= v <= n and u != v, f"bad edge endpoints ({u}, {v})")
-        _require(w >= 0.0, "cut edge weights must be non-negative")
+        _require(math.isfinite(w) and w >= 0.0,
+                 "cut edge weights must be finite and non-negative")
         edges.append((u, v, w))
 
     def cut(S):
@@ -175,7 +177,8 @@ def _build_facility_location(params, ground):
     _require("benefits" in params, "facility_location needs 'benefits'")
     B = np.asarray(params["benefits"], dtype=float)
     _require(B.ndim == 2 and B.shape[1] >= 1, "'benefits' must be a 2-D matrix")
-    _require(np.all(B >= 0.0), "facility benefits must be non-negative")
+    _require(np.all(np.isfinite(B) & (B >= 0.0)),
+             "facility benefits must be finite and non-negative")
     n = B.shape[1]
     ground = ground or GroundSet(n)
     _require(ground.n == n, "benefit matrix width must equal ground set size")
@@ -195,6 +198,7 @@ def _build_explicit_table(params, ground):
     _require(1 <= n <= 20, "explicit_table limited to 1 <= n <= 20")
     vals = np.asarray(params["values"], dtype=float)
     _require(vals.shape == (1 << n,), f"table needs exactly 2^{n} values")
+    _require(np.all(np.isfinite(vals)), "table values must be finite")
     ground = ground or GroundSet(n)
     _require(ground.n == n, "table 'n' must equal ground set size")
     vals = vals - vals[0]  # normalize at construction
@@ -208,7 +212,8 @@ def _build_scaled_sum(params, ground):
     for t in terms:
         _require("coeff" in t and "spec" in t, "each term needs 'coeff' and 'spec'")
         c = float(t["coeff"])
-        _require(c >= 0.0, "scaled_sum coefficients must be non-negative")
+        _require(math.isfinite(c) and c >= 0.0,
+                 "scaled_sum coefficients must be finite and non-negative")
         sub = t["spec"] if isinstance(t["spec"], FunctionSpec) else FunctionSpec.from_dict(t["spec"])
         children.append((c, sub))
     oracles = [(c, build_function(s, ground)) for c, s in children]

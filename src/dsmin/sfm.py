@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Permutation
-from .core import MemoizedOracle, SetFunctionOracle, memoized
+from .core import MemoizedOracle, SetFunctionOracle, chain_gains, memoized
 
 
 class NonConvergenceError(RuntimeError):
@@ -53,15 +53,7 @@ def greedy_base_vertex(f: SetFunctionOracle, direction) -> BaseVertex:
     if d.shape != (n,):
         raise ValueError(f"direction must have length {n}")
     order = tuple(int(i) + 1 for i in np.argsort(d, kind="stable"))
-    coords = np.empty(n)
-    prev = 0.0
-    running: set[int] = set()
-    for j in order:
-        running.add(j)
-        cur = f(frozenset(running))
-        coords[j - 1] = cur - prev
-        prev = cur
-    return BaseVertex(coords, Permutation(order))
+    return BaseVertex(chain_gains(f, order), Permutation(order))
 
 
 def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,6 +96,7 @@ def min_norm_point(f: SetFunctionOracle, tol: float = 1e-10,
     n = f.ground.n
     fm = f if isinstance(f, MemoizedOracle) else memoized(f)
     cap = max_major if max_major is not None else 100 * n * n
+    tol_prime = max(10.0 * tol, 1e-9)
 
     x = greedy_base_vertex(fm, np.zeros(n)).coords
     S = x.reshape(1, n).copy()
@@ -140,21 +133,9 @@ def min_norm_point(f: SetFunctionOracle, tol: float = 1e-10,
         else:
             break  # minor cycle stuck; x is the best affine point available
     else:
-        tol_prime = max(10.0 * tol, 1e-9)
         best = frozenset(int(j) + 1 for j in np.where(x < -tol_prime)[0])
         raise NonConvergenceError(best, fm(best), gap)
 
-    tol_prime = max(10.0 * tol, 1e-9)
     X = frozenset(int(j) + 1 for j in np.where(x < -tol_prime)[0])
     return X, fm(X), x
 
-
-def sfm_brute_force(f: SetFunctionOracle) -> tuple[frozenset, float, np.ndarray]:
-    """Exhaustive drop-in replacement for :func:`min_norm_point` (small n)."""
-    from .core import brute_force_minimize
-
-    X, val = brute_force_minimize(f)
-    x = np.zeros(f.ground.n)
-    for j in X:
-        x[j - 1] = -1.0
-    return X, val, x

@@ -10,10 +10,11 @@ out the toolbox.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .core import SetFunctionOracle
+from .core import SetFunctionOracle, flips
 
 
 @dataclass
@@ -84,19 +85,23 @@ def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> MaximizerResult:
     return MaximizerResult(frozenset(S), value, "greedy_cardinality")
 
 
-def local_search_max(f: SetFunctionOracle, start) -> MaximizerResult:
-    """Hill-climb by single adds/deletes until no move strictly improves f."""
+def local_search_max(f: SetFunctionOracle, start,
+                     feasible: Callable[[frozenset], bool] | None = None) -> MaximizerResult:
+    """Hill-climb by single adds/deletes until no move strictly improves f.
+
+    With ``feasible`` given, only moves to sets it accepts are considered.
+    Every step strictly raises f, so no set repeats and the climb ends.
+    """
     S = f.ground.check_subset(start)
     value = f(S)
-    n = f.ground.n
-    for _ in range(1 << min(n, 20)):
+    while True:
         best_val, best_set = value, None
-        for j in f.ground.elements():
-            T = S - {j} if j in S else S | {j}
+        for T in flips(S, f.ground):
+            if feasible is not None and not feasible(T):
+                continue
             val = f(T)
             if val > best_val:
                 best_val, best_set = val, T
         if best_set is None:
-            break
+            return MaximizerResult(S, value, "local_search")
         S, value = best_set, best_val
-    return MaximizerResult(S, value, "local_search")

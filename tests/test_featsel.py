@@ -44,6 +44,22 @@ def synthetic_complementary(extra_dup=True):
     return Dataset(np.stack(cols, axis=1), C)
 
 
+def redundant_features(rng, rows, features):
+    """Binary features for a binary class: a third noisy copies of the class,
+    a third noisier copies of those, the rest unrelated noise."""
+    y = rng.integers(0, 2, rows)
+    k = features // 3
+    X = np.empty((rows, features), dtype=np.int8)
+    for j in range(features):
+        if j < k:
+            X[:, j] = y ^ (rng.random(rows) < 0.1 + 0.3 * j / max(k - 1, 1))
+        elif j < 2 * k:
+            X[:, j] = X[:, j - k] ^ (rng.random(rows) < 0.05 + 0.25 * (j - k) / max(k - 1, 1))
+        else:
+            X[:, j] = rng.random(rows) < 0.2 + 0.6 * (j - 2 * k) / max(features - 2 * k - 1, 1)
+    return Dataset(X, y)
+
+
 class TestParse:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "d.libsvm"
@@ -284,3 +300,13 @@ class TestSolversOnObjective:
             tr = solver(obj.instance, SolverOptions(seed=11))
             assert tr.final_value < grf_val - 0.1
             assert tr.final_value >= best - 1e-9
+
+    def test_mod_mod_ends_locally_optimal_with_smoothing(self):
+        # with alpha = 1 neither entropy is submodular, so the modular bounds
+        # are not bounds and mod-mod's sweep misses adding feature 3 at {1}
+        ds = redundant_features(np.random.default_rng(148), 100, 6)
+        obj = build_objective(ds, CostModel.modular_cardinality(0.01), 1.0)
+        assert not check_submodular(obj.instance.g)
+        tr = mod_mod(obj.instance)
+        assert tr.termination == "converged"
+        assert tr.locally_optimal

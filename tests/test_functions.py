@@ -70,6 +70,19 @@ def test_malformed_specs_rejected(bad):
         build_function(FunctionSpec.from_dict(bad))
 
 
+@pytest.mark.parametrize("bad", [
+    {"kind": "modular", "weights": [1.0, math.nan]},
+    {"kind": "concave_of_modular", "shape": "sqrt", "weights": [math.inf, 1.0]},
+    {"kind": "graph_cut", "n": 3, "edges": [[1, 2, math.inf]]},
+    {"kind": "facility_location", "benefits": [[1.0, math.inf]]},
+    {"kind": "explicit_table", "n": 1, "values": [0.0, math.nan]},
+    {"kind": "scaled_sum", "terms": [{"coeff": math.inf, "spec": {"kind": "modular", "weights": [1.0]}}]},
+])
+def test_non_finite_specs_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        build_function(FunctionSpec.from_dict(bad))
+
+
 def test_every_builtin_family_is_submodular():
     rng = np.random.default_rng(42)
     for n in (2, 4, 6):

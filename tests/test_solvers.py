@@ -9,9 +9,9 @@ from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
                    local_optimality_check, minima_lower_bounds, mod_mod,
                    modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
 from dsmin.functions import build_function, modular_spec
-from dsmin.sfm import sfm_brute_force
 
 import helpers
+from helpers import sfm_brute_force
 
 SQ3 = math.sqrt(3)
 GLOBAL_TRI = -2 * SQ3
@@ -124,14 +124,16 @@ class TestSubSup:
 
 
 class TestSupSub:
-    def test_modular_f_single_maximization(self):
+    def test_modular_f_upper_bounds_exact_everywhere(self):
+        # for modular f both upper-bound variants equal f at every anchor,
+        # so each sup-sub surrogate g - m is exactly -v
         rng = np.random.default_rng(59)
         f = helpers.random_modular(rng, 5)
-        g = helpers.random_submodular(rng, 5)
-        inst = DSInstance(f, g)
-        tr = sup_sub(inst, SolverOptions(seed=1, max_method="brute"))
-        _, best = brute_force_minimize(inst.v_oracle())
-        assert tr.final_value == pytest.approx(best, abs=1e-9)
+        for X in helpers.all_subsets(5):
+            for variant in (1, 2):
+                m = modular_upper_bound(f, X, variant)
+                for S in helpers.all_subsets(5):
+                    assert m.value(S) == pytest.approx(f(S), abs=1e-9)
 
     def test_reaches_global_on_showcase(self):
         tr = sup_sub(helpers.tri_instance(), SolverOptions(seed=0))
@@ -299,6 +301,18 @@ class TestTraceMachinery:
             sub_sup(DSInstance(f, g), SolverOptions(seed=0))
         assert ei.value.trace is not None
         assert len(ei.value.trace.iterates) >= 1
+
+    def test_non_finite_values_rejected(self):
+        g3 = GroundSet(3)
+        zero = SetFunctionOracle(g3, lambda S: 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            DSInstance(SetFunctionOracle(g3, lambda S: math.nan), zero)
+        # a NaN weight that no spec builder checked
+        w = [-1.0, math.nan, 1.0]
+        f = SetFunctionOracle(g3, lambda S: sum(w[j - 1] for j in S))
+        for solver in (sub_sup, sup_sub, mod_mod):
+            with pytest.raises(SolverError, match="not finite"):
+                solver(DSInstance(f, zero), SolverOptions(seed=0))
 
     def test_instance_requires_normalization(self):
         g3 = GroundSet(3)
