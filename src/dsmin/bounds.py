@@ -234,20 +234,16 @@ def ds_decompose(v: SetFunctionOracle, alpha_lb: float | None = None) -> DSDecom
     return DSDecomposition(f, g, alpha=alpha_eff, beta=beta, scale=scale)
 
 
-def decomposition_spec_pair(v: SetFunctionOracle, dec: DSDecomposition):
-    """Serializable function-spec pair reproducing a decomposition (n <= 20)."""
-    from .functions import FunctionSpec, scaled_sum_spec, sqrt_cardinality_spec, table_spec
+def decomposition_spec_pair(v_spec, dec: DSDecomposition):
+    """Serializable function-spec pair (f, g) of a decomposition of v_spec's function."""
+    from .functions import modular_spec, scaled_sum_spec, sqrt_cardinality_spec
 
-    n = v.ground.n
-    table = evaluate_table(v)
-    v_spec = table_spec(n, table)
+    n = dec.f.ground.n
     if dec.scale == 0.0:
-        zero = table_spec(n, [0.0] * (1 << n))
-        return v_spec, zero
-    sqrt_spec = FunctionSpec("concave_of_modular", {"shape": "sqrt", "weights": [1.0] * n})
-    f_spec = scaled_sum_spec([(1.0, v_spec), (dec.scale, sqrt_spec)])
-    g_spec = scaled_sum_spec([(dec.scale, sqrt_spec)])
-    return f_spec, g_spec
+        return v_spec, modular_spec([0.0] * n)
+    sqrt_spec = sqrt_cardinality_spec(n)
+    return (scaled_sum_spec([(1.0, v_spec), (dec.scale, sqrt_spec)]),
+            scaled_sum_spec([(dec.scale, sqrt_spec)]))
 
 
 def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,

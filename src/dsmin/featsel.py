@@ -335,6 +335,7 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
         val = best_val
         trace.iterates.append(TracePoint(S, val, calls(), time.perf_counter() - t0))
     trace.termination = "converged"
+    trace.oracle_calls, trace.elapsed = calls(), time.perf_counter() - t0
     return S, trace
 
 

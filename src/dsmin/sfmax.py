@@ -16,6 +16,8 @@ import numpy as np
 
 from .core import SetFunctionOracle, flips
 
+DG_MODES = ("deterministic", "randomized")
+
 
 @dataclass
 class MaximizerResult:
@@ -36,8 +38,8 @@ def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
     gains, adding outright when both clip to zero.  Makes exactly 4n
     oracle calls.
     """
-    if mode not in ("deterministic", "randomized"):
-        raise ValueError(f"mode must be deterministic or randomized, got {mode!r}")
+    if mode not in DG_MODES:
+        raise ValueError(f"mode must be one of {DG_MODES}, got {mode!r}")
     rng = np.random.default_rng(seed) if mode == "randomized" else None
     ground = f.ground
     A: set[int] = set()

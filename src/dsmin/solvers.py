@@ -44,7 +44,7 @@ from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import FLOAT_TOL, GroundSet, SetFunctionOracle, flips, memoized, subset_key
 from .sfm import min_norm_point
-from .sfmax import double_greedy, greedy_cardinality_max, local_search_max
+from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
 _EQ_TOL = 1e-12  # two objective values within this are treated as equal
 _SFM_TOL = 1e-10  # min-norm point accuracy for sub-sup's inner minimization
@@ -100,7 +100,7 @@ class SolverOptions:
     heuristic: str = "g_gain"
     ub_strategy: str = "best_of_both"
     seed: int = 0
-    dg_mode: str = "deterministic"     # deterministic | randomized
+    dg_mode: str = "deterministic"
 
     def __post_init__(self):
         if self.epsilon < 0:
@@ -111,8 +111,8 @@ class SolverOptions:
             raise ValueError(f"heuristic must be one of {HEURISTICS}")
         if self.ub_strategy not in UB_STRATEGIES:
             raise ValueError(f"ub_strategy must be one of {UB_STRATEGIES}")
-        if self.dg_mode not in ("deterministic", "randomized"):
-            raise ValueError("dg_mode must be deterministic or randomized")
+        if self.dg_mode not in DG_MODES:
+            raise ValueError(f"dg_mode must be one of {DG_MODES}")
 
 
 @dataclass
@@ -133,6 +133,8 @@ class OptimizationTrace:
     iterates: list[TracePoint] = field(default_factory=list)
     termination: str = "iter_cap"      # converged | epsilon_stop | iter_cap
     locally_optimal: bool | None = None
+    oracle_calls: int = 0              # with elapsed: run totals at termination
+    elapsed: float = 0.0
 
     @property
     def final_point(self) -> TracePoint:
@@ -168,7 +170,7 @@ class OptimizationTrace:
                 "set": sorted(self.final_set),
                 "value": self.final_value,
                 "iterations": self.n_accepted,
-                "oracle_calls": self.iterates[-1].oracle_calls,
+                "oracle_calls": self.oracle_calls,
             },
             "iterates": [
                 {"set": sorted(p.set), "value": p.value, "oracle_calls": p.oracle_calls}
@@ -388,6 +390,7 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
     if run.constraint.kind == "none":
         trace.locally_optimal = local_optimality_check(
             run.value, trace.final_set, ground=run.ground)
+    trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
     return trace
 
 
@@ -400,7 +403,8 @@ def _variants(strategy: str, t: int) -> tuple[int, ...]:
     return (1,) if t % 2 == 0 else (2,)
 
 
-def sub_sup(inst: DSInstance, opts: SolverOptions | None = None) -> OptimizationTrace:
+def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
+            constraint: Constraint = Constraint.none()) -> OptimizationTrace:
     """Descend on v = f - g by exactly minimizing f minus a lower bound of g.
 
     Starting from the empty set, each iteration picks a permutation chain
@@ -410,10 +414,12 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None) -> Optimization
     the configured heuristic (both, for ``random``) plus one boundary-pinned
     random permutation per element are retried.  For submodular f and g that
     certifies local optimality; for any other pair the final single-element
-    scan of the descent guarantees it on convergence.
+    scan of the descent guarantees it on convergence.  No constraints.
     """
     opts = opts or SolverOptions()
-    run = _Run("subsup", inst, opts, Constraint.none())
+    if constraint.kind != "none":
+        raise ValueError(f"sub_sup supports no constraint, got {constraint.kind!r}")
+    run = _Run("subsup", inst, opts, constraint)
     ground = run.ground
     heur_scorer = run.scorer(opts.heuristic)
 
@@ -537,3 +543,6 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
         start = min(boot, key=lambda S: (run.value(S), subset_key(S)))
 
     return _descent(run, start, primary, sweep)
+
+
+SOLVERS = {"subsup": sub_sup, "supsub": sup_sub, "modmod": mod_mod}

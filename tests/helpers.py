@@ -10,7 +10,7 @@ from dsmin import (AffineModular, DSInstance, GroundSet, SetFunctionOracle,
                    brute_force_minimize, build_function, FunctionSpec,
                    totally_normalize)
 from dsmin.core import FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, evaluate_table
-from dsmin.functions import graph_cut_spec, modular_spec
+from dsmin.functions import graph_cut_spec, modular_spec, table_spec
 
 
 def sqrt_card(n, coeff=1.0):
@@ -64,12 +64,19 @@ def random_scaled_sum(rng, n):
         name="scaled_sum")
 
 
+def random_table(rng, n):
+    """A tabulated random submodular function: concave plus facility location."""
+    values = evaluate_table(random_concave(rng, n)) + evaluate_table(random_facility(rng, n))
+    return build_function(table_spec(n, values))
+
+
 FAMILY_BUILDERS = {
     "modular": random_modular,
     "concave": random_concave,
     "cut": random_cut,
     "facility": random_facility,
     "scaled_sum": random_scaled_sum,
+    "table": random_table,
 }
 
 NONNEG_FAMILIES = ("concave", "cut", "facility", "scaled_sum")

@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from dsmin import FunctionSpec, GroundSet, build_function, instance_from_dict
 from dsmin.cli import main
 from dsmin.functions import graph_cut_spec, sqrt_cardinality_spec, table_spec
 
@@ -70,10 +72,38 @@ class TestOptimize:
         ["--algo", "subsup", "--constraint", "card_le=1"],
         ["--constraint", "bogus"],
         ["--algo", "nope"],
+        # a dict stands for a config file holding it
+        ["--config", {"inner_sfm": "brute", "bogus_key": 1}],
+        ["--config", {"algo": "nope"}],
+        ["--config", {"epsilon": "x"}],
+        ["--config", "no-such-dir/cfg.json"],
     ])
-    def test_usage_errors_exit_1(self, instance, capsys, extra):
+    def test_usage_errors_exit_1(self, instance, tmp_path, capsys, extra):
+        if isinstance(extra[-1], dict):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(extra[-1]))
+            extra = extra[:-1] + [str(cfg)]
         assert main(["optimize", "--instance", instance] + extra) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_config_keys_and_nulls(self, instance, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_iters": 1, "ub-strategy": "alternate", "seed": None}))
+        assert main(["optimize", "--instance", instance, "--config", str(cfg)]) == 0
+        report = _lines(capsys)
+        assert (report["seed"], report["iterations"]) == ("0", "1")
+
+    def test_out_into_missing_directory_exits_2(self, instance, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "run")
+        assert main(["optimize", "--instance", instance, "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("runtime error: ")
+
+    def test_oracle_calls_are_run_totals(self, instance, tmp_path, capsys):
+        out = str(tmp_path / "run")
+        assert main(["optimize", "--instance", instance, "--algo", "subsup", "--out", out]) == 0
+        doc = json.loads((tmp_path / "run.json").read_text())
+        assert int(_lines(capsys)["oracle calls"]) == doc["final"]["oracle_calls"]
+        assert doc["final"]["oracle_calls"] > doc["iterates"][-1]["oracle_calls"]
 
     def test_missing_instance_exits_1(self, tmp_path):
         assert main(["optimize", "--instance", str(tmp_path / "none.json")]) == 1
@@ -105,16 +135,37 @@ class TestCertify:
         assert main(["certify", "--instance", str(tmp_path / "none.json")]) == 1
 
 
+def _rebuilds(pair: dict, v_spec: dict, sets) -> bool:
+    """Whether the written f - g equals v on every given set."""
+    _, f, g = instance_from_dict(pair)
+    v = build_function(FunctionSpec.from_dict(v_spec), GroundSet(pair["n"]))
+    return all(f(S) - g(S) == pytest.approx(v(S), abs=1e-12) for S in sets)
+
+
 class TestDecompose:
     def test_writes_submodular_pair(self, tmp_path, capsys):
         doc = tmp_path / "v.json"
-        doc.write_text(json.dumps({"n": 2, "v": table_spec(2, [0, 1, 1, 3]).to_dict()}))
+        v_spec = table_spec(2, [0, 1, 1, 3]).to_dict()
+        doc.write_text(json.dumps({"n": 2, "v": v_spec}))
         out = tmp_path / "fg.json"
         assert main(["decompose", "--instance", str(doc), "--out", str(out)]) == 0
         pair = json.loads(out.read_text())
         assert set(pair) == {"n", "f", "g", "alpha", "beta", "scale"}
         assert pair["alpha"] == pytest.approx(-1.0) and pair["scale"] > 0
         assert "scale: " in capsys.readouterr().out
+        assert _rebuilds(pair, v_spec, [frozenset(), {1}, {2}, {1, 2}])
+
+    def test_large_n_with_alpha_lb(self, tmp_path):
+        # no full table of v is needed when alpha_lb is given
+        n = 22
+        v_spec = graph_cut_spec(n, [[j, j + 1, 1.0] for j in range(1, n)]).to_dict()
+        doc = tmp_path / "v.json"
+        doc.write_text(json.dumps({"n": n, "v": v_spec, "alpha_lb": -1.0}))
+        out = tmp_path / "fg.json"
+        assert main(["decompose", "--instance", str(doc), "--out", str(out)]) == 0
+        rng = np.random.default_rng(0)
+        sets = [frozenset(np.flatnonzero(rng.random(n) < 0.5) + 1) for _ in range(20)]
+        assert _rebuilds(json.loads(out.read_text()), v_spec, sets)
 
     def test_bad_document_exits_1(self, tmp_path):
         doc = tmp_path / "v.json"
@@ -149,6 +200,13 @@ class TestFeatsel:
     def test_budget_with_subsup_exits_1(self, dataset, capsys):
         assert main(["featsel", "--data", dataset, "--budget", "1"]) == 1
         assert "subsup" in capsys.readouterr().err
+
+    def test_config_epsilon_rejected(self, dataset, tmp_path, capsys):
+        # featsel has no --epsilon flag, so a config cannot set it either
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": 0.1}))
+        assert main(["featsel", "--data", dataset, "--config", str(cfg)]) == 1
+        assert "--epsilon" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [["--methods", "nope"], ["--lambdas", "x"]])
     def test_usage_errors_exit_1(self, dataset, extra):

@@ -96,9 +96,16 @@ class TestMinNormPoint:
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(23)
-        for _ in range(30):
-            n = int(rng.integers(2, 9))
-            f = helpers.random_submodular(rng, n)
+        cases = [helpers.random_submodular(rng, int(rng.integers(2, 9))) for _ in range(30)]
+        # larger ground sets minus a base vertex plus noise, which here puts the
+        # minimizer strictly between the empty and the full set
+        for n, family in ((12, "facility"), (13, "scaled_sum"), (14, "facility"),
+                          (14, "scaled_sum")):
+            h = helpers.FAMILY_BUILDERS[family](rng, n)
+            w = greedy_base_vertex(h, rng.normal(0, 1, n)).coords + rng.normal(0, 0.3, n)
+            cases.append(SetFunctionOracle(
+                h.ground, lambda S, h=h, w=w: h(S) - sum(w[j - 1] for j in S)))
+        for f in cases:
             X, val, x = min_norm_point(f)
             _, best = brute_force_minimize(f)
             assert val == pytest.approx(best, abs=1e-6)

@@ -6,8 +6,8 @@ import pytest
 from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
                    SolverError, SolverOptions, accept_step, brute_force_minimize,
                    choose_permutation, epsilon_iteration_cap,
-                   local_optimality_check, minima_lower_bounds, mod_mod,
-                   modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
+                   local_optimality_check, min_norm_point, minima_lower_bounds,
+                   mod_mod, modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
 from dsmin.functions import build_function, modular_spec
 
 import helpers
@@ -122,6 +122,10 @@ class TestSubSup:
             if tr.termination == "converged":
                 assert tr.locally_optimal
 
+    def test_rejects_constraints(self):
+        with pytest.raises(ValueError, match="no constraint"):
+            sub_sup(helpers.tri_instance(), SolverOptions(), Constraint.cardinality_le(1))
+
 
 class TestSupSub:
     def test_modular_f_upper_bounds_exact_everywhere(self):
@@ -178,29 +182,6 @@ class TestModMod:
         assert tr.final_value == pytest.approx(3.0)
         assert tr.n_accepted == 0  # bootstrap lands on the tree immediately
         assert all(len(p.set) == 2 for p in tr.iterates)
-
-    def test_every_constrained_iterate_feasible(self):
-        rng = np.random.default_rng(63)
-        for _ in range(8):
-            inst = helpers.random_ds_instance(rng, 6)
-            for c in (Constraint.cardinality_le(3), Constraint.cardinality_eq(2),
-                      Constraint.partition_matroid([[1, 2, 3], [4, 5, 6]], [1, 2]),
-                      Constraint.knapsack([1, 2, 1, 3, 2, 1], 4)):
-                tr = mod_mod(inst, SolverOptions(seed=4), c)
-                assert all(c.is_feasible(p.set) for p in tr.iterates)
-                vals = tr.values()
-                assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
-
-    def test_monotone_and_certified_unconstrained(self):
-        rng = np.random.default_rng(65)
-        for _ in range(10):
-            inst = helpers.random_ds_instance(rng, 6)
-            tr = mod_mod(inst, SolverOptions(seed=5))
-            vals = tr.values()
-            assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
-            if tr.termination == "converged":
-                assert tr.locally_optimal
-
 
 class TestSurrogateSandwich:
     def test_bounds_sandwich_objective(self):
@@ -279,6 +260,25 @@ class TestTraceMachinery:
         assert len(doc["iterates"]) == len(tr.iterates)
         assert "elapsed" not in doc["iterates"][0]
 
+    def test_totals_count_every_oracle_call(self):
+        # the final sweep and the local-optimality check come after the
+        # last accepted iterate; the totals must include them
+        cut = helpers.random_cut(np.random.default_rng(12), 12)
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(S):
+                calls[0] += 1
+                return fn(S)
+            return SetFunctionOracle(cut.ground, wrapper)
+
+        inst = DSInstance(counted(cut), counted(lambda S: 3.0 * math.sqrt(len(S))))
+        for solver in (sub_sup, sup_sub, mod_mod):
+            calls[0] = 0
+            tr = solver(inst, SolverOptions(seed=0))
+            assert tr.to_json_dict()["final"]["oracle_calls"] == tr.oracle_calls == calls[0]
+            assert tr.elapsed >= tr.iterates[-1].elapsed
+
     def test_csv_schema(self, tmp_path):
         tr = mod_mod(helpers.tri_instance(), SolverOptions(seed=1))
         path = tmp_path / "trace.csv"
@@ -320,3 +320,50 @@ class TestTraceMachinery:
         g = SetFunctionOracle(g3, lambda S: 0.0)
         with pytest.raises(ValueError):
             DSInstance(f, g)
+
+
+def _random_constraints(rng, n):
+    """One constraint of each kind mod-mod supports, drawn at random over 1..n."""
+    cut = int(rng.integers(1, n))
+    vertices = int(rng.integers(2, n + 2))
+    # a random spanning tree of the vertices, then random extra edges up to n
+    edges = [(int(rng.integers(1, v)), v) for v in range(2, vertices + 1)]
+    while len(edges) < n:
+        u, v = rng.choice(np.arange(1, vertices + 1), 2, replace=False)
+        edges.append((int(u), int(v)))
+    return [Constraint.cardinality_le(int(rng.integers(0, n + 1))),
+            Constraint.cardinality_eq(int(rng.integers(0, n + 1))),
+            Constraint.partition_matroid([range(1, cut + 1), range(cut + 1, n + 1)],
+                                         rng.integers(0, 3, 2)),
+            Constraint.knapsack(rng.integers(0, 4, n), int(rng.integers(0, 2 * n))),
+            Constraint.spanning_tree(vertices, [edges[i] for i in rng.permutation(n)])]
+
+
+@pytest.mark.parametrize("family", list(helpers.FAMILY_BUILDERS))
+def test_invariants_on_random_instances(family):
+    """The paper's invariants on small random instances of every function
+    family: traces never increase, every iterate is feasible, bound2 <=
+    bound1 <= min v <= every unconstrained final value, and converged
+    unconstrained runs end locally optimal."""
+    rng = np.random.default_rng(list(helpers.FAMILY_BUILDERS).index(family))
+    for i in range(5):
+        n = int(rng.integers(3, 9))
+        f = helpers.FAMILY_BUILDERS[family](rng, n)
+        g = helpers.random_submodular(rng, n)
+        inst = DSInstance(f, g) if i % 2 == 0 else DSInstance(g, f)
+        _, best = brute_force_minimize(inst.v_oracle())
+        bound1, bound2 = minima_lower_bounds(inst.f, inst.g, min_norm_point)
+        assert bound2 <= bound1 + 1e-9 and bound1 <= best + 1e-6
+        constraints = _random_constraints(rng, n)
+        runs = [(sub_sup, Constraint.none()), (sup_sub, Constraint.none()),
+                (sup_sub, constraints[0]), (mod_mod, Constraint.none())]
+        runs += [(mod_mod, c) for c in constraints]
+        for solver, c in runs:
+            tr = solver(inst, SolverOptions(seed=i), c)
+            vals = tr.values()
+            assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
+            assert all(c.is_feasible(p.set) for p in tr.iterates)
+            if c.kind == "none":
+                assert tr.final_value >= best - 1e-9
+                if tr.termination == "converged":
+                    assert tr.locally_optimal
