@@ -117,7 +117,10 @@ def _parse_constraint(text: str | None) -> Constraint:
     if not text:
         return Constraint.none()
     if text.startswith("@"):
-        return Constraint.from_dict(_read_json(text[1:], "constraint"))
+        try:
+            return Constraint.from_dict(_read_json(text[1:], "constraint"))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise UsageError(f"malformed constraint {text[1:]}: {exc!r}")
     if "=" in text:
         key, _, val = text.partition("=")
         if key == "card_le":
@@ -239,7 +242,10 @@ def cmd_featsel(args: argparse.Namespace) -> int:
         if not args.blocks:
             raise UsageError("partition_sqrt cost needs --blocks")
         doc = _read_json(args.blocks, "blocks")
-        partition = (doc["blocks"], doc.get("weights", [1.0] * ds.n_features))
+        try:
+            partition = (doc["blocks"], doc.get("weights", [1.0] * ds.n_features))
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise UsageError(f"malformed blocks {args.blocks}: {exc!r}")
     majority = float(np.max(np.bincount(
         np.unique(ds.labels, return_inverse=True)[1])) / ds.n_rows)
 

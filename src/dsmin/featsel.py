@@ -6,12 +6,15 @@ relevance I(X_A; C) = H(X_A) - H(X_A | C) and the cost of A.  Minimizing
 submodular functions, which the solvers in :mod:`dsmin.solvers` handle
 directly; the greedy baselines here add one feature at a time.
 
-Entropies are empirical plug-in estimates in bits, computed in one sweep
-over the rows.  The conditional entropy can be taken jointly
-("non_factored") or as a per-feature sum ("factored", the class-conditional
-independence shortcut); the factored sum over-counts shared class-conditional
-information, which is exactly what makes the corresponding greedy weak on
-redundant features.
+Entropies are empirical plug-in estimates in bits.  Each query packs the
+rows' values on A into one int64 code per row (mixed radix over the sorted
+columns, first column most significant) and counts the distinct codes; the
+codes sort in the lexicographic order of the rows, so the counts, and every
+entropy, come out exactly as a sort of the rows themselves would give them.
+The conditional entropy can be taken jointly ("non_factored") or as a
+per-feature sum ("factored", the class-conditional independence shortcut);
+the factored sum over-counts shared class-conditional information, which is
+exactly what makes the corresponding greedy weak on redundant features.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ class Dataset:
     """Categorical feature matrix with class labels.
 
     ``rows[i, j - 1]`` is the value of feature j in sample i; values of
-    feature j lie in ``0..arity[j-1]-1``.  Entropy queries are memoized on
-    the dataset.
+    feature j are integers in ``0..arity[j-1]-1``, others are rejected, and
+    float or uint64 rows are stored as int64.  Entropy queries are memoized
+    on the dataset.
     """
 
     rows: np.ndarray
@@ -51,6 +55,14 @@ class Dataset:
             raise ValueError("dataset needs a non-empty 2-D row matrix")
         if len(self.labels) != self.rows.shape[0]:
             raise ValueError("one label per row required")
+        if not np.can_cast(self.rows.dtype, np.int64):
+            whole = (np.isfinite(self.rows) & (self.rows == np.floor(self.rows))).all(axis=0)
+            if not whole.all():
+                raise ValueError(f"feature {np.argmin(whole) + 1} holds a non-integer value")
+            self.rows = self.rows.astype(np.int64)
+        if self.rows.min() < 0:
+            j = int(np.argmin(self.rows.min(axis=0)))
+            raise ValueError(f"feature {j + 1} holds a negative value {self.rows.min()}")
         self.arity = self.rows.max(axis=0).astype(np.int64) + 1
         self.classes, inv = np.unique(self.labels, return_inverse=True)
         self._class_rows = [np.where(inv == c)[0] for c in range(len(self.classes))]
@@ -135,22 +147,27 @@ def _entropy_from_counts(counts: np.ndarray, alpha: float) -> float:
     return float(h - q * math.log2(q))
 
 
-def _joint_counts(rows: np.ndarray) -> np.ndarray:
-    if rows.shape[1] == 1:
-        counts = np.bincount(rows[:, 0].astype(np.int64))
-        return counts[counts > 0]
-    _, counts = np.unique(rows, axis=0, return_counts=True)
-    return counts
+def _row_codes(ds: Dataset, A: frozenset) -> np.ndarray:
+    """The int64 code of each row's values on A, as the module docstring says.
 
-
-def _entropy_of_rows(ds: Dataset, row_idx, A: frozenset, alpha: float) -> float:
-    if not A:
-        return 0.0
+    Once the product of the arities reaches 2^63 the code is built column by
+    column and replaced by its rank among its distinct values before it
+    would overflow, which keeps it exact and its order unchanged.
+    """
     cols = sorted(j - 1 for j in A)
-    sub = ds.rows[row_idx][:, cols] if row_idx is not None else ds.rows[:, cols]
-    if sub.shape[0] == 0:
-        return 0.0
-    return _entropy_from_counts(_joint_counts(sub), alpha)
+    arity = ds.arity[cols].tolist()
+    if math.prod(arity) < 2 ** 63:
+        weights = np.cumprod([1] + arity[:0:-1], dtype=np.int64)[::-1]
+        return ds.rows[:, cols] @ weights
+    code = np.zeros(ds.n_rows, dtype=np.int64)
+    radix = 1
+    for c, a in zip(cols, arity):
+        if radix * a >= 2 ** 63:
+            distinct, code = np.unique(code, return_inverse=True)
+            radix = len(distinct)
+        code = code * a + ds.rows[:, c]
+        radix *= a
+    return code
 
 
 def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
@@ -158,15 +175,20 @@ def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> floa
     if alpha < 0:
         raise ValueError("smoothing must be >= 0")
     A = ds.ground.check_subset(A)
+    if not A:
+        return 0.0
     key = ("joint", A, alpha)
     hit = ds._cache.get(key)
     if hit is None:
-        hit = ds._cache[key] = _entropy_of_rows(ds, None, A, alpha)
+        hit = ds._cache[key] = _entropy_from_counts(
+            np.unique(_row_codes(ds, A), return_counts=True)[1], alpha)
     return hit
 
 
 def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
     """Class-weighted plug-in entropy H(X_A | C) in bits."""
+    if alpha < 0:
+        raise ValueError("smoothing must be >= 0")
     A = ds.ground.check_subset(A)
     if not A:
         return 0.0
@@ -174,12 +196,12 @@ def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> fl
     hit = ds._cache.get(key)
     if hit is not None:
         return hit
+    code = _row_codes(ds, A)
     m = ds.n_rows
     total = 0.0
     for idx in ds._class_rows:
-        if len(idx) == 0:
-            continue  # class with zero rows: excluded
-        total += (len(idx) / m) * _entropy_of_rows(ds, idx, A, alpha)
+        counts = np.unique(code[idx], return_counts=True)[1]
+        total += (len(idx) / m) * _entropy_from_counts(counts, alpha)
     ds._cache[key] = total
     return total
 
@@ -308,6 +330,8 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
     tag = mode.lower()
     if tag not in ("grf", "grnf"):
         raise ValueError(f"mode must be GrF or GrNF, got {mode!r}")
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     obj = build_objective(ds, cost, alpha,
                           "factored" if tag == "grf" else "non_factored")
     n = ds.n_features

@@ -10,6 +10,7 @@ from dsmin import (AffineModular, DSInstance, GroundSet, SetFunctionOracle,
                    brute_force_minimize, build_function, FunctionSpec,
                    totally_normalize)
 from dsmin.core import FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, evaluate_table
+from dsmin.featsel import _entropy_from_counts
 from dsmin.functions import graph_cut_spec, modular_spec, table_spec
 
 
@@ -162,3 +163,23 @@ def totally_normalize_instance(f, g):
     ng = totally_normalize(g)
     k = AffineModular(0.0, nf.shift.weights - ng.shift.weights)
     return TotalNormalization(nf.polymatroid, k, ng.polymatroid)
+
+
+def _row_sort_counts(rows):
+    """Counts of the distinct rows, in lexicographic row order, by sorting whole rows."""
+    return np.unique(rows, axis=0, return_counts=True)[1]
+
+
+def row_sort_entropies(ds, A, alpha):
+    """H(X_A) and H(X_A | C) from counts taken by sorting the rows themselves.
+
+    The reference that ``featsel``'s packed row codes must match bit for bit.
+    """
+    if not A:
+        return 0.0, 0.0
+    sub = ds.rows[:, sorted(j - 1 for j in A)]
+    joint = _entropy_from_counts(_row_sort_counts(sub), alpha)
+    cond = 0.0
+    for idx in ds._class_rows:
+        cond += (len(idx) / ds.n_rows) * _entropy_from_counts(_row_sort_counts(sub[idx]), alpha)
+    return joint, cond

@@ -86,6 +86,12 @@ class TestOptimize:
         assert main(["optimize", "--instance", instance] + extra) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_constraint_file_missing_key_exits_1(self, instance, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"kind": "cardinality_le"}))
+        assert main(["optimize", "--instance", instance, "--constraint", f"@{path}"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_config_keys_and_nulls(self, instance, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_iters": 1, "ub-strategy": "alternate", "seed": None}))
@@ -211,6 +217,13 @@ class TestFeatsel:
     @pytest.mark.parametrize("extra", [["--methods", "nope"], ["--lambdas", "x"]])
     def test_usage_errors_exit_1(self, dataset, extra):
         assert main(["featsel", "--data", dataset] + extra) == 1
+
+    def test_blocks_file_without_blocks_exits_1(self, dataset, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"weights": [1.0, 1.0, 1.0]}))
+        assert main(["featsel", "--data", dataset, "--cost", "partition_sqrt",
+                     "--blocks", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_missing_dataset_exits_1(self, tmp_path):
         assert main(["featsel", "--data", str(tmp_path / "none.libsvm")]) == 1

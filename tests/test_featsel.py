@@ -95,6 +95,21 @@ class TestParse:
             parse_sparse_dataset("whatever", format="csv")
 
 
+class TestDataset:
+    @pytest.mark.parametrize("rows,fragment", [
+        ([[-1, 0], [1, 0], [0, 1]], "feature 1 holds a negative value -1"),
+        ([[0, 0], [1, 0.5], [0, 1]], "feature 2 holds a non-integer value"),
+        ([[0, 1], [1, float("nan")]], "feature 2 holds a non-integer value"),
+    ])
+    def test_rejects_values_outside_the_codes(self, rows, fragment):
+        with pytest.raises(ValueError, match=fragment):
+            Dataset(np.array(rows), np.zeros(len(rows)))
+
+    def test_whole_float_values_are_stored_as_int64(self):
+        ds = Dataset(np.array([[0.0, 2.0], [1.0, 0.0]]), np.array([0, 1]))
+        assert ds.rows.dtype == np.int64 and ds.arity.tolist() == [2, 3]
+
+
 class TestEntropy:
     def test_uniform_binary_column(self):
         ds = Dataset(np.array([[0], [0], [1], [1]]), np.array([0, 0, 1, 1]))
@@ -126,6 +141,43 @@ class TestEntropy:
             A = frozenset(int(j) for j in range(1, 7) if rng.random() < 0.4)
             B = A | frozenset(int(j) for j in range(1, 7) if rng.random() < 0.4)
             assert empirical_entropy(ds, A, 0.0) <= empirical_entropy(ds, B, 0.0) + 1e-9
+
+
+    def test_negative_smoothing_rejected(self):
+        ds = Dataset(np.array([[0, 1], [1, 0], [1, 1]]), np.array([0, 1, 0]))
+        with pytest.raises(ValueError, match="smoothing"):
+            empirical_entropy(ds, {1, 2}, -1.0)
+        with pytest.raises(ValueError, match="smoothing"):
+            conditional_entropy(ds, {1, 2}, -1.0)
+
+    def test_row_codes_match_row_sort_bit_for_bit(self):
+        """Both entropies equal, with ==, those of the counts a sort of the rows
+        gives, on narrow data and on data wide enough to re-code the codes."""
+        rng = np.random.default_rng(2051)
+        cases = []
+        for dtype in (np.int8, np.int64):
+            for top in (2, 3, 4, 5):
+                for n_classes in (1, 2, 3):
+                    arity = rng.integers(2, top + 1, 7)
+                    pool = rng.integers(0, arity, (12, 7))  # repeated rows
+                    rows = np.vstack([pool[rng.integers(0, 12, 40)],
+                                      rng.integers(0, arity, (20, 7))]).astype(dtype)
+                    cases.append(Dataset(rows, rng.integers(0, n_classes, 60)))
+        for arity, width in ((2, 70), (5, 30)):
+            pool = rng.integers(0, arity, (15, width), dtype=np.int8)
+            cases.append(Dataset(pool[rng.integers(0, 15, 50)], rng.integers(0, 2, 50)))
+            assert math.prod(int(a) for a in cases[-1].arity) >= 2 ** 63
+        for ds in cases:
+            n = ds.n_features
+            subsets = [frozenset(range(1, n + 1)), frozenset({n})] + [
+                frozenset(int(j) + 1 for j in rng.choice(n, rng.integers(1, n + 1),
+                                                          replace=False))
+                for _ in range(4)]
+            for A in subsets:
+                for alpha in (0.0, 0.3, 1.0):
+                    joint, cond = helpers.row_sort_entropies(ds, A, alpha)
+                    assert empirical_entropy(ds, A, alpha) == joint
+                    assert conditional_entropy(ds, A, alpha) == cond
 
 
 class TestMutualInformation:
@@ -256,6 +308,11 @@ class TestGreedySelect:
         ds = synthetic_complementary()
         with pytest.raises(ValueError):
             greedy_select(ds, CostModel.modular_cardinality(0.1), "greedy")
+
+    def test_negative_budget_rejected(self):
+        ds = synthetic_complementary()
+        with pytest.raises(ValueError, match="budget"):
+            greedy_select(ds, CostModel.modular_cardinality(0.1), "GrNF", budget=-3)
 
 
 class TestNaiveBayes:
