@@ -22,8 +22,8 @@ from .core import (AffineModular, GroundSet, MemoizedOracle, SetFunctionOracle,
 from .featsel import (CostModel, Dataset, build_objective, empirical_entropy,
                       evaluate_cost, greedy_select, mutual_information,
                       naive_bayes_cv, parse_sparse_dataset)
-from .functions import FunctionSpec, build_function, instance_from_dict, load_instance
-from .sfm import BaseVertex, NonConvergenceError, greedy_base_vertex, min_norm_point
+from .functions import build_function, instance_from_dict
+from .sfm import NonConvergenceError, greedy_base_vertex, min_norm_point
 from .sfmax import MaximizerResult, double_greedy, greedy_cardinality_max, local_search_max
 from .solvers import (DSInstance, OptimizationTrace, SolverError, SolverOptions,
                       accept_step, choose_permutation, epsilon_iteration_cap,
@@ -32,15 +32,15 @@ from .solvers import (DSInstance, OptimizationTrace, SolverError, SolverOptions,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineModular", "BaseVertex", "Constraint", "CostModel", "DSDecomposition",
-    "DSInstance", "Dataset", "FunctionSpec", "GroundSet", "MaximizerResult",
+    "AffineModular", "Constraint", "CostModel", "DSDecomposition",
+    "DSInstance", "Dataset", "GroundSet", "MaximizerResult",
     "MemoizedOracle", "NonConvergenceError", "OptimizationTrace", "Permutation",
     "SetFunctionOracle", "SolverError", "SolverOptions", "accept_step",
     "brute_force_minimize", "build_function", "build_objective",
     "check_submodular", "choose_permutation", "double_greedy", "ds_decompose",
     "empirical_entropy", "epsilon_iteration_cap", "evaluate_cost", "gain",
     "greedy_base_vertex", "greedy_cardinality_max", "greedy_select",
-    "instance_from_dict", "load_instance", "local_optimality_check",
+    "instance_from_dict", "local_optimality_check",
     "local_search_max", "memoized", "min_norm_point", "minima_lower_bounds",
     "mod_mod", "modular_lower_bound", "modular_minimize_constrained",
     "modular_upper_bound", "mutual_information", "naive_bayes_cv",

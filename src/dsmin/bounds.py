@@ -68,30 +68,20 @@ def modular_upper_bound(f: SetFunctionOracle, X: Iterable[int],
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     X = f.ground.check_subset(X)
-    ground = f.ground
-    n = ground.n
     fX = f(X)
-    weights = np.empty(n)
+    # gains of j in X are taken against `inside`, of j outside X against `outside`
+    inside, outside = (X, frozenset()) if variant == 1 else (f.ground.full, X)
+    f_inside = fX if inside == X else f(inside)
+    f_outside = fX if outside == X else f(outside)
+    weights = np.empty(f.ground.n)
     offset = fX
-    if variant == 1:
-        empty_val = f(frozenset())
-        for j in ground.elements():
-            if j in X:
-                w = fX - f(X - {j})
-                offset -= w
-            else:
-                w = f(frozenset({j})) - empty_val
-            weights[j - 1] = w
-    else:
-        V = ground.full
-        fV = f(V)
-        for j in ground.elements():
-            if j in X:
-                w = fV - f(V - {j})
-                offset -= w
-            else:
-                w = f(X | {j}) - fX
-            weights[j - 1] = w
+    for j in f.ground.elements():
+        if j in X:
+            w = f_inside - f(inside - {j})
+            offset -= w
+        else:
+            w = f(outside | {j}) - f_outside
+        weights[j - 1] = w
     return AffineModular(offset, weights)
 
 
@@ -111,9 +101,7 @@ class NormalizedParts:
 def totally_normalize(f: SetFunctionOracle) -> NormalizedParts:
     """Total normalization of a normalized submodular function."""
     ground = f.ground
-    V = ground.full
-    fV = f(V)
-    k = np.array([fV - f(V - {j}) for j in ground.elements()])
+    k = modular_upper_bound(f, ground.full, 2).weights
 
     def fprime(S, _f=f, _k=k):
         return _f(S) - sum(_k[j - 1] for j in S)
@@ -232,18 +220,6 @@ def ds_decompose(v: SetFunctionOracle, alpha_lb: float | None = None) -> DSDecom
     g = SetFunctionOracle(ground, lambda S, _s=scale: _s * math.sqrt(len(S)),
                           name="scaled_sqrt")
     return DSDecomposition(f, g, alpha=alpha_eff, beta=beta, scale=scale)
-
-
-def decomposition_spec_pair(v_spec, dec: DSDecomposition):
-    """Serializable function-spec pair (f, g) of a decomposition of v_spec's function."""
-    from .functions import modular_spec, scaled_sum_spec, sqrt_cardinality_spec
-
-    n = dec.f.ground.n
-    if dec.scale == 0.0:
-        return v_spec, modular_spec([0.0] * n)
-    sqrt_spec = sqrt_cardinality_spec(n)
-    return (scaled_sum_spec([(1.0, v_spec), (dec.scale, sqrt_spec)]),
-            scaled_sum_spec([(dec.scale, sqrt_spec)]))
 
 
 def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,

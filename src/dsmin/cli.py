@@ -16,12 +16,12 @@ import sys
 
 import numpy as np
 
-from .bounds import decomposition_spec_pair, ds_decompose, minima_lower_bounds
+from .bounds import ds_decompose, minima_lower_bounds
 from .constraints import Constraint
 from .core import GroundSet, SetFunctionOracle, brute_force_minimize, check_submodular
 from .featsel import (CostModel, build_objective, evaluate_cost, greedy_select,
                       naive_bayes_cv, parse_sparse_dataset)
-from .functions import FunctionSpec, build_function, load_instance
+from .functions import build_function, decomposition_spec_pair, instance_from_dict
 from .sfm import min_norm_point
 from .sfmax import DG_MODES
 from .solvers import (HEURISTICS, SOLVERS, UB_STRATEGIES, DSInstance, SolverError,
@@ -162,11 +162,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _load_parts(path: str):
+    doc = _read_json(path, "instance")
     try:
-        ground, f, g, _ = load_instance(path)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+        return instance_from_dict(doc)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load instance {path}: {exc}")
-    return ground, f, g
 
 
 BRUTE_CERTIFY_MAX_N = 20
@@ -200,13 +200,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     doc = _read_json(args.instance, "function document")
     try:
         ground = GroundSet(int(doc["n"]))
-        v_spec = FunctionSpec.from_dict(doc["v"])
-        v = build_function(v_spec, ground)
-    except (KeyError, TypeError, ValueError) as exc:
+        v = build_function(doc["v"], ground)
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load function document {args.instance}: {exc}")
     dec = ds_decompose(v, doc.get("alpha_lb"))
-    f_spec, g_spec = decomposition_spec_pair(v_spec, dec)
-    out_doc = {"n": ground.n, "f": f_spec.to_dict(), "g": g_spec.to_dict(),
+    f_spec, g_spec = decomposition_spec_pair(doc["v"], ground.n, dec.scale)
+    out_doc = {"n": ground.n, "f": f_spec, "g": g_spec,
                "alpha": dec.alpha, "beta": dec.beta, "scale": dec.scale}
     print(f"alpha: {dec.alpha:.6f}")
     print(f"beta: {dec.beta:.6f}")
@@ -246,15 +245,17 @@ def cmd_featsel(args: argparse.Namespace) -> int:
             partition = (doc["blocks"], doc.get("weights", [1.0] * ds.n_features))
         except (AttributeError, KeyError, TypeError) as exc:
             raise UsageError(f"malformed blocks {args.blocks}: {exc!r}")
+    # every cost model is built, and its lambda checked, before any output
+    costs = [CostModel.modular_cardinality(lam) if partition is None
+             else CostModel.partition_sqrt(*partition, lam) for lam in lambdas]
     majority = float(np.max(np.bincount(
         np.unique(ds.labels, return_inverse=True)[1])) / ds.n_rows)
 
     print(f"dataset: {args.data} ({ds.n_rows} rows, {ds.n_features} features)")
     print(f"seed: {args.seed}")
     rows = []
-    for lam in lambdas:
-        cost = (CostModel.modular_cardinality(lam) if partition is None
-                else CostModel.partition_sqrt(*partition, lam))
+    for cost in costs:
+        lam = cost.lam
         objective = build_objective(ds, cost, args.alpha, "non_factored")
         for method in sorted(methods):
             selected = _run_method(method, ds, cost, objective, args)

@@ -35,9 +35,10 @@ class Dataset:
     """Categorical feature matrix with class labels.
 
     ``rows[i, j - 1]`` is the value of feature j in sample i; values of
-    feature j are integers in ``0..arity[j-1]-1``, others are rejected, and
-    float or uint64 rows are stored as int64.  Entropy queries are memoized
-    on the dataset.
+    feature j are integers in ``0..arity[j-1]-1``.  Values that are negative,
+    not whole or not below 2^63 - 1 (so that the arity fits int64) are
+    rejected, and float or uint64 rows are stored as int64.  Entropy queries
+    are memoized on the dataset.
     """
 
     rows: np.ndarray
@@ -55,15 +56,23 @@ class Dataset:
             raise ValueError("dataset needs a non-empty 2-D row matrix")
         if len(self.labels) != self.rows.shape[0]:
             raise ValueError("one label per row required")
-        if not np.can_cast(self.rows.dtype, np.int64):
+        cast = not np.can_cast(self.rows.dtype, np.int64)
+        if cast:
             whole = (np.isfinite(self.rows) & (self.rows == np.floor(self.rows))).all(axis=0)
             if not whole.all():
                 raise ValueError(f"feature {np.argmin(whole) + 1} holds a non-integer value")
-            self.rows = self.rows.astype(np.int64)
+        # range checks come before the cast, which would wrap what they reject
         if self.rows.min() < 0:
             j = int(np.argmin(self.rows.min(axis=0)))
             raise ValueError(f"feature {j + 1} holds a negative value {self.rows.min()}")
-        self.arity = self.rows.max(axis=0).astype(np.int64) + 1
+        top = self.rows.max(axis=0)
+        if int(top.max()) >= 2 ** 63 - 1:
+            j = int(np.argmax(top))
+            raise ValueError(f"feature {j + 1} holds a value {top[j]} that is too large "
+                             "(values must lie below 2^63 - 1)")
+        if cast:
+            self.rows = self.rows.astype(np.int64)
+        self.arity = top.astype(np.int64) + 1
         self.classes, inv = np.unique(self.labels, return_inverse=True)
         self._class_rows = [np.where(inv == c)[0] for c in range(len(self.classes))]
         self._cache = {}
@@ -235,6 +244,9 @@ class CostModel:
     def __post_init__(self):
         if self.kind not in ("modular_cardinality", "partition_sqrt"):
             raise ValueError(f"unknown cost model {self.kind!r}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"cost trade-off lambda must be finite and non-negative, "
+                             f"got {self.lam!r}")
         if self.kind == "partition_sqrt":
             if not self.blocks or self.weights is None:
                 raise ValueError("partition_sqrt needs blocks and per-feature weights")
@@ -243,8 +255,8 @@ class CostModel:
                 if seen & b:
                     raise ValueError("cost blocks must be disjoint")
                 seen |= b
-            if any(w < 0 for w in self.weights):
-                raise ValueError("cost weights must be non-negative")
+            if not all(math.isfinite(w) and w >= 0 for w in self.weights):
+                raise ValueError("cost weights must be finite and non-negative")
 
     @staticmethod
     def modular_cardinality(lam: float) -> "CostModel":
@@ -284,10 +296,6 @@ class FeatSelObjective:
     """
 
     instance: DSInstance
-    mode: str
-    cost: CostModel
-    alpha: float
-    dataset: Dataset
 
     def value(self, A: Iterable[int]) -> float:
         return self.instance.value(frozenset(A))
@@ -316,7 +324,7 @@ def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
     f = memoized(SetFunctionOracle(ground, f_fn, name=f"cond_entropy_{mode}_plus_cost"))
     g = memoized(SetFunctionOracle(ground, lambda S: empirical_entropy(ds, S, alpha),
                                    name="joint_entropy"))
-    return FeatSelObjective(DSInstance(f, g), mode, cost, alpha, ds)
+    return FeatSelObjective(DSInstance(f, g))
 
 
 def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = None,

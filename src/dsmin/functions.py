@@ -1,11 +1,12 @@
-"""Built-in set-function families and their JSON instance format.
+"""Built-in set-function families and their JSON format.
 
 Every family except ``explicit_table`` constructs a submodular oracle by
 construction (validated parameter ranges); explicit tables can encode any
 set function and are only checkable exhaustively.  All built oracles are
 normalized so the empty set evaluates to 0.
 
-JSON shape of a function spec::
+A function spec is a plain dict, read from and written to JSON as it is;
+:func:`build_function` checks it and builds the oracle it describes::
 
     {"kind": "modular", "weights": [...]}
     {"kind": "concave_of_modular", "shape": "sqrt"|"log1p"|"power"|"cap",
@@ -15,87 +16,51 @@ JSON shape of a function spec::
     {"kind": "explicit_table", "n": n, "values": [...2^n floats...]}
     {"kind": "scaled_sum", "terms": [{"coeff": c, "spec": {...}}, ...]}
 
-A problem instance file is ``{"n": n, "f": spec, "g": spec}``.
+A problem instance document is ``{"n": n, "f": spec, "g": spec}``.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from .core import GroundSet, SetFunctionOracle, mask_of
 
-KINDS = ("modular", "concave_of_modular", "graph_cut", "facility_location",
-         "explicit_table", "scaled_sum")
-
 CONCAVE_SHAPES = ("sqrt", "log1p", "power", "cap")
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """Declarative description of one set function."""
+# -- spec constructors --------------------------------------------------------
 
-    kind: str
-    params: dict
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown function kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, **_params_to_jsonable(self.kind, self.params)}
-
-    @staticmethod
-    def from_dict(d: dict) -> "FunctionSpec":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ValueError("function spec must be an object with a 'kind' field")
-        kind = d["kind"]
-        params = {k: v for k, v in d.items() if k != "kind"}
-        return FunctionSpec(kind, params)
+def modular_spec(weights) -> dict:
+    return {"kind": "modular", "weights": list(map(float, weights))}
 
 
-def _params_to_jsonable(kind: str, params: dict) -> dict:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, np.ndarray):
-            out[k] = v.tolist()
-        elif kind == "scaled_sum" and k == "terms":
-            out[k] = [{"coeff": t["coeff"], "spec": (t["spec"].to_dict()
-                       if isinstance(t["spec"], FunctionSpec) else t["spec"])}
-                      for t in v]
-        else:
-            out[k] = v
-    return out
+def sqrt_cardinality_spec(n: int, coeff: float = 1.0) -> dict:
+    base = {"kind": "concave_of_modular", "shape": "sqrt", "weights": [1.0] * n}
+    return base if coeff == 1.0 else scaled_sum_spec([(coeff, base)])
 
 
-# -- convenience constructors -------------------------------------------------
-
-def modular_spec(weights) -> FunctionSpec:
-    return FunctionSpec("modular", {"weights": list(map(float, weights))})
+def graph_cut_spec(n: int, edges) -> dict:
+    return {"kind": "graph_cut", "n": int(n), "edges": [list(e) for e in edges]}
 
 
-def sqrt_cardinality_spec(n: int, coeff: float = 1.0) -> FunctionSpec:
-    base = FunctionSpec("concave_of_modular", {"shape": "sqrt", "weights": [1.0] * n})
-    if coeff == 1.0:
-        return base
-    return FunctionSpec("scaled_sum", {"terms": [{"coeff": float(coeff), "spec": base}]})
+def table_spec(n: int, values) -> dict:
+    return {"kind": "explicit_table", "n": int(n), "values": list(map(float, values))}
 
 
-def graph_cut_spec(n: int, edges) -> FunctionSpec:
-    return FunctionSpec("graph_cut", {"n": int(n), "edges": [list(e) for e in edges]})
+def scaled_sum_spec(terms) -> dict:
+    return {"kind": "scaled_sum", "terms": [{"coeff": float(c), "spec": s} for c, s in terms]}
 
 
-def table_spec(n: int, values) -> FunctionSpec:
-    return FunctionSpec("explicit_table", {"n": int(n), "values": list(map(float, values))})
-
-
-def scaled_sum_spec(terms) -> FunctionSpec:
-    return FunctionSpec("scaled_sum",
-                        {"terms": [{"coeff": float(c), "spec": s} for c, s in terms]})
+def decomposition_spec_pair(v_spec: dict, n: int, scale: float) -> tuple[dict, dict]:
+    """The (f, g) specs of v = f - g with g = scale * sqrt|X|, as ``ds_decompose``
+    builds them; a zero scale pairs v with the zero modular function."""
+    if scale == 0.0:
+        return v_spec, modular_spec([0.0] * n)
+    sqrt_spec = sqrt_cardinality_spec(n)
+    return (scaled_sum_spec([(1.0, v_spec), (scale, sqrt_spec)]),
+            scaled_sum_spec([(scale, sqrt_spec)]))
 
 
 # -- builders ------------------------------------------------------------------
@@ -208,15 +173,14 @@ def _build_explicit_table(params, ground):
 def _build_scaled_sum(params, ground):
     terms = params.get("terms")
     _require(isinstance(terms, list) and terms, "scaled_sum needs a non-empty 'terms' list")
-    children = []
+    oracles = []
     for t in terms:
-        _require("coeff" in t and "spec" in t, "each term needs 'coeff' and 'spec'")
+        _require(isinstance(t, dict) and "coeff" in t and "spec" in t,
+                 "each term needs 'coeff' and 'spec'")
         c = float(t["coeff"])
         _require(math.isfinite(c) and c >= 0.0,
                  "scaled_sum coefficients must be finite and non-negative")
-        sub = t["spec"] if isinstance(t["spec"], FunctionSpec) else FunctionSpec.from_dict(t["spec"])
-        children.append((c, sub))
-    oracles = [(c, build_function(s, ground)) for c, s in children]
+        oracles.append((c, build_function(t["spec"], ground)))
     ground = ground or oracles[0][1].ground
     for _, o in oracles:
         _require(o.ground.n == ground.n, "scaled_sum children must share one ground set")
@@ -237,19 +201,14 @@ _BUILDERS = {
 }
 
 
-def build_function(spec: FunctionSpec, ground: GroundSet | None = None) -> SetFunctionOracle:
+def build_function(spec: dict, ground: GroundSet | None = None) -> SetFunctionOracle:
     """Construct the oracle a spec describes, normalized to 0 at the empty set."""
-    try:
-        return _BUILDERS[spec.kind](spec.params, ground)
-    except KeyError as exc:
-        raise ValueError(f"unknown function kind {spec.kind!r}") from exc
-
-
-def load_instance(path: str) -> tuple[GroundSet, SetFunctionOracle, SetFunctionOracle, dict]:
-    """Read an instance file; returns (ground, f, g, raw document)."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return instance_from_dict(doc) + (doc,)
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError("function spec must be an object with a 'kind' field")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ValueError(f"unknown function kind {kind!r}")
+    return _BUILDERS[kind](spec, ground)
 
 
 def instance_from_dict(doc: dict) -> tuple[GroundSet, SetFunctionOracle, SetFunctionOracle]:
@@ -259,6 +218,4 @@ def instance_from_dict(doc: dict) -> tuple[GroundSet, SetFunctionOracle, SetFunc
         if key not in doc:
             raise ValueError(f"instance document missing '{key}'")
     ground = GroundSet(int(doc["n"]))
-    f = build_function(FunctionSpec.from_dict(doc["f"]), ground)
-    g = build_function(FunctionSpec.from_dict(doc["g"]), ground)
-    return ground, f, g
+    return ground, build_function(doc["f"], ground), build_function(doc["g"], ground)

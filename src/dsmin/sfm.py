@@ -13,11 +13,8 @@ References:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bounds import Permutation
 from .core import MemoizedOracle, SetFunctionOracle, chain_gains, memoized
 
 
@@ -32,28 +29,20 @@ class NonConvergenceError(RuntimeError):
         self.gap = gap
 
 
-@dataclass
-class BaseVertex:
-    """An extreme point of the base polytope with its generating permutation."""
-
-    coords: np.ndarray
-    permutation: Permutation
-
-
-def greedy_base_vertex(f: SetFunctionOracle, direction) -> BaseVertex:
+def greedy_base_vertex(f: SetFunctionOracle, direction) -> np.ndarray:
     """Linear optimization over the base polytope of a normalized submodular f.
 
-    Returns argmin over the base polytope of the inner product with
-    ``direction``: elements are sorted by ascending direction value (ties
-    by index) and the vertex coordinates are the telescoped gains along
-    that order.
+    Returns the coordinate vector of the argmin over the base polytope of
+    the inner product with ``direction``: elements are sorted by ascending
+    direction value (ties by index) and the vertex coordinates are the
+    telescoped gains along that order.
     """
     n = f.ground.n
     d = np.asarray(direction, dtype=float)
     if d.shape != (n,):
         raise ValueError(f"direction must have length {n}")
     order = tuple(int(i) + 1 for i in np.argsort(d, kind="stable"))
-    return BaseVertex(chain_gains(f, order), Permutation(order))
+    return chain_gains(f, order)
 
 
 def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,13 +87,13 @@ def min_norm_point(f: SetFunctionOracle, tol: float = 1e-10,
     cap = max_major if max_major is not None else 100 * n * n
     tol_prime = max(10.0 * tol, 1e-9)
 
-    x = greedy_base_vertex(fm, np.zeros(n)).coords
+    x = greedy_base_vertex(fm, np.zeros(n))
     S = x.reshape(1, n).copy()
     lam = np.ones(1)
     gap = np.inf
 
     for _ in range(cap):
-        q = greedy_base_vertex(fm, x).coords
+        q = greedy_base_vertex(fm, x)
         corr = max(1.0, float(x @ x), float(q @ q), float(np.max(np.sum(S * S, axis=1))))
         gap = float(x @ x - x @ q)
         if gap <= tol * corr:

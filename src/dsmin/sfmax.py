@@ -23,8 +23,6 @@ DG_MODES = ("deterministic", "randomized")
 class MaximizerResult:
     set: frozenset
     value: float
-    method: str
-    seed: int | None = None
 
 
 def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
@@ -61,7 +59,7 @@ def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
         else:
             B.remove(j)
             value = rem_val
-    return MaximizerResult(frozenset(A), value, f"double_greedy_{mode}", seed)
+    return MaximizerResult(frozenset(A), value)
 
 
 def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> MaximizerResult:
@@ -84,7 +82,7 @@ def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> MaximizerResult:
             break
         S.add(best_j)
         value = best_val
-    return MaximizerResult(frozenset(S), value, "greedy_cardinality")
+    return MaximizerResult(frozenset(S), value)
 
 
 def local_search_max(f: SetFunctionOracle, start,
@@ -105,5 +103,5 @@ def local_search_max(f: SetFunctionOracle, start,
             if val > best_val:
                 best_val, best_set = val, T
         if best_set is None:
-            return MaximizerResult(S, value, "local_search")
+            return MaximizerResult(S, value)
         S, value = best_set, best_val

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from dsmin import (AffineModular, DSInstance, GroundSet, SetFunctionOracle,
-                   brute_force_minimize, build_function, FunctionSpec,
-                   totally_normalize)
+                   brute_force_minimize, build_function, totally_normalize)
 from dsmin.core import FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, evaluate_table
 from dsmin.featsel import _entropy_from_counts
 from dsmin.functions import graph_cut_spec, modular_spec, table_spec
@@ -34,10 +33,11 @@ def random_modular(rng, n, lo=-2.0, hi=2.0):
 
 def random_concave(rng, n):
     shape = rng.choice(["sqrt", "log1p", "power"])
-    params = {"shape": shape, "weights": rng.uniform(0.0, 2.0, n).tolist()}
+    spec = {"kind": "concave_of_modular", "shape": shape,
+            "weights": rng.uniform(0.0, 2.0, n).tolist()}
     if shape == "power":
-        params["exponent"] = float(rng.uniform(0.3, 0.9))
-    return build_function(FunctionSpec("concave_of_modular", params))
+        spec["exponent"] = float(rng.uniform(0.3, 0.9))
+    return build_function(spec)
 
 
 def random_cut(rng, n):
@@ -53,7 +53,7 @@ def random_cut(rng, n):
 def random_facility(rng, n):
     rows = int(rng.integers(2, 5))
     B = rng.uniform(0.0, 2.0, (rows, n))
-    return build_function(FunctionSpec("facility_location", {"benefits": B.tolist()}))
+    return build_function({"kind": "facility_location", "benefits": B.tolist()})
 
 
 def random_scaled_sum(rng, n):

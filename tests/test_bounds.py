@@ -93,6 +93,16 @@ class TestModularUpperBound:
         with pytest.raises(ValueError):
             modular_upper_bound(helpers.sqrt_card(3), {1}, 3)
 
+    @pytest.mark.parametrize("X,variant", [({1, 2}, 1), ({1, 2}, 2),
+                                           (set(), 1), ({1, 2, 3}, 2)])
+    def test_evaluates_f_at_x_once(self, X, variant):
+        # also where X is the other context: the empty set (1) or V (2)
+        seen = []
+        f = SetFunctionOracle(GroundSet(3), lambda S: seen.append(S) or math.sqrt(len(S)))
+        modular_upper_bound(f, X, variant)
+        assert seen.count(frozenset(X)) == 1
+        assert len(seen) == 5 - (X in (set(), {1, 2, 3}))
+
     def test_majorizes_and_one_element_identities(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
@@ -113,6 +123,12 @@ class TestModularUpperBound:
 
 
 class TestTotallyNormalize:
+    def test_evaluates_each_set_once(self):
+        seen = []
+        f = SetFunctionOracle(GroundSet(3), lambda S: seen.append(S) or math.sqrt(len(S)))
+        totally_normalize(f)
+        assert sorted(map(sorted, seen)) == [[1, 2], [1, 2, 3], [1, 3], [2, 3]]
+
     def test_sqrt(self):
         parts = totally_normalize(helpers.sqrt_card(3))
         np.testing.assert_allclose(parts.shift.weights, [SQ3 - SQ2] * 3)

@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from dsmin import FunctionSpec, GroundSet, build_function, instance_from_dict
+from dsmin import GroundSet, build_function, instance_from_dict
 from dsmin.cli import main
 from dsmin.functions import graph_cut_spec, sqrt_cardinality_spec, table_spec
 
@@ -14,8 +15,8 @@ def instance(tmp_path):
     path = tmp_path / "tri.json"
     path.write_text(json.dumps({
         "n": 3,
-        "f": graph_cut_spec(3, [[1, 2], [1, 3], [2, 3]]).to_dict(),
-        "g": sqrt_cardinality_spec(3, coeff=2.0).to_dict()}))
+        "f": graph_cut_spec(3, [[1, 2], [1, 3], [2, 3]]),
+        "g": sqrt_cardinality_spec(3, coeff=2.0)}))
     return str(path)
 
 
@@ -25,6 +26,24 @@ def dataset(tmp_path):
     path = tmp_path / "d.libsvm"
     path.write_text("1 1:1 2:1\n1 1:1 2:1 3:1\n1 1:1\n1 1:1 2:1\n"
                     "0 3:1\n0\n0 2:1\n0 3:1\n")
+    return str(path)
+
+
+_ZERO = {"kind": "modular", "weights": [0.0, 0.0]}
+
+# instance documents with a malformed spec or size: each is a usage error, not a crash
+MALFORMED_INSTANCES = [
+    {"n": 2, "f": {"kind": "scaled_sum", "terms": [1]}, "g": _ZERO},
+    {"n": 2, "f": {"kind": "graph_cut", "n": 2, "edges": [5]}, "g": _ZERO},
+    {"n": 2, "f": {"kind": "modular", "weights": {"a": 1}}, "g": _ZERO},
+    {"n": math.inf, "f": _ZERO, "g": _ZERO},
+]
+
+
+@pytest.fixture(params=MALFORMED_INSTANCES)
+def malformed_instance(tmp_path, request):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(request.param))
     return str(path)
 
 
@@ -121,10 +140,14 @@ class TestOptimize:
         assert main(["optimize", "--instance", str(path)]) == 1
         assert "finite" in capsys.readouterr().err
 
+    def test_malformed_instance_exits_1(self, malformed_instance, capsys):
+        assert main(["optimize", "--instance", malformed_instance]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load instance")
+
     def test_non_submodular_part_exits_1(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"n": 2, "f": table_spec(2, [0, 1, 1, 3]).to_dict(),
-                                    "g": table_spec(2, [0, 0, 0, 0]).to_dict()}))
+        path.write_text(json.dumps({"n": 2, "f": table_spec(2, [0, 1, 1, 3]),
+                                    "g": table_spec(2, [0, 0, 0, 0])}))
         assert main(["optimize", "--instance", str(path)]) == 1
 
 
@@ -140,18 +163,22 @@ class TestCertify:
     def test_missing_instance_exits_1(self, tmp_path):
         assert main(["certify", "--instance", str(tmp_path / "none.json")]) == 1
 
+    def test_malformed_instance_exits_1(self, malformed_instance, capsys):
+        assert main(["certify", "--instance", malformed_instance]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot load instance")
+
 
 def _rebuilds(pair: dict, v_spec: dict, sets) -> bool:
     """Whether the written f - g equals v on every given set."""
     _, f, g = instance_from_dict(pair)
-    v = build_function(FunctionSpec.from_dict(v_spec), GroundSet(pair["n"]))
+    v = build_function(v_spec, GroundSet(pair["n"]))
     return all(f(S) - g(S) == pytest.approx(v(S), abs=1e-12) for S in sets)
 
 
 class TestDecompose:
     def test_writes_submodular_pair(self, tmp_path, capsys):
         doc = tmp_path / "v.json"
-        v_spec = table_spec(2, [0, 1, 1, 3]).to_dict()
+        v_spec = table_spec(2, [0, 1, 1, 3])
         doc.write_text(json.dumps({"n": 2, "v": v_spec}))
         out = tmp_path / "fg.json"
         assert main(["decompose", "--instance", str(doc), "--out", str(out)]) == 0
@@ -164,7 +191,7 @@ class TestDecompose:
     def test_large_n_with_alpha_lb(self, tmp_path):
         # no full table of v is needed when alpha_lb is given
         n = 22
-        v_spec = graph_cut_spec(n, [[j, j + 1, 1.0] for j in range(1, n)]).to_dict()
+        v_spec = graph_cut_spec(n, [[j, j + 1, 1.0] for j in range(1, n)])
         doc = tmp_path / "v.json"
         doc.write_text(json.dumps({"n": n, "v": v_spec, "alpha_lb": -1.0}))
         out = tmp_path / "fg.json"
@@ -217,6 +244,20 @@ class TestFeatsel:
     @pytest.mark.parametrize("extra", [["--methods", "nope"], ["--lambdas", "x"]])
     def test_usage_errors_exit_1(self, dataset, extra):
         assert main(["featsel", "--data", dataset] + extra) == 1
+
+    @pytest.mark.parametrize("lambdas", ["nan", "inf", "-1", "0.01,-0.5"])
+    def test_bad_lambda_exits_1(self, dataset, capsys, lambdas):
+        assert main(["featsel", "--data", dataset, f"--lambdas={lambdas}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cost trade-off lambda must be finite and non-negative")
+
+    def test_non_finite_block_weight_exits_1(self, dataset, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text('{"blocks": [[1, 2], [3]], "weights": [1.0, NaN, 1.0]}')
+        assert main(["featsel", "--data", dataset, "--cost", "partition_sqrt",
+                     "--blocks", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cost weights must be finite")
 
     def test_blocks_file_without_blocks_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "b.json"

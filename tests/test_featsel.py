@@ -100,7 +100,14 @@ class TestDataset:
         ([[-1, 0], [1, 0], [0, 1]], "feature 1 holds a negative value -1"),
         ([[0, 0], [1, 0.5], [0, 1]], "feature 2 holds a non-integer value"),
         ([[0, 1], [1, float("nan")]], "feature 2 holds a non-integer value"),
+        # too large for an int64 arity; rejected before any cast could wrap them
+        ([[2**63 - 1, 0], [0, 1]], "feature 1 holds a value 9223372036854775807 that is too large"),
+        (np.array([[2**63, 0], [0, 1]], dtype=np.uint64),
+         "feature 1 holds a value 9223372036854775808 that is too large"),
+        ([[2.0**63, 0], [0, 1]], r"feature 1 holds a value 9\.223372036854776e\+18 that is too large"),
+        ([[1e300, 0], [0, 1]], r"feature 1 holds a value 1e\+300 that is too large"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_rejects_values_outside_the_codes(self, rows, fragment):
         with pytest.raises(ValueError, match=fragment):
             Dataset(np.array(rows), np.zeros(len(rows)))
@@ -238,6 +245,18 @@ class TestCostModel:
             CostModel.partition_sqrt([[1], [1]], [1.0], 1.0)
         with pytest.raises(ValueError):
             CostModel("other", 1.0)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+    def test_rejects_bad_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be finite and non-negative"):
+            CostModel.modular_cardinality(lam)
+        with pytest.raises(ValueError, match="lambda must be finite and non-negative"):
+            CostModel.partition_sqrt([[1, 2]], [1.0, 1.0], lam)
+
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_partition_weights(self, w):
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            CostModel.partition_sqrt([[1, 2]], [1.0, w], 1.0)
 
 
 class TestObjective:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import FunctionSpec, GroundSet, build_function, check_submodular
+from dsmin import build_function, check_submodular
 from dsmin.functions import (graph_cut_spec, instance_from_dict, modular_spec,
                              sqrt_cardinality_spec, table_spec)
 
@@ -36,7 +36,7 @@ def test_explicit_table_normalizes_offset():
 
 
 def test_facility_location():
-    spec = FunctionSpec("facility_location", {"benefits": [[1.0, 3.0], [2.0, 0.5]]})
+    spec = {"kind": "facility_location", "benefits": [[1.0, 3.0], [2.0, 0.5]]}
     f = build_function(spec)
     assert f(frozenset()) == 0.0
     assert f({2}) == pytest.approx(3.5)
@@ -46,12 +46,12 @@ def test_facility_location():
 def test_concave_shapes():
     for shape, expect in [("sqrt", math.sqrt(2.0)), ("log1p", math.log(3.0)),
                           ("power", 2.0 ** 0.7), ("cap", 1.5)]:
-        params = {"shape": shape, "weights": [1.0, 1.0]}
+        spec = {"kind": "concave_of_modular", "shape": shape, "weights": [1.0, 1.0]}
         if shape == "power":
-            params["exponent"] = 0.7
+            spec["exponent"] = 0.7
         if shape == "cap":
-            params["cap"] = 1.5
-        f = build_function(FunctionSpec("concave_of_modular", params))
+            spec["cap"] = 1.5
+        f = build_function(spec)
         assert f({1, 2}) == pytest.approx(expect)
 
 
@@ -64,10 +64,15 @@ def test_concave_shapes():
     {"kind": "scaled_sum", "terms": [{"coeff": -1.0, "spec": {"kind": "modular", "weights": [1.0]}}]},
     {"kind": "facility_location", "benefits": [[-1.0]]},
     {"kind": "nope"},
+    {"weights": [1.0]},
+    [{"kind": "modular", "weights": [1.0]}],
+    {"kind": ["modular"]},
+    {"kind": "scaled_sum", "terms": [1]},
+    {"kind": "scaled_sum", "terms": [{"coeff": 1.0, "spec": {"kind": "nope"}}]},
 ])
 def test_malformed_specs_rejected(bad):
     with pytest.raises(ValueError):
-        build_function(FunctionSpec.from_dict(bad))
+        build_function(bad)
 
 
 @pytest.mark.parametrize("bad", [
@@ -80,7 +85,7 @@ def test_malformed_specs_rejected(bad):
 ])
 def test_non_finite_specs_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
-        build_function(FunctionSpec.from_dict(bad))
+        build_function(bad)
 
 
 def test_every_builtin_family_is_submodular():
@@ -95,8 +100,7 @@ def test_every_builtin_family_is_submodular():
 
 def test_spec_json_roundtrip():
     spec = sqrt_cardinality_spec(3, coeff=2.0)
-    doc = json.loads(json.dumps(spec.to_dict()))
-    rebuilt = build_function(FunctionSpec.from_dict(doc))
+    rebuilt = build_function(json.loads(json.dumps(spec)))
     direct = build_function(spec)
     for S in helpers.all_subsets(3):
         assert rebuilt(S) == pytest.approx(direct(S))
@@ -104,8 +108,8 @@ def test_spec_json_roundtrip():
 
 def test_instance_from_dict():
     doc = {"n": 3,
-           "f": graph_cut_spec(3, [[1, 2], [1, 3], [2, 3]]).to_dict(),
-           "g": sqrt_cardinality_spec(3, coeff=2.0).to_dict()}
+           "f": graph_cut_spec(3, [[1, 2], [1, 3], [2, 3]]),
+           "g": sqrt_cardinality_spec(3, coeff=2.0)}
     ground, f, g = instance_from_dict(doc)
     assert ground.n == 3
     assert f({1}) == pytest.approx(2.0)
