@@ -4,21 +4,22 @@ A submodular function admits a tight modular lower bound built from the
 telescoped gains along any permutation chain through a set, and two tight
 modular upper bounds anchored at a set.  On top of those this module
 provides the total normalization into a monotone part plus a modular
-shift, a constructive difference-of-submodular decomposition for arbitrary
-set functions, and two polynomial-time lower bounds on the global minimum
+shift, the constants of a difference-of-submodular decomposition of an
+arbitrary set function (``functions.decomposition_spec_pair`` builds the
+pair itself), and two polynomial-time lower bounds on the global minimum
 of a difference of submodular functions.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (AffineModular, SetFunctionOracle, chain_gains, evaluate_table,
-                   mask_of)
+from .core import AffineModular, SetFunctionOracle, chain_gains, evaluate_table
 
 
 @dataclass(frozen=True)
@@ -68,19 +69,24 @@ def modular_upper_bound(f: SetFunctionOracle, X: Iterable[int],
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     X = f.ground.check_subset(X)
-    fX = f(X)
     # gains of j in X are taken against `inside`, of j outside X against `outside`
     inside, outside = (X, frozenset()) if variant == 1 else (f.ground.full, X)
-    f_inside = fX if inside == X else f(inside)
-    f_outside = fX if outside == X else f(outside)
+    # f once per distinct set: a one-element change of X can be a context
+    known = {X: f(X)}
+    for S in (inside, outside):
+        if S not in known:
+            known[S] = f(S)
+    f_inside, f_outside = known[inside], known[outside]
     weights = np.empty(f.ground.n)
-    offset = fX
+    offset = known[X]
     for j in f.ground.elements():
+        T = inside - {j} if j in X else outside | {j}
+        fT = known[T] if T in known else f(T)
         if j in X:
-            w = f_inside - f(inside - {j})
+            w = f_inside - fT
             offset -= w
         else:
-            w = f(outside | {j}) - f_outside
+            w = fT - f_outside
         weights[j - 1] = w
     return AffineModular(offset, weights)
 
@@ -119,17 +125,6 @@ def sqrt_curvature(n: int) -> float:
     if n < 2:
         raise ValueError("curvature defined for n >= 2")
     return 2.0 * math.sqrt(n - 1) - math.sqrt(n) - math.sqrt(n - 2)
-
-
-@dataclass
-class DSDecomposition:
-    """A pair of submodular functions whose difference is a given v."""
-
-    f: SetFunctionOracle
-    g: SetFunctionOracle
-    alpha: float
-    beta: float
-    scale: float
 
 
 DECOMPOSE_MAX_N = 16
@@ -176,50 +171,42 @@ def _exhaustive_alpha(table: np.ndarray, n: int) -> float:
     return alpha
 
 
-def ds_decompose(v: SetFunctionOracle, alpha_lb: float | None = None) -> DSDecomposition:
-    """Express an arbitrary set function as a difference of submodular parts.
+def ds_decompose(v: SetFunctionOracle,
+                 alpha_lb: float | None = None) -> tuple[float, float, float]:
+    """The constants ``(alpha, beta, scale)`` that write v as a difference of
+    submodular parts.
 
-    Measures how far v is from submodular (the most negative gain drop
-    ``alpha`` over nested contexts), then adds enough of a strictly
-    submodular sqrt-cardinality term to both sides: with ``scale =
-    |alpha'| / beta`` the pair ``f = v + scale * sqrt|X|`` and ``g = scale
-    * sqrt|X|`` are both submodular and reconstruct v exactly.
+    ``alpha`` measures how far v is from submodular (the most negative gain
+    drop over nested contexts) and ``beta`` is the margin of the strictly
+    submodular sqrt-cardinality term.  With ``scale = |alpha| / beta`` the
+    pair ``f = v + scale * sqrt|X|`` and ``g = scale * sqrt|X|`` is
+    submodular and reconstructs v exactly; a non-negative alpha gives scale
+    0 (v is submodular already).
 
     Computing ``alpha`` exhaustively is exponential, so it is guarded to
-    n <= 16; for larger ground sets a valid lower bound ``alpha_lb`` must
-    be supplied.
+    n <= 16; for larger ground sets a valid lower bound ``alpha_lb``, a
+    finite real number, must be supplied.
     """
-    ground = v.ground
-    n = ground.n
-    table = None
-    alpha = None
+    n = v.ground.n
+    if alpha_lb is not None and (isinstance(alpha_lb, bool)
+                                 or not isinstance(alpha_lb, numbers.Real)
+                                 or not math.isfinite(alpha_lb)):
+        raise ValueError(f"alpha_lb must be a finite real number, got {alpha_lb!r}")
+    alpha = alpha_lb
     if n <= DECOMPOSE_MAX_N:
-        table = evaluate_table(v)
-        alpha = _exhaustive_alpha(table, n)
-        if alpha_lb is not None and alpha_lb > alpha + 1e-12:
-            raise ValueError(
-                f"alpha_lb={alpha_lb} exceeds true alpha={alpha}; "
-                "the resulting first part would not be submodular")
+        alpha = _exhaustive_alpha(evaluate_table(v), n)
+        if alpha_lb is not None:
+            if alpha_lb > alpha + 1e-12:
+                raise ValueError(
+                    f"alpha_lb={alpha_lb} exceeds true alpha={alpha}; "
+                    "the resulting first part would not be submodular")
+            alpha = min(alpha, alpha_lb)
     elif alpha_lb is None:
         raise ValueError(f"n={n} > {DECOMPOSE_MAX_N}: supply alpha_lb to decompose")
 
-    candidates = [a for a in (alpha, alpha_lb) if a is not None]
-    alpha_eff = min(candidates)
     beta = sqrt_curvature(n) if n >= 2 else math.nan
-
-    if alpha_eff >= 0.0:  # already submodular: v itself plus a zero part
-        zero = SetFunctionOracle(ground, lambda S: 0.0, name="zero")
-        return DSDecomposition(v, zero, alpha=alpha_eff, beta=beta, scale=0.0)
-
-    scale = abs(alpha_eff) / beta
-    if table is not None:
-        f_fn = lambda S, _t=table, _s=scale: float(_t[mask_of(S)] + _s * math.sqrt(len(S)))
-    else:
-        f_fn = lambda S, _v=v, _s=scale: _v(S) + _s * math.sqrt(len(S))
-    f = SetFunctionOracle(ground, f_fn, name="v_plus_sqrt")
-    g = SetFunctionOracle(ground, lambda S, _s=scale: _s * math.sqrt(len(S)),
-                          name="scaled_sqrt")
-    return DSDecomposition(f, g, alpha=alpha_eff, beta=beta, scale=scale)
+    scale = 0.0 if alpha >= 0.0 else abs(alpha) / beta
+    return alpha, beta, scale
 
 
 def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,

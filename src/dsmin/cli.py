@@ -119,7 +119,7 @@ def _parse_constraint(text: str | None) -> Constraint:
     if text.startswith("@"):
         try:
             return Constraint.from_dict(_read_json(text[1:], "constraint"))
-        except (AttributeError, KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
             raise UsageError(f"malformed constraint {text[1:]}: {exc!r}")
     if "=" in text:
         key, _, val = text.partition("=")
@@ -203,13 +203,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         v = build_function(doc["v"], ground)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load function document {args.instance}: {exc}")
-    dec = ds_decompose(v, doc.get("alpha_lb"))
-    f_spec, g_spec = decomposition_spec_pair(doc["v"], ground.n, dec.scale)
+    alpha, beta, scale = ds_decompose(v, doc.get("alpha_lb"))
+    f_spec, g_spec = decomposition_spec_pair(doc["v"], ground.n, scale)
     out_doc = {"n": ground.n, "f": f_spec, "g": g_spec,
-               "alpha": dec.alpha, "beta": dec.beta, "scale": dec.scale}
-    print(f"alpha: {dec.alpha:.6f}")
-    print(f"beta: {dec.beta:.6f}")
-    print(f"scale: {dec.scale:.6f}")
+               "alpha": alpha, "beta": beta, "scale": scale}
+    print(f"alpha: {alpha:.6f}")
+    print(f"beta: {beta:.6f}")
+    print(f"scale: {scale:.6f}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out_doc, fh, indent=2)

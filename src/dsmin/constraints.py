@@ -19,6 +19,14 @@ CONSTRAINT_KINDS = ("none", "cardinality_le", "cardinality_eq",
                     "partition_matroid", "spanning_tree", "knapsack")
 
 
+def _whole(x, what: str) -> int:
+    """x as an int; a value that is not a whole number raises ValueError
+    (OverflowError for an infinity)."""
+    if float(x) != int(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
+
+
 @dataclass(frozen=True)
 class Constraint:
     """Feasible-set description for constrained solvers.
@@ -46,11 +54,11 @@ class Constraint:
 
     @staticmethod
     def cardinality_le(k: int) -> "Constraint":
-        return Constraint("cardinality_le", k=int(k))
+        return Constraint("cardinality_le", k=_whole(k, "cardinality bound"))
 
     @staticmethod
     def cardinality_eq(k: int) -> "Constraint":
-        return Constraint("cardinality_eq", k=int(k))
+        return Constraint("cardinality_eq", k=_whole(k, "cardinality bound"))
 
     @staticmethod
     def partition_matroid(blocks, quotas) -> "Constraint":
@@ -65,16 +73,13 @@ class Constraint:
 
     @staticmethod
     def knapsack(costs, budget) -> "Constraint":
-        c = []
-        for x in costs:
-            if float(x) != int(x):
-                raise ValueError(f"knapsack costs must be integers, got {x!r}")
-            c.append(int(x))
+        c = tuple(_whole(x, "knapsack cost") for x in costs)
         if any(x < 0 for x in c):
             raise ValueError("knapsack costs must be non-negative")
-        if float(budget) != int(budget) or int(budget) < 0:
-            raise ValueError(f"knapsack budget must be a non-negative integer, got {budget!r}")
-        return Constraint("knapsack", costs=tuple(c), budget=int(budget))
+        b = _whole(budget, "knapsack budget")
+        if b < 0:
+            raise ValueError(f"knapsack budget must be non-negative, got {budget!r}")
+        return Constraint("knapsack", costs=c, budget=b)
 
     @staticmethod
     def from_dict(d: dict) -> "Constraint":
@@ -149,21 +154,6 @@ class Constraint:
         if self.kind == "knapsack":
             return sum(self.costs[i - 1] for i in S) <= self.budget
         raise ValueError(f"unknown constraint kind {self.kind!r}")
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.k is not None:
-            d["k"] = self.k
-        if self.blocks is not None:
-            d["blocks"] = [sorted(b) for b in self.blocks]
-            d["quotas"] = list(self.quotas)
-        if self.edges is not None:
-            d["n_vertices"] = self.n_vertices
-            d["edges"] = [list(e) for e in self.edges]
-        if self.costs is not None:
-            d["costs"] = list(self.costs)
-            d["budget"] = self.budget
-        return d
 
 
 class _UnionFind:

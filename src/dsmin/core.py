@@ -37,10 +37,6 @@ class GroundSet:
     def full(self) -> frozenset:
         return frozenset(self.elements())
 
-    def check_element(self, j: int) -> None:
-        if not (isinstance(j, (int, np.integer)) and 1 <= j <= self.n):
-            raise ValueError(f"element {j!r} outside ground set 1..{self.n}")
-
     def check_subset(self, X: Iterable[int]) -> frozenset:
         S = frozenset(int(j) for j in X)
         for j in S:
@@ -141,20 +137,11 @@ class AffineModular:
     offset: float
     weights: np.ndarray
 
-    def weight(self, j: int) -> float:
-        return float(self.weights[j - 1])
-
     def value(self, Y: Iterable[int]) -> float:
         return float(self.offset + sum(self.weights[j - 1] for j in Y))
 
-    __call__ = value
-
     def __sub__(self, other: "AffineModular") -> "AffineModular":
         return AffineModular(self.offset - other.offset, self.weights - other.weights)
-
-    @staticmethod
-    def from_weights(weights, offset: float = 0.0) -> "AffineModular":
-        return AffineModular(float(offset), np.asarray(weights, dtype=float).copy())
 
 
 def chain_gains(f: SetFunctionOracle, order: Iterable[int]) -> np.ndarray:
@@ -172,20 +159,6 @@ def chain_gains(f: SetFunctionOracle, order: Iterable[int]) -> np.ndarray:
         gains[j - 1] = cur - prev
         prev = cur
     return gains
-
-
-def gain(f: SetFunctionOracle, j: int, X: Iterable[int]) -> float:
-    """Marginal value f(X + j) - f(X) of adding element j in context X.
-
-    Costs exactly two oracle calls, or one call (returning 0) if j is
-    already in X.
-    """
-    f.ground.check_element(j)
-    S = f.ground.check_subset(X)
-    if j in S:
-        f(S)
-        return 0.0
-    return f(S | {j}) - f(S)
 
 
 BRUTE_FORCE_MAX_N = 25

@@ -90,15 +90,13 @@ class Dataset:
         return GroundSet(self.n_features)
 
 
-def parse_sparse_dataset(path: str, format: str = "libsvm",
-                         n_features: int | None = None) -> Dataset:
-    """Read a sparse "label idx:val idx:val ..." text file.
+def parse_sparse_dataset(path: str) -> Dataset:
+    """Read a sparse "label idx:val idx:val ..." (libsvm) text file.
 
     Indices are 1-based and strictly increasing per line, values binary;
-    absent indices are 0.  Malformed lines are reported by number.
+    absent indices are 0.  There are as many features as the largest index
+    on any line.  Malformed lines are reported by number.
     """
-    if format != "libsvm":
-        raise ValueError(f"unsupported dataset format {format!r}")
     labels: list[int] = []
     row_indices: list[list[int]] = []
     max_idx = 0
@@ -133,10 +131,7 @@ def parse_sparse_dataset(path: str, format: str = "libsvm",
             row_indices.append(on)
     if not labels:
         raise ValueError(f"{path}: no data lines")
-    n = n_features if n_features is not None else max_idx
-    if max_idx > n:
-        raise ValueError(f"{path}: feature index {max_idx} exceeds n_features={n}")
-    rows = np.zeros((len(labels), n), dtype=np.int8)
+    rows = np.zeros((len(labels), max_idx), dtype=np.int8)
     for i, on in enumerate(row_indices):
         for idx in on:
             rows[i, idx - 1] = 1
@@ -213,23 +208,6 @@ def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> fl
         total += (len(idx) / m) * _entropy_from_counts(counts, alpha)
     ds._cache[key] = total
     return total
-
-
-def mutual_information(ds: Dataset, A: Iterable[int], alpha: float = 0.0,
-                       mode: str = "non_factored") -> float:
-    """Estimated I(X_A; C) in bits.
-
-    ``non_factored`` subtracts the joint conditional entropy;
-    ``factored`` subtracts the per-feature sum of conditional entropies
-    instead (exact only when features are independent given the class).
-    """
-    if mode not in ("factored", "non_factored"):
-        raise ValueError(f"mode must be factored or non_factored, got {mode!r}")
-    A = ds.ground.check_subset(A)
-    joint = empirical_entropy(ds, A, alpha)
-    if mode == "non_factored":
-        return joint - conditional_entropy(ds, A, alpha)
-    return joint - sum(conditional_entropy(ds, frozenset({j}), alpha) for j in A)
 
 
 @dataclass(frozen=True)

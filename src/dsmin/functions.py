@@ -41,21 +41,14 @@ def sqrt_cardinality_spec(n: int, coeff: float = 1.0) -> dict:
     return base if coeff == 1.0 else scaled_sum_spec([(coeff, base)])
 
 
-def graph_cut_spec(n: int, edges) -> dict:
-    return {"kind": "graph_cut", "n": int(n), "edges": [list(e) for e in edges]}
-
-
-def table_spec(n: int, values) -> dict:
-    return {"kind": "explicit_table", "n": int(n), "values": list(map(float, values))}
-
-
 def scaled_sum_spec(terms) -> dict:
     return {"kind": "scaled_sum", "terms": [{"coeff": float(c), "spec": s} for c, s in terms]}
 
 
 def decomposition_spec_pair(v_spec: dict, n: int, scale: float) -> tuple[dict, dict]:
-    """The (f, g) specs of v = f - g with g = scale * sqrt|X|, as ``ds_decompose``
-    builds them; a zero scale pairs v with the zero modular function."""
+    """The (f, g) specs of v = f - g: f = v + scale * sqrt|X| and g = scale * sqrt|X|,
+    with the scale ``bounds.ds_decompose`` computes.  This is the one place the
+    pair is built; a zero scale pairs v with the zero modular function."""
     if scale == 0.0:
         return v_spec, modular_spec([0.0] * n)
     sqrt_spec = sqrt_cardinality_spec(n)

@@ -3,7 +3,8 @@
 The greedy linear-optimization primitive over the base polytope (Edmonds)
 plus Wolfe's nearest-point algorithm give the classic Fujishige-Wolfe
 minimizer: find the minimum-norm point of the base polytope, then read the
-minimal minimizer off its strictly negative coordinates.
+minimal minimizer off its strictly negative coordinates.  Hitting the
+major-cycle cap raises a plain ``RuntimeError`` that reports the gap.
 
 References:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11 (1976).
@@ -16,17 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MemoizedOracle, SetFunctionOracle, chain_gains, memoized
-
-
-class NonConvergenceError(RuntimeError):
-    """Raised when the major-cycle cap is hit; carries the best point found."""
-
-    def __init__(self, best_set, best_value, gap):
-        super().__init__(f"min-norm point did not converge (gap={gap:.3e}); "
-                         f"best value so far {best_value:.6g}")
-        self.best_set = best_set
-        self.best_value = best_value
-        self.gap = gap
 
 
 def greedy_base_vertex(f: SetFunctionOracle, direction) -> np.ndarray:
@@ -68,35 +58,32 @@ def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 _DROP_TOL = 1e-12
+_GAP_TOL = 1e-10  # relative duality gap at which the point counts as optimal
+# x_j < -ROUND_TOL marks the minimal minimizer, x_j < ROUND_TOL the maximal one
+ROUND_TOL = 1e-9
 
 
-def min_norm_point(f: SetFunctionOracle, tol: float = 1e-10,
-                   max_major: int | None = None) -> tuple[frozenset, float, np.ndarray]:
+def min_norm_point(f: SetFunctionOracle) -> tuple[frozenset, float, np.ndarray]:
     """Minimize a normalized submodular function exactly.
 
     Runs Wolfe's major/minor cycle over base-polytope vertices produced by
-    the greedy primitive.  Returns ``(X, f(X), x)`` where ``x`` is the
-    (approximate) minimum-norm point and ``X = {j : x_j < -tol'}`` is the
-    minimal minimizer, with the rounding threshold ``tol'`` derived from
-    ``tol``.  Raises :class:`NonConvergenceError` past the iteration cap.
+    the greedy primitive, for at most 100 n^2 major cycles.  Returns
+    ``(X, f(X), x)`` where ``x`` is the (approximate) minimum-norm point and
+    ``X = {j : x_j < -ROUND_TOL}`` is the minimal minimizer.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     n = f.ground.n
     fm = f if isinstance(f, MemoizedOracle) else memoized(f)
-    cap = max_major if max_major is not None else 100 * n * n
-    tol_prime = max(10.0 * tol, 1e-9)
 
     x = greedy_base_vertex(fm, np.zeros(n))
     S = x.reshape(1, n).copy()
     lam = np.ones(1)
     gap = np.inf
 
-    for _ in range(cap):
+    for _ in range(100 * n * n):
         q = greedy_base_vertex(fm, x)
         corr = max(1.0, float(x @ x), float(q @ q), float(np.max(np.sum(S * S, axis=1))))
         gap = float(x @ x - x @ q)
-        if gap <= tol * corr:
+        if gap <= _GAP_TOL * corr:
             break
         if np.any(np.all(np.abs(S - q) <= _DROP_TOL * corr, axis=1)):
             break  # vertex already active: numerically optimal
@@ -122,9 +109,8 @@ def min_norm_point(f: SetFunctionOracle, tol: float = 1e-10,
         else:
             break  # minor cycle stuck; x is the best affine point available
     else:
-        best = frozenset(int(j) + 1 for j in np.where(x < -tol_prime)[0])
-        raise NonConvergenceError(best, fm(best), gap)
+        raise RuntimeError(f"min-norm point did not converge (gap={gap:.3e})")
 
-    X = frozenset(int(j) + 1 for j in np.where(x < -tol_prime)[0])
+    X = frozenset(int(j) + 1 for j in np.where(x < -ROUND_TOL)[0])
     return X, fm(X), x
 

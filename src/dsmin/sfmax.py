@@ -9,7 +9,6 @@ out the toolbox.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,14 +18,8 @@ from .core import SetFunctionOracle, flips
 DG_MODES = ("deterministic", "randomized")
 
 
-@dataclass
-class MaximizerResult:
-    set: frozenset
-    value: float
-
-
 def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
-                  seed: int | None = None) -> MaximizerResult:
+                  seed: int | None = None) -> frozenset:
     """One bi-directional pass over the elements in index order.
 
     Grows a lower set from empty and shrinks an upper set from full; for
@@ -42,12 +35,9 @@ def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
     ground = f.ground
     A: set[int] = set()
     B: set[int] = set(ground.elements())
-    value = None
     for j in ground.elements():
-        add_val = f(frozenset(A | {j}))
-        a = add_val - f(frozenset(A))
-        rem_val = f(frozenset(B - {j}))
-        b = rem_val - f(frozenset(B))
+        a = f(frozenset(A | {j})) - f(frozenset(A))
+        b = f(frozenset(B - {j})) - f(frozenset(B))
         if rng is None:
             take = a >= b
         else:
@@ -55,14 +45,12 @@ def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
             take = True if ac + bc == 0.0 else rng.random() < ac / (ac + bc)
         if take:
             A.add(j)
-            value = add_val
         else:
             B.remove(j)
-            value = rem_val
-    return MaximizerResult(frozenset(A), value)
+    return frozenset(A)
 
 
-def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> MaximizerResult:
+def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> frozenset:
     """Up to k greedy additions of the best strictly-positive-gain element."""
     n = f.ground.n
     if not 0 <= k <= n:
@@ -82,11 +70,11 @@ def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> MaximizerResult:
             break
         S.add(best_j)
         value = best_val
-    return MaximizerResult(frozenset(S), value)
+    return frozenset(S)
 
 
 def local_search_max(f: SetFunctionOracle, start,
-                     feasible: Callable[[frozenset], bool] | None = None) -> MaximizerResult:
+                     feasible: Callable[[frozenset], bool] | None = None) -> frozenset:
     """Hill-climb by single adds/deletes until no move strictly improves f.
 
     With ``feasible`` given, only moves to sets it accepts are considered.
@@ -103,5 +91,5 @@ def local_search_max(f: SetFunctionOracle, start,
             if val > best_val:
                 best_val, best_set = val, T
         if best_set is None:
-            return MaximizerResult(S, value)
+            return S
         S, value = best_set, best_val

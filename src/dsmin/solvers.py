@@ -32,7 +32,6 @@ a local minimum whatever the oracles.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -43,13 +42,10 @@ from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import FLOAT_TOL, GroundSet, SetFunctionOracle, flips, memoized, subset_key
-from .sfm import min_norm_point
+from .sfm import ROUND_TOL, min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
 _EQ_TOL = 1e-12  # two objective values within this are treated as equal
-_SFM_TOL = 1e-10  # min-norm point accuracy for sub-sup's inner minimization
-# coordinates of the min-norm point below this mark the maximal minimizer
-_SFM_ROUND = max(10.0 * _SFM_TOL, 1e-9)
 
 HEURISTICS = ("random", "g_gain", "v_gain")
 UB_STRATEGIES = ("best_of_both", "alternate")
@@ -227,22 +223,6 @@ def local_optimality_check(v: Callable[[frozenset], float], X: Iterable[int],
     if ground is None:
         ground = v.ground  # type: ignore[attr-defined]
     return _best_flip(v, frozenset(X), tol, ground) is None
-
-
-def epsilon_iteration_cap(lower_bound: float, first_value: float, epsilon: float) -> int:
-    """Worst-case accepted-iteration count of an epsilon-approximate run.
-
-    Each accepted step past the first shrinks a negative objective by the
-    factor (1 + epsilon) while it can never drop below the certified lower
-    bound, so at most ceil(ln(|bound| / |v1|) / ln(1 + epsilon)) + 1 steps
-    are ever accepted.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be > 0 for a finite cap")
-    if first_value >= 0 or lower_bound >= 0:
-        raise ValueError("cap defined for negative first value and lower bound")
-    ratio = abs(lower_bound) / abs(first_value)
-    return max(1, math.ceil(math.log(ratio) / math.log1p(epsilon))) + 1
 
 
 def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: SetFunctionOracle,
@@ -426,8 +406,8 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
     def candidates(X: frozenset, sigma: Permutation) -> list[frozenset]:
         h = modular_lower_bound(run.g, X, sigma)
         sur = SetFunctionOracle(ground, lambda S: run.f(S) - h.value(S), "f_minus_h")
-        Xm, _, x = min_norm_point(sur, tol=_SFM_TOL)
-        largest = frozenset(j for j in ground.elements() if x[j - 1] < _SFM_ROUND)
+        Xm, _, x = min_norm_point(sur)
+        largest = frozenset(j for j in ground.elements() if x[j - 1] < ROUND_TOL)
         return [Xm, largest]
 
     def primary(X, t):
@@ -473,11 +453,10 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
         m = modular_upper_bound(run.f, X, variant)
         sur = SetFunctionOracle(ground, lambda S: run.g(S) - m.value(S), "g_minus_m")
         if constraint.kind == "cardinality_le":
-            res = greedy_cardinality_max(sur, constraint.k)
-            return local_search_max(sur, res.set, constraint.is_feasible).set
+            return local_search_max(sur, greedy_cardinality_max(sur, constraint.k),
+                                    constraint.is_feasible)
         seed = int(run.rng.integers(2 ** 31)) if opts.dg_mode == "randomized" else None
-        res = double_greedy(sur, opts.dg_mode, seed)
-        return local_search_max(sur, res.set).set
+        return local_search_max(sur, double_greedy(sur, opts.dg_mode, seed))
 
     def primary(X, t):
         return [maximize(X, v) for v in _variants(opts.ub_strategy, t)]

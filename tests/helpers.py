@@ -6,11 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from dsmin import (AffineModular, DSInstance, GroundSet, SetFunctionOracle,
-                   brute_force_minimize, build_function, totally_normalize)
-from dsmin.core import FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, evaluate_table
-from dsmin.featsel import _entropy_from_counts
-from dsmin.functions import graph_cut_spec, modular_spec, table_spec
+from dsmin import DSInstance, GroundSet, SetFunctionOracle, build_function
+from dsmin.bounds import totally_normalize
+from dsmin.core import (FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, AffineModular,
+                        brute_force_minimize, evaluate_table)
+from dsmin.featsel import _entropy_from_counts, conditional_entropy, empirical_entropy
+from dsmin.functions import modular_spec
+
+
+def graph_cut_spec(n, edges):
+    return {"kind": "graph_cut", "n": int(n), "edges": [list(e) for e in edges]}
+
+
+def table_spec(n, values):
+    return {"kind": "explicit_table", "n": int(n), "values": list(map(float, values))}
 
 
 def sqrt_card(n, coeff=1.0):
@@ -183,3 +192,50 @@ def row_sort_entropies(ds, A, alpha):
     for idx in ds._class_rows:
         cond += (len(idx) / ds.n_rows) * _entropy_from_counts(_row_sort_counts(sub[idx]), alpha)
     return joint, cond
+
+
+def gain(f, j, X):
+    """Marginal value f(X + j) - f(X) of adding element j in context X.
+
+    Costs exactly two oracle calls, or one call (returning 0) if j is
+    already in X.
+    """
+    if not (isinstance(j, (int, np.integer)) and 1 <= j <= f.ground.n):
+        raise ValueError(f"element {j!r} outside ground set 1..{f.ground.n}")
+    S = f.ground.check_subset(X)
+    if j in S:
+        f(S)
+        return 0.0
+    return f(S | {j}) - f(S)
+
+
+def epsilon_iteration_cap(lower_bound, first_value, epsilon):
+    """Worst-case accepted-iteration count of an epsilon-approximate run.
+
+    Each accepted step past the first shrinks a negative objective by the
+    factor (1 + epsilon) while it can never drop below the certified lower
+    bound, so at most ceil(ln(|bound| / |v1|) / ln(1 + epsilon)) + 1 steps
+    are ever accepted.
+    """
+    if epsilon <= 0:
+        raise ValueError("epsilon must be > 0 for a finite cap")
+    if first_value >= 0 or lower_bound >= 0:
+        raise ValueError("cap defined for negative first value and lower bound")
+    ratio = abs(lower_bound) / abs(first_value)
+    return max(1, math.ceil(math.log(ratio) / math.log1p(epsilon))) + 1
+
+
+def mutual_information(ds, A, alpha=0.0, mode="non_factored"):
+    """Estimated I(X_A; C) in bits.
+
+    ``non_factored`` subtracts the joint conditional entropy;
+    ``factored`` subtracts the per-feature sum of conditional entropies
+    instead (exact only when features are independent given the class).
+    """
+    if mode not in ("factored", "non_factored"):
+        raise ValueError(f"mode must be factored or non_factored, got {mode!r}")
+    A = ds.ground.check_subset(A)
+    joint = empirical_entropy(ds, A, alpha)
+    if mode == "non_factored":
+        return joint - conditional_entropy(ds, A, alpha)
+    return joint - sum(conditional_entropy(ds, frozenset({j}), alpha) for j in A)

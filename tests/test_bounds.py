@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import (GroundSet, Permutation, SetFunctionOracle, brute_force_minimize,
-                   check_submodular, ds_decompose, min_norm_point,
-                   minima_lower_bounds, modular_lower_bound, modular_upper_bound,
-                   sqrt_curvature, totally_normalize)
+from dsmin import (GroundSet, Permutation, SetFunctionOracle, build_function,
+                   ds_decompose, min_norm_point, minima_lower_bounds,
+                   modular_lower_bound, modular_upper_bound)
+from dsmin.bounds import sqrt_curvature, totally_normalize
+from dsmin.core import brute_force_minimize, check_submodular, evaluate_table, mask_of
+from dsmin.functions import decomposition_spec_pair, modular_spec
 
 import helpers
 from helpers import check_monotone, sfm_brute_force, totally_normalize_instance
@@ -93,15 +95,17 @@ class TestModularUpperBound:
         with pytest.raises(ValueError):
             modular_upper_bound(helpers.sqrt_card(3), {1}, 3)
 
-    @pytest.mark.parametrize("X,variant", [({1, 2}, 1), ({1, 2}, 2),
-                                           (set(), 1), ({1, 2, 3}, 2)])
+    @pytest.mark.parametrize("X,variant", [({1, 2}, 1), ({1, 2}, 2), (set(), 1),
+                                           ({1, 2, 3}, 2), ({1}, 1), ({2, 3}, 2)])
     def test_evaluates_f_at_x_once(self, X, variant):
-        # also where X is the other context: the empty set (1) or V (2)
+        # also where X is the other context, the empty set (1) or V (2), and
+        # where a one-element change of X is that context: |X| = 1 for
+        # variant 1 and |V - X| = 1 for variant 2
         seen = []
         f = SetFunctionOracle(GroundSet(3), lambda S: seen.append(S) or math.sqrt(len(S)))
         modular_upper_bound(f, X, variant)
         assert seen.count(frozenset(X)) == 1
-        assert len(seen) == 5 - (X in (set(), {1, 2, 3}))
+        assert len(seen) == len(set(seen))
 
     def test_majorizes_and_one_element_identities(self):
         rng = np.random.default_rng(6)
@@ -183,27 +187,36 @@ class TestSqrtCurvature:
             assert sqrt_curvature(n) == pytest.approx(worst, abs=1e-12)
 
 
+def decomposition(v, scale):
+    """The (f, g) oracles ``functions.decomposition_spec_pair`` writes for v."""
+    n = v.ground.n
+    specs = decomposition_spec_pair(helpers.table_spec(n, evaluate_table(v)), n, scale)
+    return tuple(build_function(spec, v.ground) for spec in specs)
+
+
 class TestDSDecompose:
     def test_submodular_input_passes_through(self):
         f = helpers.sqrt_card(3)
-        dec = ds_decompose(f)
-        assert dec.scale == 0.0
-        assert dec.alpha >= 0.0
+        alpha, _, scale = ds_decompose(f)
+        assert scale == 0.0
+        assert alpha >= 0.0
+        df, dg = decomposition(f, scale)
         for S in helpers.all_subsets(3):
-            assert dec.f(S) == pytest.approx(f(S))
-            assert dec.g(S) == 0.0
+            assert df(S) == pytest.approx(f(S))
+            assert dg(S) == 0.0
 
     def test_pair_indicator(self):
         g3 = GroundSet(3)
         v = SetFunctionOracle(g3, lambda S: 1.0 if {1, 2} <= S else 0.0)
-        dec = ds_decompose(v)
-        assert dec.alpha == pytest.approx(-1.0)
-        assert dec.beta == pytest.approx(2 * SQ2 - SQ3 - 1)
-        assert dec.scale == pytest.approx(1.0 / (2 * SQ2 - SQ3 - 1))
-        assert check_submodular(dec.f)
-        assert check_submodular(dec.g)
+        alpha, beta, scale = ds_decompose(v)
+        assert alpha == pytest.approx(-1.0)
+        assert beta == pytest.approx(2 * SQ2 - SQ3 - 1)
+        assert scale == pytest.approx(1.0 / (2 * SQ2 - SQ3 - 1))
+        df, dg = decomposition(v, scale)
+        assert check_submodular(df)
+        assert check_submodular(dg)
         for S in helpers.all_subsets(3):
-            assert dec.f(S) - dec.g(S) == pytest.approx(v(S), abs=1e-9)
+            assert df(S) - dg(S) == pytest.approx(v(S), abs=1e-9)
 
     def test_alpha_lb_too_large_rejected(self):
         g3 = GroundSet(3)
@@ -211,12 +224,19 @@ class TestDSDecompose:
         with pytest.raises(ValueError):
             ds_decompose(v, alpha_lb=-0.5)
 
+    @pytest.mark.parametrize("n", [3, 22])
+    @pytest.mark.parametrize("alpha_lb", ["x", math.nan, math.inf, [-1.0], True])
+    def test_alpha_lb_must_be_finite_real(self, n, alpha_lb):
+        v = SetFunctionOracle(GroundSet(n), lambda S: float(len(S)))
+        with pytest.raises(ValueError, match="finite real number"):
+            ds_decompose(v, alpha_lb=alpha_lb)
+
     def test_valid_alpha_lb_scales_up(self):
         g3 = GroundSet(3)
         v = SetFunctionOracle(g3, lambda S: 1.0 if {1, 2} <= S else 0.0)
-        dec = ds_decompose(v, alpha_lb=-2.0)
-        assert dec.scale == pytest.approx(2.0 / sqrt_curvature(3))
-        assert check_submodular(dec.f)
+        _, _, scale = ds_decompose(v, alpha_lb=-2.0)
+        assert scale == pytest.approx(2.0 / sqrt_curvature(3))
+        assert check_submodular(decomposition(v, scale)[0])
 
     def test_large_n_requires_lower_bound(self):
         v = SetFunctionOracle(GroundSet(17), lambda S: float(len(S)))
@@ -230,18 +250,16 @@ class TestDSDecompose:
             table = rng.normal(0.0, 1.0, 1 << n)
             table[0] = 0.0
             g = GroundSet(n)
-            from dsmin.core import mask_of
             v = SetFunctionOracle(g, lambda S, t=table: float(t[mask_of(S)]))
-            dec = ds_decompose(v)
-            assert check_submodular(dec.f)
-            assert check_submodular(dec.g)
+            df, dg = decomposition(v, ds_decompose(v)[2])
+            assert check_submodular(df)
+            assert check_submodular(dg)
             for S in helpers.all_subsets(n):
-                assert dec.f(S) - dec.g(S) == pytest.approx(v(S), abs=1e-9)
+                assert df(S) - dg(S) == pytest.approx(v(S), abs=1e-9)
 
 
 class TestMinimaLowerBounds:
     def test_modular_pair_is_exact(self):
-        from dsmin.functions import build_function, modular_spec
         f = build_function(modular_spec([1.0, 2.0]))
         g = build_function(modular_spec([2.0, 1.0]))
         b1, b2 = minima_lower_bounds(f, g, sfm_brute_force)

@@ -6,7 +6,9 @@ import pytest
 
 from dsmin import GroundSet, build_function, instance_from_dict
 from dsmin.cli import main
-from dsmin.functions import graph_cut_spec, sqrt_cardinality_spec, table_spec
+from dsmin.functions import sqrt_cardinality_spec
+
+from helpers import graph_cut_spec, table_spec
 
 
 @pytest.fixture
@@ -91,17 +93,19 @@ class TestOptimize:
         ["--algo", "subsup", "--constraint", "card_le=1"],
         ["--constraint", "bogus"],
         ["--algo", "nope"],
-        # a dict stands for a config file holding it
+        # a dict stands for a file holding it, named as @file after --constraint
         ["--config", {"inner_sfm": "brute", "bogus_key": 1}],
         ["--config", {"algo": "nope"}],
         ["--config", {"epsilon": "x"}],
         ["--config", "no-such-dir/cfg.json"],
+        ["--constraint", {"kind": "cardinality_le", "k": math.inf}],  # also 1e400
+        ["--constraint", {"kind": "cardinality_le", "k": 1.5}],
     ])
     def test_usage_errors_exit_1(self, instance, tmp_path, capsys, extra):
         if isinstance(extra[-1], dict):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps(extra[-1]))
-            extra = extra[:-1] + [str(cfg)]
+            extra = extra[:-1] + [("@" if extra[0] == "--constraint" else "") + str(cfg)]
         assert main(["optimize", "--instance", instance] + extra) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -204,6 +208,14 @@ class TestDecompose:
         doc = tmp_path / "v.json"
         doc.write_text(json.dumps({"n": 2}))
         assert main(["decompose", "--instance", str(doc)]) == 1
+
+    @pytest.mark.parametrize("n,alpha_lb", [(3, "x"), (3, math.nan), (22, math.nan)])
+    def test_bad_alpha_lb_exits_1(self, tmp_path, capsys, n, alpha_lb):
+        v_spec = graph_cut_spec(n, [[j, j + 1, 1.0] for j in range(1, n)])
+        doc = tmp_path / "v.json"
+        doc.write_text(json.dumps({"n": n, "v": v_spec, "alpha_lb": alpha_lb}))
+        assert main(["decompose", "--instance", str(doc)]) == 1
+        assert capsys.readouterr().err.startswith("error: alpha_lb must be a finite real")
 
 
 class TestFeatsel:

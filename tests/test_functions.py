@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import build_function, check_submodular
-from dsmin.functions import (graph_cut_spec, instance_from_dict, modular_spec,
-                             sqrt_cardinality_spec, table_spec)
+from dsmin import build_function, instance_from_dict
+from dsmin.core import check_submodular
+from dsmin.functions import modular_spec, sqrt_cardinality_spec
 
 import helpers
+from helpers import graph_cut_spec, table_spec
 
 
 def test_modular_spec():

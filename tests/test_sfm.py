@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import (GroundSet, SetFunctionOracle, brute_force_minimize,
-                   greedy_base_vertex, min_norm_point)
-from dsmin.functions import build_function, modular_spec
+from dsmin import GroundSet, SetFunctionOracle, build_function, min_norm_point
+from dsmin.core import brute_force_minimize
+from dsmin.functions import modular_spec
+from dsmin.sfm import greedy_base_vertex
 
 import helpers
 
@@ -87,10 +88,6 @@ class TestMinNormPoint:
         X, val, _ = min_norm_point(f)
         assert X == frozenset({1, 2, 3})
         assert val == pytest.approx(math.sqrt(3) - 2.4)
-
-    def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            min_norm_point(helpers.sqrt_card(2), tol=0.0)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = np.random.default_rng(23)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import (GroundSet, SetFunctionOracle, double_greedy,
-                   greedy_cardinality_max, local_search_max)
-from dsmin.functions import build_function, modular_spec
+from dsmin import build_function
+from dsmin.functions import modular_spec
+from dsmin.sfmax import double_greedy, greedy_cardinality_max, local_search_max
 
 import helpers
 
@@ -13,25 +13,20 @@ import helpers
 class TestDoubleGreedy:
     def test_modular_is_exact(self):
         f = build_function(modular_spec([1.0, -2.0, 3.0]))
-        res = double_greedy(f)
-        assert res.set == frozenset({1, 3})
-        assert res.value == pytest.approx(4.0)
+        assert double_greedy(f) == frozenset({1, 3})
 
     def test_monotone_takes_everything(self):
         f = helpers.sqrt_card(4)
-        res = double_greedy(f)
-        assert res.set == frozenset({1, 2, 3, 4})
-        assert res.value == pytest.approx(2.0)
+        assert double_greedy(f) == frozenset({1, 2, 3, 4})
 
-    def test_exactly_4n_oracle_calls_and_value_matches(self):
+    def test_exactly_4n_oracle_calls(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             n = int(rng.integers(2, 8))
             f = helpers.random_nonneg_submodular(rng, n)
             f.call_count = 0
-            res = double_greedy(f)
+            double_greedy(f)
             assert f.call_count == 4 * n
-            assert res.value == pytest.approx(f(res.set))
 
     def test_deterministic_third_of_optimum(self):
         rng = np.random.default_rng(33)
@@ -39,18 +34,17 @@ class TestDoubleGreedy:
             n = int(rng.integers(2, 8))
             f = helpers.random_nonneg_submodular(rng, n)
             _, opt = helpers.exhaustive_max(f, n)
-            res = double_greedy(f)
-            assert res.value >= opt / 3.0 - 1e-9
+            assert f(double_greedy(f)) >= opt / 3.0 - 1e-9
 
     def test_randomized_reproducible_and_near_half(self):
         rng = np.random.default_rng(35)
         f = helpers.random_nonneg_submodular(rng, 7)
         r1 = double_greedy(f, "randomized", seed=5)
         r2 = double_greedy(f, "randomized", seed=5)
-        assert r1.set == r2.set
+        assert r1 == r2
         _, opt = helpers.exhaustive_max(f, 7)
         if opt > 1e-9:
-            mean = np.mean([double_greedy(f, "randomized", seed=s).value
+            mean = np.mean([f(double_greedy(f, "randomized", seed=s))
                             for s in range(200)])
             assert mean >= 0.49 * opt
 
@@ -62,19 +56,14 @@ class TestDoubleGreedy:
 class TestGreedyCardinality:
     def test_modular(self):
         f = build_function(modular_spec([3.0, 1.0, 2.0]))
-        res = greedy_cardinality_max(f, 2)
-        assert res.set == frozenset({1, 3})
-        assert res.value == pytest.approx(5.0)
+        assert greedy_cardinality_max(f, 2) == frozenset({1, 3})
 
     def test_sqrt_tie_break(self):
-        res = greedy_cardinality_max(helpers.sqrt_card(3), 2)
-        assert res.set == frozenset({1, 2})
-        assert res.value == pytest.approx(math.sqrt(2))
+        assert greedy_cardinality_max(helpers.sqrt_card(3), 2) == frozenset({1, 2})
 
     def test_stops_without_positive_gain(self):
         f = build_function(modular_spec([-1.0, -2.0]))
-        res = greedy_cardinality_max(f, 2)
-        assert res.set == frozenset()
+        assert greedy_cardinality_max(f, 2) == frozenset()
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
@@ -86,22 +75,18 @@ class TestGreedyCardinality:
             n = int(rng.integers(3, 8))
             f = helpers.random_facility(rng, n)
             k = int(rng.integers(1, n))
-            res = greedy_cardinality_max(f, k)
+            val = f(greedy_cardinality_max(f, k))
             opt_k = max(f(S) for S in helpers.all_subsets(n) if len(S) <= k)
-            assert res.value >= (1 - 1 / math.e) * opt_k - 1e-9
+            assert val >= (1 - 1 / math.e) * opt_k - 1e-9
 
 
 class TestLocalSearch:
     def test_modular(self):
         f = build_function(modular_spec([-1.0, 2.0]))
-        res = local_search_max(f, frozenset())
-        assert res.set == frozenset({2})
-        assert res.value == pytest.approx(2.0)
+        assert local_search_max(f, frozenset()) == frozenset({2})
 
     def test_triangle_cut_from_empty(self):
-        res = local_search_max(helpers.triangle_cut(), frozenset())
-        assert res.set == frozenset({1})
-        assert res.value == pytest.approx(2.0)
+        assert local_search_max(helpers.triangle_cut(), frozenset()) == frozenset({1})
 
     def test_result_is_locally_maximal(self):
         rng = np.random.default_rng(39)
@@ -111,6 +96,6 @@ class TestLocalSearch:
             start = frozenset(int(j) for j in range(1, n + 1) if rng.random() < 0.5)
             res = local_search_max(f, start)
             for j in range(1, n + 1):
-                T = res.set - {j} if j in res.set else res.set | {j}
-                assert f(T) <= res.value + 1e-9
-            assert res.value >= f(start) - 1e-12
+                T = res - {j} if j in res else res | {j}
+                assert f(T) <= f(res) + 1e-9
+            assert f(res) >= f(start) - 1e-12

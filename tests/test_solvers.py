@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
-                   SolverError, SolverOptions, accept_step, brute_force_minimize,
-                   choose_permutation, epsilon_iteration_cap,
-                   local_optimality_check, min_norm_point, minima_lower_bounds,
+                   SolverError, SolverOptions, min_norm_point, minima_lower_bounds,
                    mod_mod, modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
+from dsmin.core import brute_force_minimize
 from dsmin.functions import build_function, modular_spec
+from dsmin.solvers import accept_step, choose_permutation, local_optimality_check
 
 import helpers
-from helpers import sfm_brute_force
+from helpers import epsilon_iteration_cap, sfm_brute_force
 
 SQ3 = math.sqrt(3)
 GLOBAL_TRI = -2 * SQ3
