@@ -107,13 +107,9 @@ class NormalizedParts:
 def totally_normalize(f: SetFunctionOracle) -> NormalizedParts:
     """Total normalization of a normalized submodular function."""
     ground = f.ground
-    k = modular_upper_bound(f, ground.full, 2).weights
-
-    def fprime(S, _f=f, _k=k):
-        return _f(S) - sum(_k[j - 1] for j in S)
-
-    part = SetFunctionOracle(ground, fprime, name=f.name + "_monotone")
-    return NormalizedParts(part, AffineModular(0.0, k))
+    shift = AffineModular(0.0, modular_upper_bound(f, ground.full, 2).weights)
+    part = SetFunctionOracle(ground, lambda S: f(S) - shift.value(S), name=f.name + "_monotone")
+    return NormalizedParts(part, shift)
 
 
 def sqrt_curvature(n: int) -> float:
@@ -233,12 +229,9 @@ def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,
     k = nf.shift.weights - ng.shift.weights
     g_prime_V = ng.polymatroid(V)
 
-    def inner(S, _f=f, _kg=ng.shift.weights):
-        # f'(S) + k(S) simplifies to f(S) minus the g-side shifts
-        return _f(S) - sum(_kg[j - 1] for j in S)
-
-    inner_oracle = SetFunctionOracle(ground, inner, name="fprime_plus_k")
-    res = sfm_solver(inner_oracle)
+    # f'(S) + k(S) simplifies to f(S) minus the g-side shifts
+    res = sfm_solver(SetFunctionOracle(ground, lambda S: f(S) - ng.shift.value(S),
+                                       name="fprime_plus_k"))
     bound1 = float(res[1]) - g_prime_V
     bound2 = nf.polymatroid(frozenset()) - g_prime_V + float(np.minimum(k, 0.0).sum())
     return bound1, bound2

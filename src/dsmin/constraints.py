@@ -8,6 +8,7 @@ program over integer costs.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -20,9 +21,9 @@ CONSTRAINT_KINDS = ("none", "cardinality_le", "cardinality_eq",
 
 
 def _whole(x, what: str) -> int:
-    """x as an int; a value that is not a whole number raises ValueError
-    (OverflowError for an infinity)."""
-    if float(x) != int(x):
+    """x as an int; a value that is not a whole real number (a string, a bool)
+    raises ValueError (OverflowError for an infinity)."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or float(x) != int(x):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
 
@@ -64,12 +65,13 @@ class Constraint:
     def partition_matroid(blocks, quotas) -> "Constraint":
         return Constraint("partition_matroid",
                           blocks=tuple(frozenset(b) for b in blocks),
-                          quotas=tuple(int(q) for q in quotas))
+                          quotas=tuple(_whole(q, "partition quota") for q in quotas))
 
     @staticmethod
     def spanning_tree(n_vertices: int, edges) -> "Constraint":
-        return Constraint("spanning_tree", n_vertices=int(n_vertices),
-                          edges=tuple((int(u), int(v)) for u, v in edges))
+        return Constraint("spanning_tree", n_vertices=_whole(n_vertices, "vertex count"),
+                          edges=tuple(tuple(_whole(x, "graph edge endpoint") for x in (u, v))
+                                      for u, v in edges))
 
     @staticmethod
     def knapsack(costs, budget) -> "Constraint":

@@ -9,6 +9,7 @@ exhaustive helpers) put element ``j`` on bit ``j - 1``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -125,20 +126,36 @@ def memoized(oracle: SetFunctionOracle) -> MemoizedOracle:
     return MemoizedOracle(oracle)
 
 
+def set_sum(weights: list[float], S: Iterable[int]) -> float:
+    """The sum of ``weights[j - 1]`` over S, added one by one from 0.0 in S's order."""
+    t = 0.0
+    for j in S:
+        t += weights[j - 1]
+    return t
+
+
 @dataclass(frozen=True, eq=False)
 class AffineModular:
     """Constant offset plus per-element weights.
 
-    ``value(Y) = offset + sum(weights[j-1] for j in Y)``.  Represents the
-    tight modular lower bounds, both tight modular upper bounds, and every
-    modular surrogate subproblem.
+    ``value(Y) = offset + set_sum(weights, Y)`` over a list copy of the
+    weights made on the first ``value`` call (most bounds never make one).
+    Plain floats added in Y's order are the IEEE additions of ``sum()`` over
+    the float64 entries, bit for bit; ``sum()`` over floats (compensated on
+    Python >= 3.12) and numpy reductions (reordered) differ in the last bits.
+    Represents the tight modular lower bounds, both tight modular upper
+    bounds, and every modular surrogate subproblem.
     """
 
     offset: float
     weights: np.ndarray
 
+    @functools.cached_property
+    def _weight_list(self) -> list[float]:
+        return self.weights.tolist()
+
     def value(self, Y: Iterable[int]) -> float:
-        return float(self.offset + sum(self.weights[j - 1] for j in Y))
+        return float(self.offset + set_sum(self._weight_list, Y))
 
     def __sub__(self, other: "AffineModular") -> "AffineModular":
         return AffineModular(self.offset - other.offset, self.weights - other.weights)

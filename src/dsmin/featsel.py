@@ -54,6 +54,8 @@ class Dataset:
         self.labels = np.asarray(self.labels)
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
             raise ValueError("dataset needs a non-empty 2-D row matrix")
+        if self.rows.shape[1] == 0:
+            raise ValueError("dataset has no features: every row is empty")
         if len(self.labels) != self.rows.shape[0]:
             raise ValueError("one label per row required")
         cast = not np.can_cast(self.rows.dtype, np.int64)

@@ -3,7 +3,9 @@
 Every family except ``explicit_table`` constructs a submodular oracle by
 construction (validated parameter ranges); explicit tables can encode any
 set function and are only checkable exhaustively.  All built oracles are
-normalized so the empty set evaluates to 0.
+normalized so the empty set evaluates to 0.  Weights are summed over a set
+by ``core.set_sum``: plain floats in the set's order, faster than numpy scalars
+and with the same bits.
 
 A function spec is a plain dict, read from and written to JSON as it is;
 :func:`build_function` checks it and builds the oracle it describes::
@@ -25,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import GroundSet, SetFunctionOracle, mask_of
+from .core import GroundSet, SetFunctionOracle, mask_of, set_sum
 
 CONCAVE_SHAPES = ("sqrt", "log1p", "power", "cap")
 
@@ -75,7 +77,7 @@ def _build_modular(params, ground):
     w = _weights_array(params)
     ground = ground or GroundSet(len(w))
     _require(ground.n == len(w), "weight vector length must equal ground set size")
-    return SetFunctionOracle(ground, lambda S: float(sum(w[j - 1] for j in S)), name="modular")
+    return SetFunctionOracle(ground, lambda S, w=w.tolist(): set_sum(w, S), name="modular")
 
 
 def _concave_fn(shape: str, params: dict):
@@ -102,7 +104,7 @@ def _build_concave_of_modular(params, ground):
     phi = _concave_fn(shape, params)
     ground = ground or GroundSet(len(w))
     _require(ground.n == len(w), "weight vector length must equal ground set size")
-    return SetFunctionOracle(ground, lambda S: float(phi(sum(w[j - 1] for j in S))),
+    return SetFunctionOracle(ground, lambda S, w=w.tolist(): float(phi(set_sum(w, S))),
                              name=f"{shape}_of_modular")
 
 

@@ -31,6 +31,7 @@ a local minimum whatever the oracles.
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -439,7 +440,8 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
     increase.  On a stall both upper-bound variants are retried and then
     the full one-element neighborhood is scanned, realizing the
     local-optimality conditions the two bound variants certify on single
-    deletions and additions.
+    deletions and additions.  Unless double greedy draws from the rng, the
+    retry reuses the sets primary has just found at the same set and variant.
     """
     opts = opts or SolverOptions()
     if constraint.kind not in ("none", "cardinality_le"):
@@ -457,6 +459,9 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
                                     constraint.is_feasible)
         seed = int(run.rng.integers(2 ** 31)) if opts.dg_mode == "randomized" else None
         return local_search_max(sur, double_greedy(sur, opts.dg_mode, seed))
+
+    if constraint.kind == "cardinality_le" or opts.dg_mode == "deterministic":
+        maximize = functools.lru_cache(maxsize=2)(maximize)  # no rng draw to keep
 
     def primary(X, t):
         return [maximize(X, v) for v in _variants(opts.ub_strategy, t)]
@@ -479,7 +484,8 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
     optimality; for any other pair the final single-element scan of the
     descent guarantees it on unconstrained convergence.  If the empty set
     is infeasible the run bootstraps from the constrained surrogate
-    minimizer anchored at the empty set.
+    minimizer anchored at the empty set.  A lower bound is built once per
+    permutation and an upper bound once per set and variant.
     """
     opts = opts or SolverOptions()
     constraint.validate(inst.ground.n)
@@ -487,36 +493,34 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
     ground = run.ground
     heur_scorer = run.scorer(opts.heuristic)
 
-    def candidates(X: frozenset, sigma: Permutation, variant: int) -> list[frozenset]:
+    # both variants at the current set; the descent never returns to a set
+    upper = functools.lru_cache(maxsize=2)(lambda X, v: modular_upper_bound(run.f, X, v))
+
+    def candidates(X: frozenset, sigma: Permutation, variants) -> list[frozenset]:
         h = modular_lower_bound(run.g, X, sigma)
-        m = modular_upper_bound(run.f, X, variant)
-        diff = m - h
-        out = [modular_minimize_constrained(diff, constraint)]
-        alt = modular_maximal_minimizer(diff, constraint)
-        if alt is not None and alt != out[0]:
-            out.append(alt)
+        out: list[frozenset] = []
+        for v in variants:
+            diff = upper(X, v) - h
+            best = modular_minimize_constrained(diff, constraint)
+            alt = modular_maximal_minimizer(diff, constraint)
+            out += [best] if alt is None or alt == best else [best, alt]
         return out
 
     def primary(X, t):
         sigma = choose_permutation(opts.heuristic, X, heur_scorer, run.rng)
-        out: list[frozenset] = []
-        for v in _variants(opts.ub_strategy, t):
-            out.extend(candidates(X, sigma, v))
-        return out
+        return candidates(X, sigma, _variants(opts.ub_strategy, t))
 
     def sweep(X, t):
         out: list[frozenset] = []
         for j in ground.elements():
             sigma = _boundary_permutation(X, j, ground.n, run.rng)
-            for v in (1, 2):
-                out.extend(candidates(X, sigma, v))
+            out.extend(candidates(X, sigma, (1, 2)))
         return out
 
     start = frozenset()
     if not constraint.is_feasible(frozenset()):
         sigma = choose_permutation(opts.heuristic, start, heur_scorer, run.rng)
-        boot = [c for v in (1, 2) for c in candidates(start, sigma, v)
-                if constraint.is_feasible(c)]
+        boot = [c for c in candidates(start, sigma, (1, 2)) if constraint.is_feasible(c)]
         if not boot:
             raise SolverError("could not find a feasible starting point", None)
         start = min(boot, key=lambda S: (run.value(S), subset_key(S)))

@@ -194,6 +194,15 @@ def row_sort_entropies(ds, A, alpha):
     return joint, cond
 
 
+def float64_generator_sum(w, S):
+    """``sum()`` over the float64 entries ``w[j - 1]`` for j in S.
+
+    How the modular and concave oracles and ``AffineModular.value`` summed a
+    set before ``core.set_sum``; the reference it must match bit for bit.
+    """
+    return sum(w[j - 1] for j in S)
+
+
 def gain(f, j, X):
     """Marginal value f(X + j) - f(X) of adding element j in context X.
 

@@ -115,6 +115,19 @@ class TestOptimize:
         assert main(["optimize", "--instance", instance, "--constraint", f"@{path}"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("doc", [
+        {"kind": "cardinality_le", "k": "2"},
+        {"kind": "cardinality_le", "k": True},
+        {"kind": "partition_matroid", "blocks": [[1, 2], [3]], "quotas": [1.5, 1]},
+        {"kind": "knapsack", "costs": [1, "1", 1], "budget": 2},
+    ])
+    def test_constraint_numbers_must_be_whole_exits_1(self, instance, tmp_path, capsys, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["optimize", "--instance", instance, "--algo", "modmod",
+                     "--constraint", f"@{path}"]) == 1
+        assert "must be an integer" in capsys.readouterr().err
+
     def test_config_keys_and_nulls(self, instance, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"max_iters": 1, "ub-strategy": "alternate", "seed": None}))
@@ -277,6 +290,13 @@ class TestFeatsel:
         assert main(["featsel", "--data", dataset, "--cost", "partition_sqrt",
                      "--blocks", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_label_only_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "labels.libsvm"
+        path.write_text("1\n0\n1\n0\n")
+        assert main(["featsel", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: cannot read dataset: dataset has no features: every row is empty\n"
 
     def test_missing_dataset_exits_1(self, tmp_path):
         assert main(["featsel", "--data", str(tmp_path / "none.libsvm")]) == 1

@@ -151,3 +151,34 @@ def test_cardinality_bound_must_be_whole(make):
         make(1.5)
     with pytest.raises(OverflowError):
         make(float("inf"))
+
+
+def test_spanning_tree_numbers_must_be_whole():
+    assert Constraint.spanning_tree(3.0, [(1, 2.0)]) == Constraint.spanning_tree(3, [(1, 2)])
+    with pytest.raises(ValueError, match="vertex count must be an integer"):
+        Constraint.spanning_tree(3.7, [(1, 2)])
+    with pytest.raises(ValueError, match="graph edge endpoint must be an integer"):
+        Constraint.spanning_tree(3, [(1, 2.9)])
+
+
+def test_partition_quota_must_be_whole():
+    c = Constraint.partition_matroid([[1, 2]], [1.0])
+    assert c == Constraint.partition_matroid([[1, 2]], [1]) and type(c.quotas[0]) is int
+    with pytest.raises(ValueError, match="partition quota must be an integer"):
+        Constraint.partition_matroid([[1, 2]], [1.5])
+
+
+@pytest.mark.parametrize("bad", ["2", True, b"2", None, np.True_],
+                         ids=["str", "bool", "bytes", "None", "numpy_bool"])
+@pytest.mark.parametrize("make", [
+    Constraint.cardinality_le, Constraint.cardinality_eq,
+    lambda q: Constraint.partition_matroid([[1]], [q]),
+    lambda c: Constraint.knapsack([c], 1), lambda b: Constraint.knapsack([1], b),
+    lambda v: Constraint.spanning_tree(v, [(1, 2)]),
+    lambda u: Constraint.spanning_tree(2, [(u, 2)])],
+    ids=["cardinality_le", "cardinality_eq", "quota", "knapsack_cost", "knapsack_budget",
+         "vertex_count", "edge_endpoint"])
+def test_whole_numbers_must_be_numbers(make, bad):
+    # a JSON string or boolean is not read as the number it spells
+    with pytest.raises(ValueError, match="must be an integer"):
+        make(bad)

@@ -108,6 +108,10 @@ class TestDataset:
         with pytest.raises(ValueError, match=fragment):
             Dataset(np.array(rows), np.zeros(len(rows)))
 
+    def test_rejects_rows_without_features(self):
+        with pytest.raises(ValueError, match="dataset has no features"):
+            Dataset(np.zeros((3, 0), dtype=np.int8), np.array([0, 1, 0]))
+
     def test_whole_float_values_are_stored_as_int64(self):
         ds = Dataset(np.array([[0.0, 2.0], [1.0, 0.0]]), np.array([0, 1]))
         assert ds.rows.dtype == np.int64 and ds.arity.tolist() == [2, 3]

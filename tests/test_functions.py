@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from dsmin import build_function, instance_from_dict
-from dsmin.core import check_submodular
+from dsmin.core import AffineModular, check_submodular
 from dsmin.functions import modular_spec, sqrt_cardinality_spec
 
 import helpers
-from helpers import graph_cut_spec, table_spec
+from helpers import float64_generator_sum, graph_cut_spec, table_spec
 
 
 def test_modular_spec():
@@ -117,3 +117,51 @@ def test_instance_from_dict():
     assert g({1}) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         instance_from_dict({"n": 3, "f": doc["f"]})
+
+
+def _orders_of_equal_sets(rng, n):
+    """Random subsets of 1..n plus the empty set and V, each built in three insertion orders."""
+    picks = [[], list(range(1, n + 1))]
+    picks += [list(rng.permutation(n)[:rng.integers(1, n + 1)] + 1) for _ in range(6)]
+    for order in picks:
+        order = [int(j) for j in order]
+        grown = set(range(1, 2 * n + 1))
+        grown.difference_update(set(range(1, 2 * n + 1)) - set(order))
+        yield [frozenset(order), frozenset(reversed(order)), frozenset(grown)]
+
+
+def _bits(x):
+    return float(x).hex()  # tells -0.0 from 0.0, unlike ==
+
+
+# phi as the concave oracle applied it to the generator sum (a float64, or int 0 at the empty set)
+CONCAVE_REFERENCE = [
+    ({"shape": "sqrt"}, math.sqrt),
+    ({"shape": "log1p"}, math.log1p),
+    *[({"shape": "power", "exponent": p}, lambda t, p=p: t ** p) for p in (0.13, 0.5, 0.77, 1.0)],
+    *[({"shape": "cap", "cap": c}, lambda t, c=c: min(t, c)) for c in (0.0, 0.4, 3.0)],
+]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 33, 128])
+def test_set_sums_match_the_float64_generator_sum_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    # magnitudes over 16 decades, so that the order of the additions shows in the bits
+    w = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    w_pos = np.abs(w)
+    modular = build_function(modular_spec(w))
+    concave = [(build_function({"kind": "concave_of_modular", "weights": w_pos.tolist(),
+                                **params}), phi) for params, phi in CONCAVE_REFERENCE]
+    offsets = [0.0, -0.0, float(rng.standard_normal() * 1e3), np.float64(rng.standard_normal())]
+    orders_differ = False
+    for same in _orders_of_equal_sets(rng, n):
+        orders_differ |= len({tuple(S) for S in same}) > 1
+        for S in same:
+            ref = float64_generator_sum(w, S)
+            assert modular(S) == float(ref) and _bits(modular(S)) == _bits(ref)
+            for f, phi in concave:
+                assert _bits(f(S)) == _bits(phi(float64_generator_sum(w_pos, S)))
+            for offset in offsets:
+                got = AffineModular(offset, w).value(S)
+                assert _bits(got) == _bits(offset + ref)
+    assert orders_differ or n < 9  # below 9, every small-int set iterates in sorted order

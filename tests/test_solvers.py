@@ -183,6 +183,69 @@ class TestModMod:
         assert tr.n_accepted == 0  # bootstrap lands on the tree immediately
         assert all(len(p.set) == 2 for p in tr.iterates)
 
+class TestBoundReuse:
+    """Each modular bound and each deterministic maximization is made once per iterate."""
+
+    @staticmethod
+    def _instance(n=12):
+        """A sparse cut plus a unary term, minus a weighted sqrt: every run below moves."""
+        rng = np.random.default_rng(80)
+        edges = [[u, v, float(rng.uniform(0.1, 2.0))] for u in range(1, n + 1)
+                 for v in range(u + 1, n + 1) if rng.random() < 3.0 / n]
+        f = {"kind": "scaled_sum", "terms": [
+            {"coeff": 1.0, "spec": helpers.graph_cut_spec(n, edges)},
+            {"coeff": 1.0, "spec": modular_spec(rng.uniform(0.0, 7.0, n))}]}
+        g = {"kind": "concave_of_modular", "shape": "sqrt",
+             "weights": (16.0 * n * rng.uniform(0.5, 1.5, n)).tolist()}
+        return DSInstance(build_function(f), build_function(g))
+
+    @staticmethod
+    def _log(monkeypatch, name, key, calls=None):
+        """Wrap dsmin.solvers.<name> to append key(*args) to ``calls`` on every call."""
+        import dsmin.solvers
+        calls, real = [] if calls is None else calls, getattr(dsmin.solvers, name)
+
+        def wrapper(*args):
+            calls.append(key(*args))
+            return real(*args)
+
+        monkeypatch.setattr(dsmin.solvers, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("constraint", [Constraint.none(), Constraint.cardinality_le(3),
+                                            Constraint.cardinality_eq(4)],
+                             ids=["free", "capped", "bootstrap"])
+    def test_mod_mod_builds_each_bound_once(self, monkeypatch, constraint):
+        upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
+        lower = self._log(monkeypatch, "modular_lower_bound", lambda g, Y, sigma: Y)
+        perms = self._log(monkeypatch, "choose_permutation", lambda *a: None)
+        self._log(monkeypatch, "_boundary_permutation", lambda *a: None, perms)
+        tr = mod_mod(self._instance(), SolverOptions(seed=1), constraint)
+        assert tr.n_accepted >= 1
+        assert len(upper) == len(set(upper))  # at most the 2 variants per set
+        assert len(lower) == len(perms) > 2 * tr.n_accepted
+
+    @pytest.mark.parametrize("constraint", [Constraint.none(), Constraint.cardinality_le(3)],
+                             ids=["free", "capped"])
+    def test_deterministic_sup_sub_maximizes_once_per_set_and_variant(self, monkeypatch,
+                                                                      constraint):
+        upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
+        maxi = self._log(monkeypatch, "double_greedy", lambda *a: None)
+        self._log(monkeypatch, "greedy_cardinality_max", lambda *a: None, maxi)
+        tr = sup_sub(self._instance(), SolverOptions(), constraint)
+        assert tr.n_accepted >= 1
+        assert len(upper) == len(set(upper)) == len(maxi)
+
+    def test_randomized_sup_sub_keeps_its_sweep_draws(self, monkeypatch):
+        upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
+        seeds = self._log(monkeypatch, "double_greedy", lambda f, mode, seed: seed)
+        tr = sup_sub(self._instance(), SolverOptions(dg_mode="randomized", seed=4))
+        assert tr.n_accepted >= 1
+        # the final stall retries both variants primary has just drawn at the same set
+        assert len(seeds) == len(upper) >= len(set(upper)) + 2
+        assert len(set(seeds)) == len(seeds)
+
+
 class TestSurrogateSandwich:
     def test_bounds_sandwich_objective(self):
         rng = np.random.default_rng(67)
