@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dsmin.solvers
 from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
                    SolverError, SolverOptions, min_norm_point, minima_lower_bounds,
                    mod_mod, modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
@@ -183,6 +184,7 @@ class TestModMod:
         assert tr.n_accepted == 0  # bootstrap lands on the tree immediately
         assert all(len(p.set) == 2 for p in tr.iterates)
 
+
 class TestBoundReuse:
     """Each modular bound and each deterministic maximization is made once per iterate."""
 
@@ -202,7 +204,6 @@ class TestBoundReuse:
     @staticmethod
     def _log(monkeypatch, name, key, calls=None):
         """Wrap dsmin.solvers.<name> to append key(*args) to ``calls`` on every call."""
-        import dsmin.solvers
         calls, real = [] if calls is None else calls, getattr(dsmin.solvers, name)
 
         def wrapper(*args):
