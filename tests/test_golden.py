@@ -18,7 +18,8 @@ import numpy as np
 import pytest
 
 from dsmin import (Constraint, CostModel, Dataset, DSInstance, SolverOptions,
-                   build_objective, instance_from_dict, mod_mod, sub_sup, sup_sub)
+                   build_objective, greedy_select, instance_from_dict, mod_mod, sub_sup,
+                   sup_sub)
 
 GOLDEN = Path(__file__).resolve().parent / "golden_traces.json"
 N = 16
@@ -51,15 +52,20 @@ def _facility(seed):
     return {"n": N, "f": f, "g": _sqrt_g(rng, N, 0.8 * math.sqrt(N))}
 
 
-def _featsel():
-    """MI objective on 64 rows of 8 binary features: noisy and redundant class copies."""
+def _featsel_data():
+    """64 rows of 8 binary features: noisy and redundant class copies, and a cost."""
     rng = np.random.default_rng(13)
     y = rng.integers(0, 2, 64)
     X = np.empty((64, 8), dtype=np.int8)
     for j in range(8):
         src = y if j < 3 else X[:, j - 3] if j < 6 else np.zeros(64, dtype=np.int8)
         X[:, j] = src ^ (rng.random(64) < 0.1 + 0.08 * j)
-    return build_objective(Dataset(X, y), CostModel.modular_cardinality(0.01), 1.0).instance
+    return Dataset(X, y), CostModel.modular_cardinality(0.01)
+
+
+def _featsel():
+    """The MI objective on ``_featsel_data``."""
+    return build_objective(*_featsel_data(), 1.0).instance
 
 
 def _graph(doc):
@@ -67,9 +73,15 @@ def _graph(doc):
 
 
 CAP = Constraint.cardinality_le(4)
+PARTITION = Constraint.partition_matroid([range(1, 5), range(5, 9), range(9, 13),
+                                          range(13, 17)], [2, 1, 2, 1])
+KNAPSACK = Constraint.knapsack([1, 3, 2, 5, 4, 1, 2, 3, 5, 1, 4, 2, 3, 1, 2, 4], 9)
+# ground element i is an edge of the 8-cycle (i <= 8) or a chord two steps long
+TREE = Constraint.spanning_tree(8, [(i, i % 8 + 1) for i in range(1, 9)]
+                                + [(i, (i + 1) % 8 + 1) for i in range(1, 9)])
 INSTANCES = {"cut0": _graph(_cut(0)), "cut1": _graph(_cut(1)),
              "fac0": _graph(_facility(0)), "fac1": _graph(_facility(1)),
-             "featsel": _featsel}
+             "featsel": _featsel, "featsel_data": _featsel_data}
 RUNS = {
     "subsup": lambda i: sub_sup(i),
     "subsup_random": lambda i: sub_sup(i, SolverOptions(heuristic="random", seed=3)),
@@ -82,15 +94,23 @@ RUNS = {
     "modmod_alternate": lambda i: mod_mod(i, SolverOptions(ub_strategy="alternate",
                                                            heuristic="v_gain")),
     "modmod_eq": lambda i: mod_mod(i, constraint=Constraint.cardinality_eq(3)),
+    "modmod_partition": lambda i: mod_mod(i, constraint=PARTITION),
+    "modmod_knapsack": lambda i: mod_mod(i, constraint=KNAPSACK),
+    "modmod_tree": lambda i: mod_mod(i, constraint=TREE),
+    "supsub_eps": lambda i: sup_sub(i, SolverOptions(epsilon=0.05)),
 }
+GREEDY = {"grnf": lambda d: greedy_select(*d, "grnf")[1],
+          "grf": lambda d: greedy_select(*d, "grf")[1],
+          "grnf_budget": lambda d: greedy_select(*d, "grnf", budget=2)[1]}
 CASES = ([f"{run}/{name}" for name in ("cut0", "cut1", "fac0", "fac1") for run in RUNS]
-         + [f"{run}/featsel" for run in ("supsub", "supsub_randomized", "modmod",
-                                         "modmod_cap")])
+         + [f"{run}/featsel" for run in ("subsup", "supsub", "supsub_randomized", "modmod",
+                                         "modmod_cap")]
+         + [f"{run}/featsel_data" for run in GREEDY])
 
 
 def record(case):
     run, name = case.split("/")
-    trace = RUNS[run](INSTANCES[name]())
+    trace = {**RUNS, **GREEDY}[run](INSTANCES[name]())
     return {"final_set": sorted(trace.final_set), "final_value": repr(trace.final_value),
             "oracle_calls": trace.oracle_calls, "termination": trace.termination,
             "locally_optimal": trace.locally_optimal,
