@@ -4,7 +4,10 @@ Exit codes: 0 success, 1 usage/parse/validation problem, 2 runtime failure.
 Options may also come from a JSON config file (``--config``).  Its keys are
 flag names, with ``-`` or ``_``, and each entry is read as that flag placed
 before the command-line flags: it is checked like a flag, an explicit flag
-wins, and a JSON null leaves the flag unset.  Every report prints the seed.
+wins, and a JSON null leaves the flag unset.  A flag the algorithm never
+reads is an error: subsup reads --heuristic, supsub --ub-strategy and
+--dg-mode, modmod --heuristic and --ub-strategy.  So is an unknown key in a
+spec, constraint or blocks file.  Certify checks brute force up to n = 20.
 """
 
 from __future__ import annotations
@@ -18,14 +21,15 @@ import numpy as np
 
 from .bounds import ds_decompose, minima_lower_bounds
 from .constraints import Constraint
-from .core import GroundSet, SetFunctionOracle, brute_force_minimize, check_submodular
+from .core import (TABLE_MAX_N, GroundSet, SetFunctionOracle, brute_force_minimize,
+                   check_submodular)
 from .featsel import (CostModel, build_objective, evaluate_cost, greedy_select,
                       naive_bayes_cv, parse_sparse_dataset)
 from .functions import build_function, decomposition_spec_pair, instance_from_dict
 from .sfm import min_norm_point
 from .sfmax import DG_MODES
-from .solvers import (HEURISTICS, SOLVERS, UB_STRATEGIES, DSInstance, SolverError,
-                      SolverOptions)
+from .solvers import (HEURISTICS, SOLVERS, TUNING_READ, UB_STRATEGIES, DSInstance,
+                      SolverError, SolverOptions)
 
 FEATSEL_METHODS = ("grf", "grnf", *SOLVERS)
 
@@ -59,7 +63,6 @@ def _build_parser() -> _Parser:
 
     cert = sub.add_parser("certify", help="print lower-bound certificates")
     cert.add_argument("--instance", required=True)
-    cert.add_argument("--seed", type=int, default=0)
     cert.add_argument("--out")
     cert.add_argument("--config")
     cert.set_defaults(func=cmd_certify)
@@ -119,7 +122,7 @@ def _parse_constraint(text: str | None) -> Constraint:
     if text.startswith("@"):
         try:
             return Constraint.from_dict(_read_json(text[1:], "constraint"))
-        except (AttributeError, KeyError, OverflowError, TypeError) as exc:
+        except (OverflowError, TypeError) as exc:
             raise UsageError(f"malformed constraint {text[1:]}: {exc!r}")
     if "=" in text:
         key, _, val = text.partition("=")
@@ -140,6 +143,9 @@ def _validate_instance(f: SetFunctionOracle, g: SetFunctionOracle) -> None:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    for name in ("heuristic", "ub_strategy", "dg_mode"):
+        if getattr(args, name) is not None and name not in TUNING_READ[args.algo]:
+            raise UsageError(f"{args.algo} does not read --{name.replace('_', '-')}")
     opts = _solver_options(args)
     _, f, g = _load_parts(args.instance)
     constraint = _parse_constraint(args.constraint)
@@ -169,25 +175,21 @@ def _load_parts(path: str):
         raise UsageError(f"cannot load instance {path}: {exc}")
 
 
-BRUTE_CERTIFY_MAX_N = 20
-
-
 def cmd_certify(args: argparse.Namespace) -> int:
     ground, f, g = _load_parts(args.instance)
     _validate_instance(f, g)
     bound1, bound2 = minima_lower_bounds(f, g, min_norm_point)
     lines = [f"instance: {args.instance}",
              f"n: {ground.n}",
-             f"seed: {args.seed}",
              f"bound1: {bound1:.6f}",
              f"bound2: {bound2:.6f}"]
-    if ground.n <= BRUTE_CERTIFY_MAX_N:
+    if ground.n <= TABLE_MAX_N:
         best_set, best_val = brute_force_minimize(DSInstance(f, g).v_oracle())
         lines += [f"brute-force minimum: {best_val:.6f} at {sorted(best_set)}",
                   f"gap1: {best_val - bound1:.6f}",
                   f"gap2: {best_val - bound2:.6f}"]
     else:
-        lines.append(f"brute-force minimum: skipped (n > {BRUTE_CERTIFY_MAX_N})")
+        lines.append(f"brute-force minimum: skipped (n > {TABLE_MAX_N})")
     report = "\n".join(lines)
     print(report)
     if args.out:
@@ -236,27 +238,27 @@ def cmd_featsel(args: argparse.Namespace) -> int:
             raise UsageError(f"unknown method {m!r}")
     if args.budget is not None and "subsup" in methods:
         raise UsageError("--budget cannot constrain subsup; leave subsup out of --methods")
-    partition = None
-    if args.cost == "partition_sqrt":
-        if not args.blocks:
-            raise UsageError("partition_sqrt cost needs --blocks")
+    if args.cost == "modular":
+        costs = [CostModel.modular_cardinality(lam) for lam in lambdas]
+    elif not args.blocks:
+        raise UsageError("partition_sqrt cost needs --blocks")
+    else:
         doc = _read_json(args.blocks, "blocks")
-        try:
-            partition = (doc["blocks"], doc.get("weights", [1.0] * ds.n_features))
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise UsageError(f"malformed blocks {args.blocks}: {exc!r}")
-    # every cost model is built, and its lambda checked, before any output
-    costs = [CostModel.modular_cardinality(lam) if partition is None
-             else CostModel.partition_sqrt(*partition, lam) for lam in lambdas]
+        try:  # the keys of the blocks object are arguments of partition_sqrt
+            doc = {"weights": [1.0] * ds.n_features, **doc}
+            costs = [CostModel.partition_sqrt(lam=lam, **doc) for lam in lambdas]
+        except TypeError as exc:
+            raise UsageError(f"malformed blocks {args.blocks}: {exc}")
+    # every objective is built, and its cost checked against the data, before any output
+    objectives = [build_objective(ds, cost, args.alpha, "non_factored") for cost in costs]
     majority = float(np.max(np.bincount(
         np.unique(ds.labels, return_inverse=True)[1])) / ds.n_rows)
 
     print(f"dataset: {args.data} ({ds.n_rows} rows, {ds.n_features} features)")
     print(f"seed: {args.seed}")
     rows = []
-    for cost in costs:
+    for cost, objective in zip(costs, objectives):
         lam = cost.lam
-        objective = build_objective(ds, cost, args.alpha, "non_factored")
         for method in sorted(methods):
             selected = _run_method(method, ds, cost, objective, args)
             obj_val = objective.value(selected)

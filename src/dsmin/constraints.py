@@ -85,20 +85,12 @@ class Constraint:
 
     @staticmethod
     def from_dict(d: dict) -> "Constraint":
-        kind = d.get("kind", "none")
-        if kind == "none":
-            return Constraint.none()
-        if kind == "cardinality_le":
-            return Constraint.cardinality_le(d["k"])
-        if kind == "cardinality_eq":
-            return Constraint.cardinality_eq(d["k"])
-        if kind == "partition_matroid":
-            return Constraint.partition_matroid(d["blocks"], d["quotas"])
-        if kind == "spanning_tree":
-            return Constraint.spanning_tree(d["n_vertices"], d["edges"])
-        if kind == "knapsack":
-            return Constraint.knapsack(d["costs"], d["budget"])
-        raise ValueError(f"unknown constraint kind {kind!r}")
+        """``{"kind": k, **args}`` as ``Constraint.k(**args)``; a bad key raises TypeError."""
+        args = {**d}
+        kind = args.pop("kind", "none")
+        if kind not in CONSTRAINT_KINDS:
+            raise ValueError(f"unknown constraint kind {kind!r}")
+        return getattr(Constraint, kind)(**args)
 
     # -- validation and feasibility --------------------------------------------
 

@@ -4,16 +4,16 @@ Elements of a ground set are the integers ``1..n`` and subsets are plain
 ``frozenset`` values.  Whenever a tie has to be broken between subsets, the
 canonical order is: smaller cardinality first, then lexicographically
 smaller sorted index tuple.  Bitmask representations (used by the
-exhaustive helpers) put element ``j`` on bit ``j - 1``.
+exhaustive helpers) put element ``j`` on bit ``j - 1``.  Brute force reads
+the full value table, so like every table it refuses n > 20.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -57,12 +57,20 @@ def flips(X: frozenset, ground: GroundSet) -> list[frozenset]:
     return [X - {j} if j in X else X | {j} for j in ground.elements()]
 
 
-def subsets_canonical(ground: GroundSet) -> Iterator[frozenset]:
-    """All subsets in canonical order (by cardinality, then lexicographic)."""
-    elems = list(ground.elements())
-    for k in range(ground.n + 1):
-        for combo in itertools.combinations(elems, k):
-            yield frozenset(combo)
+def best_flip(v: Callable[[frozenset], float], X: frozenset, ground: GroundSet,
+              tol: float = 0.0,
+              feasible: Callable[[frozenset], bool] | None = None) -> frozenset | None:
+    """The lowest flip of X below v(X) - tol, ties to the lower element, or None.
+
+    Flips that ``feasible`` rejects are skipped before v is evaluated."""
+    best_val, best = v(X) - tol, None
+    for T in flips(X, ground):
+        if feasible is not None and not feasible(T):
+            continue
+        val = v(T)
+        if val < best_val:
+            best_val, best = val, T
+    return best
 
 
 def mask_of(X: Iterable[int]) -> int:
@@ -178,29 +186,6 @@ def chain_gains(f: SetFunctionOracle, order: Iterable[int]) -> np.ndarray:
     return gains
 
 
-BRUTE_FORCE_MAX_N = 25
-
-
-def brute_force_minimize(v: SetFunctionOracle) -> tuple[frozenset, float]:
-    """Exhaustive global minimization, for reference and desk-scale testing.
-
-    Ties are broken canonically: smallest cardinality, then lexicographically
-    smallest index set.  Refuses ground sets with more than 25 elements.
-    """
-    n = v.ground.n
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute-force minimization refused for n={n} > {BRUTE_FORCE_MAX_N}")
-    best_set = frozenset()
-    best_val = v(best_set)
-    for S in subsets_canonical(v.ground):
-        if not S:
-            continue
-        val = v(S)
-        if val < best_val:
-            best_set, best_val = S, val
-    return best_set, best_val
-
-
 TABLE_MAX_N = 20
 
 
@@ -213,6 +198,14 @@ def evaluate_table(f: SetFunctionOracle) -> np.ndarray:
     for m in range(1 << n):
         out[m] = f(set_of(m, n))
     return out
+
+
+def brute_force_minimize(v: SetFunctionOracle) -> tuple[frozenset, float]:
+    """Exhaustive minimization over the full table; ties go to the canonical first set."""
+    vals = evaluate_table(v)
+    best = vals.min()
+    ties = (set_of(int(m), v.ground.n) for m in np.flatnonzero(vals == best))
+    return min(ties, key=subset_key), float(best)
 
 
 SUBMODULAR_CHECK_MAX_N = 16

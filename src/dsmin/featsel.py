@@ -290,6 +290,8 @@ def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
         union = frozenset().union(*cost.blocks)
         if union != ground.full:
             raise ValueError("cost blocks must cover every feature")
+        if len(cost.weights) != ground.n:
+            raise ValueError(f"{len(cost.weights)} cost weights for {ground.n} features")
 
     if mode == "non_factored":
         def f_fn(S):

@@ -7,8 +7,9 @@ normalized so the empty set evaluates to 0.  Weights are summed over a set
 by ``core.set_sum``: plain floats in the set's order, faster than numpy scalars
 and with the same bits.
 
-A function spec is a plain dict, read from and written to JSON as it is;
-:func:`build_function` checks it and builds the oracle it describes::
+A function spec is a plain dict, read from and written to JSON as it is.
+:func:`build_function` passes its keys to the builder of its kind as keyword
+arguments, so a missing or unknown key (``"exponant"``) is an error::
 
     {"kind": "modular", "weights": [...]}
     {"kind": "concave_of_modular", "shape": "sqrt"|"log1p"|"power"|"cap",
@@ -58,74 +59,69 @@ def decomposition_spec_pair(v_spec: dict, n: int, scale: float) -> tuple[dict, d
             scaled_sum_spec([(scale, sqrt_spec)]))
 
 
-# -- builders ------------------------------------------------------------------
+# -- builders: (ground, or None to size it from the spec, **spec keys) -> oracle --
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
 
 
-def _weights_array(params: dict, key: str = "weights") -> np.ndarray:
-    _require(key in params, f"missing '{key}'")
-    w = np.asarray(params[key], dtype=float)
-    _require(w.ndim == 1 and len(w) >= 1, f"'{key}' must be a non-empty vector")
-    _require(np.all(np.isfinite(w)), f"'{key}' must be finite")
+def _weights_array(weights) -> np.ndarray:
+    w = np.asarray(weights, dtype=float)
+    _require(w.ndim == 1 and len(w) >= 1, "'weights' must be a non-empty vector")
+    _require(np.all(np.isfinite(w)), "'weights' must be finite")
     return w
 
 
-def _build_modular(params, ground):
-    w = _weights_array(params)
+def _build_modular(ground, *, weights):
+    w = _weights_array(weights)
     ground = ground or GroundSet(len(w))
     _require(ground.n == len(w), "weight vector length must equal ground set size")
     return SetFunctionOracle(ground, lambda S, w=w.tolist(): set_sum(w, S), name="modular")
 
 
-def _concave_fn(shape: str, params: dict):
+def _concave_fn(shape: str, exponent: float, cap: float):
     if shape == "sqrt":
         return math.sqrt
     if shape == "log1p":
         return math.log1p
     if shape == "power":
-        p = float(params.get("exponent", 0.5))
+        p = float(exponent)
         _require(0.0 < p <= 1.0, "power shape needs exponent in (0, 1]")
         return lambda t: t ** p
-    if shape == "cap":
-        c = float(params.get("cap", 1.0))
-        _require(c >= 0.0, "cap must be non-negative")
-        return lambda t: min(t, c)
-    raise ValueError(f"unknown concave shape {shape!r}")
+    c = float(cap)
+    _require(c >= 0.0, "cap must be non-negative")
+    return lambda t: min(t, c)
 
 
-def _build_concave_of_modular(params, ground):
-    shape = params.get("shape", "sqrt")
+def _build_concave_of_modular(ground, *, weights, shape="sqrt", exponent=0.5, cap=1.0):
     _require(shape in CONCAVE_SHAPES, f"unknown concave shape {shape!r}")
-    w = _weights_array(params)
+    w = _weights_array(weights)
     _require(np.all(w >= 0.0), "concave-of-modular weights must be non-negative")
-    phi = _concave_fn(shape, params)
+    phi = _concave_fn(shape, exponent, cap)
     ground = ground or GroundSet(len(w))
     _require(ground.n == len(w), "weight vector length must equal ground set size")
     return SetFunctionOracle(ground, lambda S, w=w.tolist(): float(phi(set_sum(w, S))),
                              name=f"{shape}_of_modular")
 
 
-def _build_graph_cut(params, ground):
-    _require("n" in params, "graph_cut needs 'n'")
-    n = int(params["n"])
+def _build_graph_cut(ground, *, n, edges=()):
+    n = int(n)
     ground = ground or GroundSet(n)
     _require(ground.n == n, "graph_cut 'n' must equal ground set size")
-    edges = []
-    for e in params.get("edges", []):
+    cut_edges = []
+    for e in edges:
         _require(len(e) in (2, 3), "edge must be [u, v] or [u, v, weight]")
         u, v = int(e[0]), int(e[1])
         w = float(e[2]) if len(e) == 3 else 1.0
         _require(1 <= u <= n and 1 <= v <= n and u != v, f"bad edge endpoints ({u}, {v})")
         _require(math.isfinite(w) and w >= 0.0,
                  "cut edge weights must be finite and non-negative")
-        edges.append((u, v, w))
+        cut_edges.append((u, v, w))
 
     def cut(S):
         total = 0.0
-        for u, v, w in edges:
+        for u, v, w in cut_edges:
             if (u in S) != (v in S):
                 total += w
         return total
@@ -133,9 +129,8 @@ def _build_graph_cut(params, ground):
     return SetFunctionOracle(ground, cut, name="graph_cut")
 
 
-def _build_facility_location(params, ground):
-    _require("benefits" in params, "facility_location needs 'benefits'")
-    B = np.asarray(params["benefits"], dtype=float)
+def _build_facility_location(ground, *, benefits):
+    B = np.asarray(benefits, dtype=float)
     _require(B.ndim == 2 and B.shape[1] >= 1, "'benefits' must be a 2-D matrix")
     _require(np.all(np.isfinite(B) & (B >= 0.0)),
              "facility benefits must be finite and non-negative")
@@ -152,11 +147,10 @@ def _build_facility_location(params, ground):
     return SetFunctionOracle(ground, fl, name="facility_location")
 
 
-def _build_explicit_table(params, ground):
-    _require("n" in params and "values" in params, "explicit_table needs 'n' and 'values'")
-    n = int(params["n"])
+def _build_explicit_table(ground, *, n, values):
+    n = int(n)
     _require(1 <= n <= 20, "explicit_table limited to 1 <= n <= 20")
-    vals = np.asarray(params["values"], dtype=float)
+    vals = np.asarray(values, dtype=float)
     _require(vals.shape == (1 << n,), f"table needs exactly 2^{n} values")
     _require(np.all(np.isfinite(vals)), "table values must be finite")
     ground = ground or GroundSet(n)
@@ -165,23 +159,25 @@ def _build_explicit_table(params, ground):
     return SetFunctionOracle(ground, lambda S: float(vals[mask_of(S)]), name="table")
 
 
-def _build_scaled_sum(params, ground):
-    terms = params.get("terms")
+def _scaled_term(ground, *, coeff, spec):
+    c = float(coeff)
+    _require(math.isfinite(c) and c >= 0.0,
+             "scaled_sum coefficients must be finite and non-negative")
+    return c, build_function(spec, ground)
+
+
+def _build_scaled_sum(ground, *, terms):
     _require(isinstance(terms, list) and terms, "scaled_sum needs a non-empty 'terms' list")
-    oracles = []
-    for t in terms:
-        _require(isinstance(t, dict) and "coeff" in t and "spec" in t,
-                 "each term needs 'coeff' and 'spec'")
-        c = float(t["coeff"])
-        _require(math.isfinite(c) and c >= 0.0,
-                 "scaled_sum coefficients must be finite and non-negative")
-        oracles.append((c, build_function(t["spec"], ground)))
+    oracles = [_scaled_term(ground, **t) for t in terms]
     ground = ground or oracles[0][1].ground
     for _, o in oracles:
         _require(o.ground.n == ground.n, "scaled_sum children must share one ground set")
 
     def total(S):
-        return float(sum(c * o._fn(S) for c, o in oracles))
+        t = 0.0
+        for c, o in oracles:
+            t += c * o._fn(S)
+        return t
 
     return SetFunctionOracle(ground, total, name="scaled_sum")
 
@@ -200,10 +196,13 @@ def build_function(spec: dict, ground: GroundSet | None = None) -> SetFunctionOr
     """Construct the oracle a spec describes, normalized to 0 at the empty set."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("function spec must be an object with a 'kind' field")
-    kind = spec["kind"]
+    kind, params = spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
     if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ValueError(f"unknown function kind {kind!r}")
-    return _BUILDERS[kind](spec, ground)
+    try:
+        return _BUILDERS[kind](ground, **params)
+    except TypeError as exc:
+        raise ValueError(f"malformed {kind} spec: {exc}") from exc
 
 
 def instance_from_dict(doc: dict) -> tuple[GroundSet, SetFunctionOracle, SetFunctionOracle]:

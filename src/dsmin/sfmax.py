@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SetFunctionOracle, flips
+from .core import SetFunctionOracle, best_flip
 
 DG_MODES = ("deterministic", "randomized")
 
@@ -81,15 +81,6 @@ def local_search_max(f: SetFunctionOracle, start,
     Every step strictly raises f, so no set repeats and the climb ends.
     """
     S = f.ground.check_subset(start)
-    value = f(S)
-    while True:
-        best_val, best_set = value, None
-        for T in flips(S, f.ground):
-            if feasible is not None and not feasible(T):
-                continue
-            val = f(T)
-            if val > best_val:
-                best_val, best_set = val, T
-        if best_set is None:
-            return S
-        S, value = best_set, best_val
+    while (T := best_flip(lambda X: -f(X), S, f.ground, feasible=feasible)) is not None:
+        S = T
+    return S

@@ -42,7 +42,8 @@ import numpy as np
 from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
-from .core import FLOAT_TOL, GroundSet, SetFunctionOracle, flips, memoized, subset_key
+from .core import (FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips, memoized,
+                   subset_key)
 from .sfm import ROUND_TOL, min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
@@ -204,26 +205,12 @@ def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     return v_next <= v_prev - epsilon * abs(v_prev)
 
 
-def _best_flip(v: Callable[[frozenset], float], X: frozenset, tol: float,
-               ground: GroundSet) -> frozenset | None:
-    """The lowest single-element change of X if it lowers v by more than tol.
-
-    Ties go to the lower element index.
-    """
-    best_val, best = v(X) - tol, None
-    for T in flips(X, ground):
-        val = v(T)
-        if val < best_val:
-            best_val, best = val, T
-    return best
-
-
 def local_optimality_check(v: Callable[[frozenset], float], X: Iterable[int],
                            tol: float = FLOAT_TOL, ground: GroundSet | None = None) -> bool:
     """True iff no single-element addition or deletion decreases v at X by more than tol."""
     if ground is None:
         ground = v.ground  # type: ignore[attr-defined]
-    return _best_flip(v, frozenset(X), tol, ground) is None
+    return best_flip(v, frozenset(X), ground, tol) is None
 
 
 def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: SetFunctionOracle,
@@ -247,10 +234,9 @@ def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: SetFunctionOr
         outside = list(rng.permutation(outside)) if outside else []
         return Permutation(tuple(int(j) for j in inside + outside))
     base = scorer(X)
-    in_scores = {j: base - scorer(X - {j}) for j in inside}
-    out_scores = {j: scorer(X | {j}) - base for j in outside}
-    inside.sort(key=lambda j: (-in_scores[j], j))
-    outside.sort(key=lambda j: (-out_scores[j], j))
+    change = {j: scorer(T) - base for j, T in zip(ground.elements(), flips(X, ground))}
+    inside.sort(key=lambda j: (change[j], j))
+    outside.sort(key=lambda j: (-change[j], j))
     return Permutation(tuple(inside + outside))
 
 
@@ -345,8 +331,8 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
                     move = min(fresh, key=subset_key)
             if move is None and not eps_blocked and run.constraint.kind == "none":
                 # the sweeps miss improving flips when f or g is not submodular;
-                # this scan evaluates only the sets the final check below does
-                flip = _best_flip(run.value, trace.final_set, FLOAT_TOL, run.ground)
+                # when it finds none, this scan is also the final check below
+                flip = best_flip(run.value, trace.final_set, run.ground, FLOAT_TOL)
                 if flip is not None:
                     if accept_step(v_cur, run.value(flip), opts.epsilon):
                         move, move_is_strict = flip, True
@@ -369,7 +355,8 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
         raise SolverError(f"{run.algo} inner solver failed: {exc}", trace) from exc
 
     if run.constraint.kind == "none":
-        trace.locally_optimal = local_optimality_check(
+        # converging means the final scan above found no flip
+        trace.locally_optimal = trace.termination == "converged" or local_optimality_check(
             run.value, trace.final_set, ground=run.ground)
     trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
     return trace
@@ -529,3 +516,6 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
 
 
 SOLVERS = {"subsup": sub_sup, "supsub": sup_sub, "modmod": mod_mod}
+# the tuning options each procedure reads; the others leave its trace unchanged
+TUNING_READ = {"subsup": ("heuristic",), "supsub": ("ub_strategy", "dg_mode"),
+               "modmod": ("heuristic", "ub_strategy")}

@@ -39,6 +39,9 @@ MALFORMED_INSTANCES = [
     {"n": 2, "f": {"kind": "graph_cut", "n": 2, "edges": [5]}, "g": _ZERO},
     {"n": 2, "f": {"kind": "modular", "weights": {"a": 1}}, "g": _ZERO},
     {"n": math.inf, "f": _ZERO, "g": _ZERO},
+    {"n": 2, "f": {**_ZERO, "exponant": 0.3}, "g": _ZERO},
+    {"n": 2, "f": {"kind": "scaled_sum", "terms": [{"coeff": 1.0, "spec": _ZERO, "w": 1}]},
+     "g": _ZERO},
 ]
 
 
@@ -100,6 +103,13 @@ class TestOptimize:
         ["--config", "no-such-dir/cfg.json"],
         ["--constraint", {"kind": "cardinality_le", "k": math.inf}],  # also 1e400
         ["--constraint", {"kind": "cardinality_le", "k": 1.5}],
+        ["--constraint", {"kind": "cardinality_le", "k": 2, "budget": 5}],
+        ["--constraint", {"kind": "none", "k": 2}],
+        # flags the algorithm never reads
+        ["--algo", "subsup", "--ub-strategy", "alternate"],
+        ["--algo", "subsup", "--dg-mode", "randomized"],
+        ["--algo", "supsub", "--heuristic", "v_gain"],
+        ["--algo", "modmod", "--dg-mode", "deterministic"],
     ])
     def test_usage_errors_exit_1(self, instance, tmp_path, capsys, extra):
         if isinstance(extra[-1], dict):
@@ -127,6 +137,25 @@ class TestOptimize:
         assert main(["optimize", "--instance", instance, "--algo", "modmod",
                      "--constraint", f"@{path}"]) == 1
         assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("algo,flags", [
+        ("subsup", ["--heuristic", "random"]),
+        ("supsub", ["--ub-strategy", "alternate", "--dg-mode", "randomized"]),
+        ("modmod", ["--heuristic", "v_gain", "--ub-strategy", "alternate"]),
+    ])
+    def test_flags_the_algorithm_reads_are_accepted(self, instance, capsys, algo, flags):
+        assert main(["optimize", "--instance", instance, "--algo", algo] + flags) == 0
+        assert _lines(capsys)["final set"] == "[1, 2, 3]"
+
+    def test_card_eq(self, instance, capsys):
+        assert main(["optimize", "--instance", instance, "--constraint", "card_eq=2"]) == 0
+        assert len(json.loads(_lines(capsys)["final set"])) == 2
+
+    def test_config_that_is_not_an_object_exits_1(self, instance, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(["--algo", "supsub"]))
+        assert main(["optimize", "--instance", instance, "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
 
     def test_config_keys_and_nulls(self, instance, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -180,6 +209,11 @@ class TestCertify:
     def test_missing_instance_exits_1(self, tmp_path):
         assert main(["certify", "--instance", str(tmp_path / "none.json")]) == 1
 
+    def test_deterministic_report_has_no_seed(self, instance, capsys):
+        assert main(["certify", "--instance", instance]) == 0
+        assert "seed" not in _lines(capsys)
+        assert main(["certify", "--instance", instance, "--seed", "0"]) == 1
+
     def test_malformed_instance_exits_1(self, malformed_instance, capsys):
         assert main(["certify", "--instance", malformed_instance]) == 1
         assert capsys.readouterr().err.startswith("error: cannot load instance")
@@ -216,6 +250,16 @@ class TestDecompose:
         rng = np.random.default_rng(0)
         sets = [frozenset(np.flatnonzero(rng.random(n) < 0.5) + 1) for _ in range(20)]
         assert _rebuilds(json.loads(out.read_text()), v_spec, sets)
+
+    def test_writes_to_stdout_without_out(self, tmp_path, capsys):
+        doc = tmp_path / "v.json"
+        v_spec = table_spec(2, [0, 1, 1, 3])
+        doc.write_text(json.dumps({"n": 2, "v": v_spec}))
+        assert main(["decompose", "--instance", str(doc)]) == 0
+        out = capsys.readouterr().out
+        pair = json.loads(out[out.index("{"):])
+        assert set(pair) == {"n", "f", "g", "alpha", "beta", "scale"}
+        assert _rebuilds(pair, v_spec, [frozenset(), {1}, {2}, {1, 2}])
 
     def test_bad_document_exits_1(self, tmp_path):
         doc = tmp_path / "v.json"
@@ -266,7 +310,8 @@ class TestFeatsel:
         assert main(["featsel", "--data", dataset, "--config", str(cfg)]) == 1
         assert "--epsilon" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra", [["--methods", "nope"], ["--lambdas", "x"]])
+    @pytest.mark.parametrize("extra", [["--methods", "nope"], ["--lambdas", "x"],
+                                       ["--cost", "partition_sqrt"]])  # no --blocks
     def test_usage_errors_exit_1(self, dataset, extra):
         assert main(["featsel", "--data", dataset] + extra) == 1
 
@@ -290,6 +335,25 @@ class TestFeatsel:
         assert main(["featsel", "--data", dataset, "--cost", "partition_sqrt",
                      "--blocks", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("method", ["grnf", "modmod"])
+    @pytest.mark.parametrize("weights", [[1.0], [1.0] * 4])
+    def test_one_block_weight_per_feature(self, dataset, tmp_path, capsys, method, weights):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"blocks": [[1, 2], [3]], "weights": weights}))
+        assert main(["featsel", "--data", dataset, "--cost", "partition_sqrt",
+                     "--blocks", str(path), "--methods", method]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {len(weights)} cost weights for 3 features\n"
+
+    def test_blocks_file_with_unknown_key_exits_1(self, dataset, tmp_path, capsys):
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"blocks": [[1, 2], [3]], "wieghts": [1.0, 2.0, 1.0]}))
+        assert main(["featsel", "--data", dataset, "--cost", "partition_sqrt",
+                     "--blocks", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: malformed blocks")
 
     def test_label_only_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "labels.libsvm"

@@ -144,6 +144,39 @@ def test_constraint_from_dict():
         assert Constraint.from_dict(doc) == c
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "cardinality_le", "k": 2, "budget": 5},
+    {"kind": "none", "k": 1},
+    {"kind": "knapsack", "costs": [1, 2, 3]},
+    {"kind": "spanning_tree", "n_vertices": 3, "edges": [[1, 2]], "directed": False},
+    [["kind", "cardinality_le"], ["k", 2]],  # not an object
+])
+def test_constraint_from_dict_rejects_bad_documents(doc):
+    with pytest.raises(TypeError):
+        Constraint.from_dict(doc)
+
+
+def test_constraint_from_dict_kinds():
+    assert Constraint.from_dict({}) == Constraint.none()
+    for kind in ("nope", "from_dict", "validate"):
+        with pytest.raises(ValueError, match="unknown constraint kind"):
+            Constraint.from_dict({"kind": kind})
+
+
+@pytest.mark.parametrize("constraint,fragment", [
+    (Constraint("nope"), "unknown constraint kind"),
+    (Constraint.partition_matroid([[1, 2], [3]], [1]), "matching blocks and quotas"),
+    (Constraint.partition_matroid([[1, 2], [3]], [1, -1]), "quotas must be non-negative"),
+    (Constraint.spanning_tree(3, [(1, 2), (2, 3)]), "one graph edge per ground element"),
+    (Constraint.spanning_tree(3, [(1, 2), (2, 2), (1, 3)]), "bad graph edge"),
+    (Constraint.spanning_tree(3, [(1, 2), (2, 4), (1, 3)]), "bad graph edge"),
+    (Constraint.knapsack([1, 2], 3), "one cost per ground element"),
+])
+def test_validate_rejects(constraint, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        constraint.validate(3)
+
+
 @pytest.mark.parametrize("make", [Constraint.cardinality_le, Constraint.cardinality_eq])
 def test_cardinality_bound_must_be_whole(make):
     assert make(2.0) == make(2)

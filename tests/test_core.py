@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, memoized
-from dsmin.core import (AffineModular, brute_force_minimize, check_submodular,
+from dsmin.core import (AffineModular, best_flip, brute_force_minimize, check_submodular,
                         evaluate_table, mask_of, set_of, subset_key)
+
+from dsmin.functions import build_function, modular_spec
 
 import helpers
 from helpers import check_monotone, gain
@@ -87,6 +89,43 @@ class TestBruteForceMinimize:
         v = SetFunctionOracle(GroundSet(26), lambda S: 0.0)
         with pytest.raises(ValueError):
             brute_force_minimize(v)
+
+    def test_refuses_more_than_20_elements_before_evaluating(self):
+        v = SetFunctionOracle(GroundSet(21), lambda S: 0.0)
+        with pytest.raises(ValueError, match="n=21 > 20"):
+            brute_force_minimize(v)
+        assert v.call_count == 0
+
+    def test_ties_go_to_the_canonical_first_set_not_the_lowest_mask(self):
+        # {1, 2} has the lower bitmask, {3} the smaller cardinality
+        minima = {frozenset({1, 2}), frozenset({3}), frozenset({2, 3})}
+        v = SetFunctionOracle(GroundSet(3), lambda S: -1.5 if S in minima else 0.0)
+        assert brute_force_minimize(v) == (frozenset({3}), -1.5)
+
+    def test_evaluates_every_set_once(self):
+        v = SetFunctionOracle(GroundSet(4), lambda S: float(len(S)))
+        brute_force_minimize(v)
+        assert v.call_count == 16
+
+
+class TestBestFlip:
+    def test_lowest_flip_with_ties_to_the_lower_element(self):
+        v = build_function(modular_spec([-1.0, 2.0, -1.0]))
+        assert best_flip(v, frozenset(), v.ground) == frozenset({1})
+        assert best_flip(v, frozenset({1}), v.ground) == frozenset({1, 3})
+        assert best_flip(v, frozenset({1, 3}), v.ground) is None
+
+    def test_must_beat_the_tolerance(self):
+        v = build_function(modular_spec([-1.0, 2.0, -1.0]))
+        assert best_flip(v, frozenset({1}), v.ground, tol=1.0) is None
+        assert best_flip(v, frozenset({1}), v.ground, tol=0.5) == frozenset({1, 3})
+
+    def test_infeasible_flips_are_never_evaluated(self):
+        seen = []
+        v = SetFunctionOracle(GroundSet(3), lambda S: seen.append(S) or -float(len(S)))
+        best = best_flip(v, frozenset({1}), v.ground, feasible=lambda T: len(T) <= 1)
+        assert best is None
+        assert seen == [frozenset({1}), frozenset()]
 
 
 class TestCheckSubmodular:

@@ -240,6 +240,11 @@ class TestCostModel:
             oracle = SetFunctionOracle(GroundSet(n), lambda S, c=cm: evaluate_cost(c, S))
             assert check_submodular(oracle)
 
+    def test_features_outside_the_blocks_have_no_cost(self):
+        cm = CostModel.partition_sqrt([[1, 2]], [1.0, 1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="outside all cost blocks"):
+            evaluate_cost(cm, {1, 3})
+
     def test_validation(self):
         with pytest.raises(ValueError):
             CostModel.partition_sqrt([[1], [1]], [1.0], 1.0)
@@ -281,6 +286,29 @@ class TestObjective:
         obj = build_objective(ds, CostModel.modular_cardinality(50.0), 0.0)
         best, val = brute_force_minimize(obj.instance.v_oracle())
         assert best == frozenset() and val == 0.0
+
+    def test_bad_mode_rejected(self):
+        with pytest.raises(ValueError, match="factored or non_factored"):
+            build_objective(synthetic_complementary(), CostModel.modular_cardinality(0.1),
+                            mode="joint")
+
+    def test_blocks_must_cover_every_feature(self):
+        ds = synthetic_complementary()
+        blocks = [list(range(1, ds.n_features))]  # the last feature is in no block
+        cost = CostModel.partition_sqrt(blocks, [1.0] * ds.n_features, 0.1)
+        with pytest.raises(ValueError, match="cover every feature"):
+            build_objective(ds, cost)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_one_cost_weight_per_feature(self, extra):
+        ds = synthetic_complementary()
+        blocks = [list(range(1, ds.n_features + 1))]
+        cost = CostModel.partition_sqrt(blocks, [1.0] * (ds.n_features + extra), 0.1)
+        with pytest.raises(ValueError, match="cost weights for"):
+            build_objective(ds, cost)
+        for mode in ("grf", "grnf"):
+            with pytest.raises(ValueError, match="cost weights for"):
+                greedy_select(ds, cost, mode)
 
 
 class TestGreedySelect:

@@ -70,6 +70,17 @@ def test_concave_shapes():
     {"kind": ["modular"]},
     {"kind": "scaled_sum", "terms": [1]},
     {"kind": "scaled_sum", "terms": [{"coeff": 1.0, "spec": {"kind": "nope"}}]},
+    # a missing or unknown key
+    {"kind": "concave_of_modular", "shape": "power", "weights": [1.0], "exponant": 0.3},
+    {"kind": "modular", "weights": [1.0], "shape": "sqrt"},
+    {"kind": "graph_cut", "n": 2, "edges": [], "weights": [1.0, 1.0]},
+    {"kind": "facility_location", "benefits": [[1.0]], "n": 1},
+    {"kind": "explicit_table", "n": 1, "values": [0.0, 1.0], "normalize": True},
+    {"kind": "scaled_sum", "terms": [], "n": 1},
+    {"kind": "scaled_sum", "terms": [{"coeff": 1.0, "spec": modular_spec([1.0]), "x": 0}]},
+    {"kind": "scaled_sum", "terms": [{"spec": modular_spec([1.0])}]},
+    {"kind": "graph_cut", "edges": []},
+    {"kind": "explicit_table", "n": 1},
 ])
 def test_malformed_specs_rejected(bad):
     with pytest.raises(ValueError):
@@ -87,6 +98,18 @@ def test_malformed_specs_rejected(bad):
 def test_non_finite_specs_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
         build_function(bad)
+
+
+def test_optional_keys_take_their_defaults():
+    w = [1.0, 4.0]
+    plain = {"kind": "concave_of_modular", "weights": w}
+    for spec, phi in [(plain, math.sqrt),
+                      ({**plain, "shape": "power"}, lambda t: t ** 0.5),
+                      ({**plain, "shape": "cap"}, lambda t: min(t, 1.0))]:
+        f = build_function(spec)
+        assert [f(S) for S in ({1}, {2}, {1, 2})] == [phi(1.0), phi(4.0), phi(5.0)]
+    cut = build_function({"kind": "graph_cut", "n": 2})
+    assert cut({1}) == 0.0
 
 
 def test_every_builtin_family_is_submodular():

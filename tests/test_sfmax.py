@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import build_function
+from dsmin import GroundSet, SetFunctionOracle, build_function
 from dsmin.functions import modular_spec
 from dsmin.sfmax import double_greedy, greedy_cardinality_max, local_search_max
 
@@ -87,6 +87,12 @@ class TestLocalSearch:
 
     def test_triangle_cut_from_empty(self):
         assert local_search_max(helpers.triangle_cut(), frozenset()) == frozenset({1})
+
+    def test_only_feasible_moves_are_evaluated(self):
+        seen = []
+        f = SetFunctionOracle(GroundSet(4), lambda S: seen.append(S) or float(len(S)))
+        assert local_search_max(f, frozenset(), lambda T: len(T) <= 2) == frozenset({1, 2})
+        assert max(map(len, seen)) == 2
 
     def test_result_is_locally_maximal(self):
         rng = np.random.default_rng(39)

@@ -7,9 +7,10 @@ import dsmin.solvers
 from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
                    SolverError, SolverOptions, min_norm_point, minima_lower_bounds,
                    mod_mod, modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
-from dsmin.core import brute_force_minimize
+from dsmin.core import best_flip, brute_force_minimize
 from dsmin.functions import build_function, modular_spec
-from dsmin.solvers import accept_step, choose_permutation, local_optimality_check
+from dsmin.solvers import (SOLVERS, TUNING_READ, accept_step, choose_permutation,
+                           local_optimality_check)
 
 import helpers
 from helpers import epsilon_iteration_cap, sfm_brute_force
@@ -80,6 +81,10 @@ class TestChoosePermutation:
         sigma = choose_permutation("g_gain", {1, 2, 3}, scorer, 0)
         assert sigma.order == (2, 3, 1)
         assert sigma.chain_contains({1, 2, 3})
+
+    def test_unknown_heuristic_rejected(self):
+        with pytest.raises(ValueError, match="heuristic must be one of"):
+            choose_permutation("nope", frozenset(), helpers.sqrt_card(3), 0)
 
     def test_chain_contains_base(self):
         rng = np.random.default_rng(53)
@@ -282,6 +287,17 @@ class TestEpsilonRule:
                 stopped_early += 1
         assert stopped_early > 0
 
+    def test_epsilon_blocked_final_flip_stops_the_run(self):
+        # f is not submodular: the bound sweeps miss the improving flip of
+        # the final set, and the final scan finds it but epsilon blocks it
+        f = build_function(helpers.table_spec(3, [0.0, -1.2, -1.3, -0.6, 1.4, -1.6, 0.9, 1.3]))
+        g = build_function(modular_spec([0.0] * 3))
+        tr = sub_sup(DSInstance(f, g), SolverOptions(epsilon=0.5))
+        assert (tr.termination, tr.locally_optimal) == ("epsilon_stop", False)
+        v = DSInstance(f, g).v_oracle()
+        flip = best_flip(v, tr.final_set, v.ground)
+        assert flip is not None and not accept_step(tr.final_value, v(flip), 0.5)
+
     def test_iteration_cap_formula(self):
         assert epsilon_iteration_cap(-10.0, -1.0, 0.1) == math.ceil(math.log(10) / math.log(1.1)) + 1
         with pytest.raises(ValueError):
@@ -378,12 +394,48 @@ class TestTraceMachinery:
             with pytest.raises(SolverError, match="not finite"):
                 solver(DSInstance(f, zero), SolverOptions(seed=0))
 
+    def test_instance_requires_one_ground_set(self):
+        with pytest.raises(ValueError, match="share a ground set"):
+            DSInstance(helpers.sqrt_card(3), helpers.sqrt_card(4))
+
+    @pytest.mark.parametrize("bad", [{"epsilon": -0.1}, {"max_iters": 0},
+                                     {"heuristic": "nope"}, {"ub_strategy": "nope"},
+                                     {"dg_mode": "nope"}])
+    def test_bad_options_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
+            SolverOptions(**bad)
+
+    def test_mod_mod_without_a_feasible_start_fails(self, monkeypatch):
+        # every constraint mod-mod supports has a feasible surrogate minimizer,
+        # so an infeasible one is forced
+        monkeypatch.setattr(dsmin.solvers, "modular_minimize_constrained",
+                            lambda m, c: frozenset())
+        with pytest.raises(SolverError, match="feasible starting point"):
+            mod_mod(helpers.tri_instance(), constraint=Constraint.cardinality_eq(2))
+
     def test_instance_requires_normalization(self):
         g3 = GroundSet(3)
         f = SetFunctionOracle(g3, lambda S: 1.0 + len(S))
         g = SetFunctionOracle(g3, lambda S: 0.0)
         with pytest.raises(ValueError):
             DSInstance(f, g)
+
+
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+def test_unread_options_leave_the_trace_unchanged(algo):
+    changed = {"heuristic": ["v_gain", "random"], "ub_strategy": ["alternate"],
+               "dg_mode": ["randomized"]}
+    inst = helpers.random_ds_instance(np.random.default_rng(61), 7)
+
+    def run(**opts):
+        tr = SOLVERS[algo](inst, SolverOptions(seed=4, **opts))
+        return (sorted(tr.final_set), [repr(p.value) for p in tr.iterates],
+                tr.oracle_calls, tr.termination, tr.locally_optimal)
+
+    base = run()
+    for name, values in changed.items():
+        if name not in TUNING_READ[algo]:
+            assert all(run(**{name: value}) == base for value in values), name
 
 
 def _random_constraints(rng, n):
