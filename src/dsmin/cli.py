@@ -22,7 +22,7 @@ import numpy as np
 from .bounds import ds_decompose, minima_lower_bounds
 from .constraints import Constraint
 from .core import (TABLE_MAX_N, GroundSet, SetFunctionOracle, brute_force_minimize,
-                   check_submodular)
+                   check_submodular, whole)
 from .featsel import (CostModel, build_objective, evaluate_cost, greedy_select,
                       naive_bayes_cv, parse_sparse_dataset)
 from .functions import build_function, decomposition_spec_pair, instance_from_dict
@@ -201,7 +201,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     doc = _read_json(args.instance, "function document")
     try:
-        ground = GroundSet(int(doc["n"]))
+        ground = GroundSet(whole(doc["n"], "function document 'n'"))
         v = build_function(doc["v"], ground)
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise UsageError(f"cannot load function document {args.instance}: {exc}")

@@ -8,24 +8,15 @@ program over integer costs.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .core import AffineModular
+from .core import AffineModular, whole
 
 CONSTRAINT_KINDS = ("none", "cardinality_le", "cardinality_eq",
                     "partition_matroid", "spanning_tree", "knapsack")
-
-
-def _whole(x, what: str) -> int:
-    """x as an int; a value that is not a whole real number (a string, a bool)
-    raises ValueError (OverflowError for an infinity)."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or float(x) != int(x):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
 
 
 @dataclass(frozen=True)
@@ -55,30 +46,30 @@ class Constraint:
 
     @staticmethod
     def cardinality_le(k: int) -> "Constraint":
-        return Constraint("cardinality_le", k=_whole(k, "cardinality bound"))
+        return Constraint("cardinality_le", k=whole(k, "cardinality bound"))
 
     @staticmethod
     def cardinality_eq(k: int) -> "Constraint":
-        return Constraint("cardinality_eq", k=_whole(k, "cardinality bound"))
+        return Constraint("cardinality_eq", k=whole(k, "cardinality bound"))
 
     @staticmethod
     def partition_matroid(blocks, quotas) -> "Constraint":
         return Constraint("partition_matroid",
                           blocks=tuple(frozenset(b) for b in blocks),
-                          quotas=tuple(_whole(q, "partition quota") for q in quotas))
+                          quotas=tuple(whole(q, "partition quota") for q in quotas))
 
     @staticmethod
     def spanning_tree(n_vertices: int, edges) -> "Constraint":
-        return Constraint("spanning_tree", n_vertices=_whole(n_vertices, "vertex count"),
-                          edges=tuple(tuple(_whole(x, "graph edge endpoint") for x in (u, v))
+        return Constraint("spanning_tree", n_vertices=whole(n_vertices, "vertex count"),
+                          edges=tuple(tuple(whole(x, "graph edge endpoint") for x in (u, v))
                                       for u, v in edges))
 
     @staticmethod
     def knapsack(costs, budget) -> "Constraint":
-        c = tuple(_whole(x, "knapsack cost") for x in costs)
+        c = tuple(whole(x, "knapsack cost") for x in costs)
         if any(x < 0 for x in c):
             raise ValueError("knapsack costs must be non-negative")
-        b = _whole(budget, "knapsack budget")
+        b = whole(budget, "knapsack budget")
         if b < 0:
             raise ValueError(f"knapsack budget must be non-negative, got {budget!r}")
         return Constraint("knapsack", costs=c, budget=b)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -44,6 +45,15 @@ class GroundSet:
             if not 1 <= j <= self.n:
                 raise ValueError(f"element {j} outside ground set 1..{self.n}")
         return S
+
+
+def whole(x, what: str) -> int:
+    """x as an int; ValueError unless a whole real number, OverflowError if infinite."""
+    if type(x) is int:  # most sizes and endpoints: skip the slower checks below
+        return x
+    if isinstance(x, bool) or not isinstance(x, numbers.Real) or float(x) != int(x):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return int(x)
 
 
 def subset_key(X: Iterable[int]) -> tuple:
@@ -175,7 +185,7 @@ def chain_gains(f: SetFunctionOracle, order: Iterable[int]) -> np.ndarray:
     Entry ``j - 1`` holds f(prefix ending at j) minus f(the prefix before
     it), starting from 0 at the empty set.  Evaluates f once per prefix.
     """
-    gains = np.empty(f.ground.n)
+    gains = [0.0] * f.ground.n
     prev = 0.0
     running: set[int] = set()
     for j in order:
@@ -183,7 +193,7 @@ def chain_gains(f: SetFunctionOracle, order: Iterable[int]) -> np.ndarray:
         cur = f(frozenset(running))
         gains[j - 1] = cur - prev
         prev = cur
-    return gains
+    return np.array(gains)
 
 
 TABLE_MAX_N = 20

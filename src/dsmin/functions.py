@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import GroundSet, SetFunctionOracle, mask_of, set_sum
+from .core import GroundSet, SetFunctionOracle, mask_of, set_sum, whole
 
 CONCAVE_SHAPES = ("sqrt", "log1p", "power", "cap")
 
@@ -106,13 +106,13 @@ def _build_concave_of_modular(ground, *, weights, shape="sqrt", exponent=0.5, ca
 
 
 def _build_graph_cut(ground, *, n, edges=()):
-    n = int(n)
+    n = whole(n, "graph_cut 'n'")
     ground = ground or GroundSet(n)
     _require(ground.n == n, "graph_cut 'n' must equal ground set size")
     cut_edges = []
     for e in edges:
         _require(len(e) in (2, 3), "edge must be [u, v] or [u, v, weight]")
-        u, v = int(e[0]), int(e[1])
+        u, v = whole(e[0], "graph edge endpoint"), whole(e[1], "graph edge endpoint")
         w = float(e[2]) if len(e) == 3 else 1.0
         _require(1 <= u <= n and 1 <= v <= n and u != v, f"bad edge endpoints ({u}, {v})")
         _require(math.isfinite(w) and w >= 0.0,
@@ -148,7 +148,7 @@ def _build_facility_location(ground, *, benefits):
 
 
 def _build_explicit_table(ground, *, n, values):
-    n = int(n)
+    n = whole(n, "explicit_table 'n'")
     _require(1 <= n <= 20, "explicit_table limited to 1 <= n <= 20")
     vals = np.asarray(values, dtype=float)
     _require(vals.shape == (1 << n,), f"table needs exactly 2^{n} values")
@@ -211,5 +211,5 @@ def instance_from_dict(doc: dict) -> tuple[GroundSet, SetFunctionOracle, SetFunc
     for key in ("n", "f", "g"):
         if key not in doc:
             raise ValueError(f"instance document missing '{key}'")
-    ground = GroundSet(int(doc["n"]))
+    ground = GroundSet(whole(doc["n"], "instance 'n'"))
     return ground, build_function(doc["f"], ground), build_function(doc["g"], ground)

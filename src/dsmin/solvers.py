@@ -393,8 +393,7 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
 
     def candidates(X: frozenset, sigma: Permutation) -> list[frozenset]:
         h = modular_lower_bound(run.g, X, sigma)
-        sur = SetFunctionOracle(ground, lambda S: run.f(S) - h.value(S), "f_minus_h")
-        Xm, _, x = min_norm_point(sur)
+        Xm, _, x = min_norm_point(run.f, h.weights)
         largest = frozenset(j for j in ground.elements() if x[j - 1] < ROUND_TOL)
         return [Xm, largest]
 

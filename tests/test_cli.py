@@ -42,6 +42,12 @@ MALFORMED_INSTANCES = [
     {"n": 2, "f": {**_ZERO, "exponant": 0.3}, "g": _ZERO},
     {"n": 2, "f": {"kind": "scaled_sum", "terms": [{"coeff": 1.0, "spec": _ZERO, "w": 1}]},
      "g": _ZERO},
+    # sizes and endpoints are whole numbers, never truncated or parsed from strings
+    {"n": 2.5, "f": _ZERO, "g": _ZERO},
+    {"n": "2", "f": _ZERO, "g": _ZERO},
+    {"n": 2, "f": {"kind": "graph_cut", "n": 2.5, "edges": []}, "g": _ZERO},
+    {"n": 2, "f": {"kind": "graph_cut", "n": 2, "edges": [[1.9, 2, 1.0]]}, "g": _ZERO},
+    {"n": 2, "f": {"kind": "explicit_table", "n": 2.5, "values": [0, 1, 1, 1]}, "g": _ZERO},
 ]
 
 
@@ -265,6 +271,13 @@ class TestDecompose:
         doc = tmp_path / "v.json"
         doc.write_text(json.dumps({"n": 2}))
         assert main(["decompose", "--instance", str(doc)]) == 1
+
+    @pytest.mark.parametrize("n", [2.5, "2"])
+    def test_size_must_be_whole_exits_1(self, tmp_path, capsys, n):
+        doc = tmp_path / "v.json"
+        doc.write_text(json.dumps({"n": n, "v": table_spec(2, [0, 1, 1, 3])}))
+        assert main(["decompose", "--instance", str(doc)]) == 1
+        assert "must be an integer" in capsys.readouterr().err
 
     @pytest.mark.parametrize("n,alpha_lb", [(3, "x"), (3, math.nan), (22, math.nan)])
     def test_bad_alpha_lb_exits_1(self, tmp_path, capsys, n, alpha_lb):

@@ -100,6 +100,23 @@ def test_non_finite_specs_rejected(bad):
         build_function(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"kind": "graph_cut", "n": 3.2, "edges": [[1, 2, 1.0]]},
+    {"kind": "graph_cut", "n": "3"},
+    {"kind": "graph_cut", "n": 3, "edges": [[1.9, 2, 1.0]]},
+    {"kind": "graph_cut", "n": 3, "edges": [[1, "2"]]},
+    {"kind": "explicit_table", "n": 1.5, "values": [0.0, 1.0]},
+])
+def test_sizes_and_endpoints_must_be_whole(bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build_function(bad)
+
+
+def test_whole_float_sizes_and_endpoints_are_read_as_ints():
+    f = build_function({"kind": "graph_cut", "n": 3.0, "edges": [[1.0, 2, 1.0]]})
+    assert f.ground.n == 3 and f({1}) == 1.0
+
+
 def test_optional_keys_take_their_defaults():
     w = [1.0, 4.0]
     plain = {"kind": "concave_of_modular", "weights": w}
@@ -140,6 +157,13 @@ def test_instance_from_dict():
     assert g({1}) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         instance_from_dict({"n": 3, "f": doc["f"]})
+
+
+@pytest.mark.parametrize("n", [3.7, "3", True])
+def test_instance_size_must_be_whole(n):
+    doc = {"n": n, "f": graph_cut_spec(3, [[1, 2]]), "g": sqrt_cardinality_spec(3)}
+    with pytest.raises(ValueError, match="must be an integer"):
+        instance_from_dict(doc)
 
 
 def _orders_of_equal_sets(rng, n):

@@ -7,7 +7,8 @@ meant to leave results unchanged (a faster sum, a reused bound) must leave
 all of them equal to ``golden_traces.json``.
 
 Re-record only when a change is meant to alter results:
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``.  It prints each case and
+field whose stored value changes (old -> new) before it writes the file.
 """
 
 import json
@@ -132,4 +133,11 @@ def test_every_case_recorded(golden):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({c: record(c) for c in CASES}, indent=1) + "\n")
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    new = {c: record(c) for c in CASES}
+    for case in sorted(old.keys() | new.keys()):
+        before, after = old.get(case, {}), new.get(case, {})
+        for key in sorted(before.keys() | after.keys()):
+            if before.get(key) != after.get(key):
+                print(f"{case} {key}: {before.get(key)!r} -> {after.get(key)!r}")
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n")

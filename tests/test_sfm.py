@@ -29,6 +29,15 @@ class TestGreedyBaseVertex:
         x = greedy_base_vertex(helpers.triangle_cut(), np.array([3.0, 2.0, 1.0]))
         np.testing.assert_allclose(x, [-2.0, 0.0, 2.0])
 
+    def test_weights_are_subtracted_exactly(self):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            f = helpers.random_submodular(rng, n)
+            d, w = rng.normal(0, 1, n), rng.normal(0, 1, n)
+            np.testing.assert_array_equal(greedy_base_vertex(f, d, w),
+                                          greedy_base_vertex(f, d) - w)
+
     def test_bad_direction_length(self):
         with pytest.raises(ValueError):
             greedy_base_vertex(helpers.sqrt_card(3), np.zeros(4))
@@ -106,6 +115,32 @@ class TestMinNormPoint:
             assert val == pytest.approx(best, abs=1e-6)
             # duality certificate
             assert val >= float(np.minimum(x, 0.0).sum()) - 1e-6
+
+    @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
+    def test_weights_minimize_f_minus_w(self, family):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            n = int(rng.integers(2, 11))
+            f = helpers.FAMILY_BUILDERS[family](rng, n)
+            w = greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
+            sur = SetFunctionOracle(f.ground,
+                                    lambda S, f=f, w=w: f(S) - sum(w[j - 1] for j in S))
+            X, val, _ = min_norm_point(f, w)
+            best_X, best, _ = helpers.sfm_brute_force(sur)
+            assert X == best_X  # the minimal minimizer
+            assert val == pytest.approx(best, abs=1e-9)
+
+    def test_weights_of_the_wrong_length_are_rejected(self):
+        with pytest.raises(ValueError, match="length"):
+            min_norm_point(helpers.triangle_cut(), np.zeros(4))
+
+    def test_unnormalized_f_is_rejected(self):
+        # 10 + modular(-1, 2, -3): the minimum is 6 at {1, 3}; a chain that starts
+        # from 0 instead of f(empty) would report the empty set
+        w = (-1.0, 2.0, -3.0)
+        f = SetFunctionOracle(GroundSet(3), lambda S: 10.0 + sum(w[j - 1] for j in S))
+        with pytest.raises(ValueError, match="normalized"):
+            min_norm_point(f)
 
     def test_zero_function(self):
         f = SetFunctionOracle(GroundSet(4), lambda S: 0.0)

@@ -242,6 +242,18 @@ class TestBoundReuse:
         assert tr.n_accepted >= 1
         assert len(upper) == len(set(upper)) == len(maxi)
 
+    def test_sub_sup_reads_the_lower_bound_weights(self, monkeypatch):
+        sums = []
+        real_value = dsmin.core.AffineModular.value
+        monkeypatch.setattr(dsmin.core.AffineModular, "value",
+                            lambda m, Y: sums.append(Y) or real_value(m, Y))
+        lower = self._log(monkeypatch, "modular_lower_bound", lambda g, Y, sigma: Y)
+        sfm = self._log(monkeypatch, "min_norm_point", lambda *a: None)
+        tr = sub_sup(self._instance(), SolverOptions(seed=2))
+        assert tr.n_accepted >= 1
+        assert sums == []  # f - h is never summed over a set
+        assert len(sfm) == len(lower) > 0
+
     def test_randomized_sup_sub_keeps_its_sweep_draws(self, monkeypatch):
         upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
         seeds = self._log(monkeypatch, "double_greedy", lambda f, mode, seed: seed)
