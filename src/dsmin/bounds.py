@@ -206,19 +206,21 @@ def ds_decompose(v: SetFunctionOracle,
 
 
 def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,
-                        sfm_solver: Callable[[SetFunctionOracle], Sequence]) -> tuple[float, float]:
+                        sfm_solver: Callable[[SetFunctionOracle, np.ndarray], Sequence]
+                        ) -> tuple[float, float]:
     """Two lower bounds on the minimum of v = f - g over all subsets.
 
     Writing f and g as monotone parts plus modular shifts, with k the
     modular function of full-context gains of v:
 
-    * bound1 minimizes the submodular function f'(X) + k(X) (delegated to
-      the supplied minimizer) and subtracts g' of the full set;
+    * bound1 minimizes the submodular function f'(X) + k(X), which is f
+      minus the g-side shift, and subtracts g' of the full set;
     * bound2 is the cheaper closed form f'(empty) - g'(V) plus the sum of
       the negative parts of k.
 
     bound2 <= bound1 <= min v, and bound2 is exact when f and g are
-    modular.  The solver must return at least (set, value).
+    modular.  ``sfm_solver(f, w)`` minimizes f - w for a weight vector w,
+    as ``min_norm_point`` does, and returns at least (set, value).
     """
     ground = f.ground
     if ground.n != g.ground.n:
@@ -229,9 +231,7 @@ def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,
     k = nf.shift.weights - ng.shift.weights
     g_prime_V = ng.polymatroid(V)
 
-    # f'(S) + k(S) simplifies to f(S) minus the g-side shifts
-    res = sfm_solver(SetFunctionOracle(ground, lambda S: f(S) - ng.shift.value(S),
-                                       name="fprime_plus_k"))
+    res = sfm_solver(f, ng.shift.weights)
     bound1 = float(res[1]) - g_prime_V
     bound2 = nf.polymatroid(frozenset()) - g_prime_V + float(np.minimum(k, 0.0).sum())
     return bound1, bound2

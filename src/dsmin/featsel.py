@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import GroundSet, SetFunctionOracle, memoized
+from .core import GroundSet, SetFunctionOracle, memoized, whole
 from .solvers import DSInstance, OptimizationTrace, TracePoint
 
 
@@ -95,9 +95,9 @@ class Dataset:
 def parse_sparse_dataset(path: str) -> Dataset:
     """Read a sparse "label idx:val idx:val ..." (libsvm) text file.
 
-    Indices are 1-based and strictly increasing per line, values binary;
-    absent indices are 0.  There are as many features as the largest index
-    on any line.  Malformed lines are reported by number.
+    Labels are whole numbers, indices 1-based and strictly increasing per
+    line, values binary; absent indices are 0.  There are as many features
+    as the largest index on any line.  Malformed lines are reported by number.
     """
     labels: list[int] = []
     row_indices: list[list[int]] = []
@@ -109,9 +109,9 @@ def parse_sparse_dataset(path: str) -> Dataset:
                 continue
             parts = text.split()
             try:
-                label = int(float(parts[0]))
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}")
+                label = whole(float(parts[0]), "label")
+            except (OverflowError, ValueError):
+                raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}, not a whole number")
             on: list[int] = []
             prev = 0
             for tok in parts[1:]:

@@ -7,7 +7,9 @@ minimal minimizer off its strictly negative coordinates.  A base vertex of
 f - w is f's chain gains minus w, so f - w is never summed over a set.  The
 corral's squared row norms are kept in a list instead of being summed again
 each major cycle, with the same bits.  Hitting the major-cycle cap raises a
-plain ``RuntimeError`` that reports the gap.
+plain ``RuntimeError`` that reports the gap.  A min-norm point x of f - w_p
+gives the point x + (w_p - w) of B(f - w), which may prove its rounded set
+the unique minimizer of f - w without a second run (Edmonds' min-max theorem).
 
 References:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11 (1976).
@@ -124,3 +126,13 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, np.n
     X = frozenset(int(j) + 1 for j in np.where(x < -ROUND_TOL)[0])
     return X, fm(X) - (0.0 if w is None else set_sum(np.asarray(w, float).tolist(), X)), x
 
+
+def certifies_unique_minimizer(X: frozenset, y: np.ndarray, slack: float) -> bool:
+    """Whether y in B(f - w) with (f - w)(X) = y(X) + slack proves X the unique minimizer.
+
+    True if y < -ROUND_TOL on X, y > ROUND_TOL off X and slack < m = min |y_j|:
+    then (f - w)(Y) >= y(Y) >= y(X) + m |Y ^ X| > (f - w)(X) for every Y != X
+    (Edmonds' min-max theorem).
+    """
+    return (bool((np.abs(y) > max(ROUND_TOL, slack)).all())
+            and X == frozenset((np.flatnonzero(y < 0) + 1).tolist()))

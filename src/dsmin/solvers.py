@@ -43,8 +43,8 @@ from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import (FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips, memoized,
-                   subset_key)
-from .sfm import ROUND_TOL, min_norm_point
+                   set_sum, subset_key)
+from .sfm import ROUND_TOL, certifies_unique_minimizer, min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
 _EQ_TOL = 1e-12  # two objective values within this are treated as equal
@@ -382,7 +382,9 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
     the configured heuristic (both, for ``random``) plus one boundary-pinned
     random permutation per element are retried.  For submodular f and g that
     certifies local optimality; for any other pair the final single-element
-    scan of the descent guarantees it on convergence.  No constraints.
+    scan of the descent guarantees it on convergence.  A retry whose bound
+    shifts the last min-norm point at X, rounded to X alone, into a proof
+    that X is the surrogate's unique minimizer skips its SFM.  No constraints.
     """
     opts = opts or SolverOptions()
     if constraint.kind != "none":
@@ -391,10 +393,17 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
     ground = run.ground
     heur_scorer = run.scorer(opts.heuristic)
 
+    held = None  # (X, w, x, slack) of the last SFM at X whose minimizers were X alone
+
     def candidates(X: frozenset, sigma: Permutation) -> list[frozenset]:
-        h = modular_lower_bound(run.g, X, sigma)
-        Xm, _, x = min_norm_point(run.f, h.weights)
+        nonlocal held
+        w = modular_lower_bound(run.g, X, sigma).weights
+        if held and held[0] == X and certifies_unique_minimizer(X, held[2] + (held[1] - w), held[3]):
+            return []  # the SFM would return [X, X], which the descent drops
+        Xm, val, x = min_norm_point(run.f, w)
         largest = frozenset(j for j in ground.elements() if x[j - 1] < ROUND_TOL)
+        if Xm == largest == X:
+            held = (X, w, x, val - set_sum(x.tolist(), X))
         return [Xm, largest]
 
     def primary(X, t):

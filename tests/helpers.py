@@ -9,7 +9,7 @@ import numpy as np
 from dsmin import DSInstance, GroundSet, SetFunctionOracle, build_function
 from dsmin.bounds import totally_normalize
 from dsmin.core import (FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, AffineModular,
-                        brute_force_minimize, evaluate_table)
+                        brute_force_minimize, evaluate_table, set_sum)
 from dsmin.featsel import _entropy_from_counts, conditional_entropy, empirical_entropy
 from dsmin.functions import modular_spec
 
@@ -134,8 +134,11 @@ def exhaustive_max(fn, n):
     return best_set, best_val
 
 
-def sfm_brute_force(f):
-    """Exhaustive drop-in replacement for ``min_norm_point`` (small n)."""
+def sfm_brute_force(f, w=None):
+    """Exhaustive drop-in replacement for ``min_norm_point``: minimizes f - w (small n)."""
+    if w is not None:
+        weights = np.asarray(w, float).tolist()
+        f = SetFunctionOracle(f.ground, lambda S, f=f: f(S) - set_sum(weights, S))
     X, val = brute_force_minimize(f)
     x = np.zeros(f.ground.n)
     for j in X:

@@ -7,7 +7,8 @@ from dsmin import (GroundSet, Permutation, SetFunctionOracle, build_function,
                    ds_decompose, min_norm_point, minima_lower_bounds,
                    modular_lower_bound, modular_upper_bound)
 from dsmin.bounds import sqrt_curvature, totally_normalize
-from dsmin.core import brute_force_minimize, check_submodular, evaluate_table, mask_of
+from dsmin.core import (AffineModular, brute_force_minimize, check_submodular,
+                        evaluate_table, mask_of)
 from dsmin.functions import decomposition_spec_pair, modular_spec
 
 import helpers
@@ -274,6 +275,26 @@ class TestMinimaLowerBounds:
         assert b1 == pytest.approx(-2 * SQ3, abs=1e-6)   # tight here
         assert b2 == pytest.approx(-(6 * SQ2 - 4 * SQ3) - 3 * (2 + 2 * (SQ3 - SQ2)), abs=1e-9)
         assert b2 <= b1 + 1e-9
+
+    def test_solver_reads_the_shift_weights(self, monkeypatch):
+        # one cut - sqrt certificate on 16 elements: the SFM never sums a shift over a set
+        sums, inside = [], []
+        real_value = AffineModular.value
+        monkeypatch.setattr(AffineModular, "value",
+                            lambda m, Y: sums.append(Y) or real_value(m, Y))
+
+        def solver(f, w):
+            before = len(sums)
+            res = min_norm_point(f, w)
+            inside.append(len(sums) - before)
+            return res
+
+        f = helpers.random_cut(np.random.default_rng(5), 16)
+        g = helpers.sqrt_card(16, 3.0)
+        b1, b2 = minima_lower_bounds(f, g, solver)
+        assert inside == [0]
+        assert b2 <= b1 + 1e-9
+        assert b1 == pytest.approx(minima_lower_bounds(f, g, sfm_brute_force)[0], abs=1e-9)
 
     def test_bounds_below_brute_force(self):
         rng = np.random.default_rng(17)

@@ -328,6 +328,15 @@ class TestFeatsel:
     def test_usage_errors_exit_1(self, dataset, extra):
         assert main(["featsel", "--data", dataset] + extra) == 1
 
+    @pytest.mark.parametrize("label", ["1.7", "inf"])
+    def test_label_that_is_not_whole_exits_1(self, tmp_path, capsys, label):
+        path = tmp_path / "d.libsvm"
+        path.write_text(f"1 1:1\n0 2:1\n{label} 1:1\n")
+        assert main(["featsel", "--data", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot read dataset: {path}:3: bad label '{label}'")
+
     @pytest.mark.parametrize("lambdas", ["nan", "inf", "-1", "0.01,-0.5"])
     def test_bad_lambda_exits_1(self, dataset, capsys, lambdas):
         assert main(["featsel", "--data", dataset, f"--lambdas={lambdas}"]) == 1

@@ -76,8 +76,16 @@ class TestParse:
         assert ds.n_features == 5
         assert sorted(ds.classes.tolist()) == [-1, 1]
 
+    def test_whole_float_label_is_read_as_int(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text("1.0 1:1\n-2e0 2:1\n")
+        assert parse_sparse_dataset(str(p)).labels.tolist() == [1, -2]
+
     @pytest.mark.parametrize("line,fragment", [
         ("x 1:1", "label"),
+        ("1.7 1:1", "bad label '1.7'"),  # not truncated to class 1
+        ("inf 1:1", "bad label 'inf'"),
+        ("nan 1:1", "bad label 'nan'"),
         ("1 3:1 2:1", "increasing"),
         ("1 1:2", "binary"),
         ("1 1:one", "bad entry"),

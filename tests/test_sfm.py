@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, build_function, min_norm_point
-from dsmin.core import brute_force_minimize
+from dsmin.core import brute_force_minimize, evaluate_table, mask_of
 from dsmin.functions import modular_spec
-from dsmin.sfm import greedy_base_vertex
+from dsmin.sfm import ROUND_TOL, certifies_unique_minimizer, greedy_base_vertex
 
 import helpers
 
@@ -123,10 +123,8 @@ class TestMinNormPoint:
             n = int(rng.integers(2, 11))
             f = helpers.FAMILY_BUILDERS[family](rng, n)
             w = greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
-            sur = SetFunctionOracle(f.ground,
-                                    lambda S, f=f, w=w: f(S) - sum(w[j - 1] for j in S))
             X, val, _ = min_norm_point(f, w)
-            best_X, best, _ = helpers.sfm_brute_force(sur)
+            best_X, best, _ = helpers.sfm_brute_force(f, w)
             assert X == best_X  # the minimal minimizer
             assert val == pytest.approx(best, abs=1e-9)
 
@@ -160,3 +158,60 @@ class TestMinNormPoint:
             X, val, _ = min_norm_point(sur)
             _, best = brute_force_minimize(sur)
             assert val == pytest.approx(best, abs=1e-6)
+
+
+def _held_point(f, w_p):
+    """(X, x, slack) of min_norm_point(f, w_p) as sub-sup holds it; None unless x
+    rounds to the same X at -ROUND_TOL and at ROUND_TOL."""
+    X, val, x = min_norm_point(f, w_p)
+    if X != frozenset(int(j) + 1 for j in np.flatnonzero(x < ROUND_TOL)):
+        return None
+    return X, x, val - sum(x[j - 1] for j in X)
+
+
+class TestUniqueMinimizerCertificate:
+    @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
+    def test_accepted_shifts_have_a_unique_minimizer(self, family):
+        rng = np.random.default_rng(47)
+        accepted = trials = 0
+        for _ in range(25):
+            n = int(rng.integers(2, 11))
+            f = helpers.FAMILY_BUILDERS[family](rng, n)
+            w_p = greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
+            if (held := _held_point(f, w_p)) is None:
+                continue
+            X, x, slack = held
+            for scale in (1e-3, 0.1, 0.3, 1.0):
+                w = w_p + rng.normal(0, scale, n)
+                trials += 1
+                if not certifies_unique_minimizer(X, x + (w_p - w), slack):
+                    continue
+                accepted += 1
+                assert helpers.sfm_brute_force(f, w)[0] == X
+                table = evaluate_table(SetFunctionOracle(
+                    f.ground, lambda S: f(S) - sum(w[j - 1] for j in S)))
+                assert np.flatnonzero(table == table.min()).tolist() == [mask_of(X)]
+        assert accepted >= trials // 4 and accepted < trials
+
+    def test_point_inside_the_rounding_band_or_too_much_slack_is_refused(self):
+        y = np.array([-1.0, 2.0, 0.5])
+        assert certifies_unique_minimizer(frozenset({1}), y, 0.0)
+        assert certifies_unique_minimizer(frozenset({1}), y, 0.49)
+        assert not certifies_unique_minimizer(frozenset({1}), y, 0.5)  # slack >= m
+        assert not certifies_unique_minimizer(frozenset({1, 2}), y, 0.0)  # signs disagree
+        for edge in (0.5 * ROUND_TOL, -0.5 * ROUND_TOL, ROUND_TOL, -ROUND_TOL):
+            assert not certifies_unique_minimizer(frozenset({1}), np.array([-1.0, 2.0, edge]),
+                                                  0.0)
+
+    def test_a_shift_across_the_rounding_band_is_refused(self):
+        rng = np.random.default_rng(53)
+        f = helpers.random_cut(rng, 8)
+        w_p = greedy_base_vertex(f, rng.normal(0, 1, 8)) + rng.normal(0, 0.5, 8)
+        X, x, slack = _held_point(f, w_p)
+        assert certifies_unique_minimizer(X, x, slack)
+        j = int(np.argmin(np.abs(x)))  # the coordinate nearest zero
+        for to in (0.0, 0.5 * ROUND_TOL, -0.5 * ROUND_TOL, -np.sign(x[j])):
+            w = w_p.copy()
+            w[j] += x[j] - to  # moves coordinate j of the shifted point to ``to``
+            assert not certifies_unique_minimizer(X, x + (w_p - w), slack)
+        assert not certifies_unique_minimizer(X, x, abs(x[j]))  # slack >= m

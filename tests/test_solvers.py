@@ -252,7 +252,7 @@ class TestBoundReuse:
         tr = sub_sup(self._instance(), SolverOptions(seed=2))
         assert tr.n_accepted >= 1
         assert sums == []  # f - h is never summed over a set
-        assert len(sfm) == len(lower) > 0
+        assert 0 < len(sfm) < len(lower)  # certified retries at a stall skip their SFM
 
     def test_randomized_sup_sub_keeps_its_sweep_draws(self, monkeypatch):
         upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
