@@ -91,25 +91,17 @@ def modular_upper_bound(f: SetFunctionOracle, X: Iterable[int],
     return AffineModular(offset, weights)
 
 
-@dataclass
-class NormalizedParts:
-    """Split of one submodular f into a monotone part plus a modular shift.
+def totally_normalize(f: SetFunctionOracle) -> tuple[SetFunctionOracle, AffineModular]:
+    """Total normalization of a normalized submodular f: ``(polymatroid, shift)``.
 
     ``polymatroid(X) + shift(X) == f(X)``; the polymatroid part is
     normalized and monotone non-decreasing, the shift has offset 0 with
     weight ``f(j | V - j)`` on element j.
     """
-
-    polymatroid: SetFunctionOracle
-    shift: AffineModular
-
-
-def totally_normalize(f: SetFunctionOracle) -> NormalizedParts:
-    """Total normalization of a normalized submodular function."""
     ground = f.ground
     shift = AffineModular(0.0, modular_upper_bound(f, ground.full, 2).weights)
     part = SetFunctionOracle(ground, lambda S: f(S) - shift.value(S), name=f.name + "_monotone")
-    return NormalizedParts(part, shift)
+    return part, shift
 
 
 def sqrt_curvature(n: int) -> float:
@@ -219,19 +211,16 @@ def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,
       the negative parts of k.
 
     bound2 <= bound1 <= min v, and bound2 is exact when f and g are
-    modular.  ``sfm_solver(f, w)`` minimizes f - w for a weight vector w,
-    as ``min_norm_point`` does, and returns at least (set, value).
+    modular.  ``sfm_solver(f, w)`` minimizes f - w for a weight vector w
+    and returns at least (set, value); ``min_norm_point`` does, running no
+    Wolfe loop when single-element gains already pin the minimizer.
     """
-    ground = f.ground
-    if ground.n != g.ground.n:
+    if f.ground.n != g.ground.n:
         raise ValueError("f and g must share a ground set")
-    V = ground.full
-    nf = totally_normalize(f)
-    ng = totally_normalize(g)
-    k = nf.shift.weights - ng.shift.weights
-    g_prime_V = ng.polymatroid(V)
-
-    res = sfm_solver(f, ng.shift.weights)
-    bound1 = float(res[1]) - g_prime_V
-    bound2 = nf.polymatroid(frozenset()) - g_prime_V + float(np.minimum(k, 0.0).sum())
+    f_prime, f_shift = totally_normalize(f)
+    g_prime, g_shift = totally_normalize(g)
+    k = f_shift.weights - g_shift.weights
+    g_prime_V = g_prime(g.ground.full)
+    bound1 = float(sfm_solver(f, g_shift.weights)[1]) - g_prime_V
+    bound2 = f_prime(frozenset()) - g_prime_V + float(np.minimum(k, 0.0).sum())
     return bound1, bound2

@@ -179,15 +179,17 @@ class AffineModular:
         return AffineModular(self.offset - other.offset, self.weights - other.weights)
 
 
-def chain_gains(f: SetFunctionOracle, order: Iterable[int]) -> np.ndarray:
-    """Telescoped gains of a normalized f along the chain of prefixes of ``order``.
+def chain_gains(f: SetFunctionOracle, order: Iterable[int],
+                base: frozenset = frozenset()) -> np.ndarray:
+    """Telescoped gains of a normalized f along the chain base, base + order[0], ...
 
     Entry ``j - 1`` holds f(prefix ending at j) minus f(the prefix before
-    it), starting from 0 at the empty set.  Evaluates f once per prefix.
+    it), starting from f(base), which is 0 without a call at the empty set;
+    entries of elements not in ``order`` are 0.  Evaluates f once per prefix.
     """
     gains = [0.0] * f.ground.n
-    prev = 0.0
-    running: set[int] = set()
+    prev = f(base) if base else 0.0
+    running = set(base)
     for j in order:
         running.add(j)
         cur = f(frozenset(running))
@@ -231,9 +233,6 @@ def check_submodular(f: SetFunctionOracle, tol: float = FLOAT_TOL) -> bool:
     n = f.ground.n
     if n > SUBMODULAR_CHECK_MAX_N:
         raise ValueError(f"submodularity check refused for n={n} > {SUBMODULAR_CHECK_MAX_N}")
-    if n == 1:
-        f(frozenset())  # every single-element function is modular
-        return True
     vals = evaluate_table(f)
     masks = np.arange(1 << n)
     for a in range(n):

@@ -1,20 +1,21 @@
 """Exact minimization of f - w, f normalized submodular and w a weight vector.
 
-The greedy linear-optimization primitive over the base polytope (Edmonds)
-plus Wolfe's nearest-point algorithm give the classic Fujishige-Wolfe
-minimizer: find the minimum-norm point of the base polytope, then read the
-minimal minimizer off its strictly negative coordinates.  A base vertex of
-f - w is f's chain gains minus w, so f - w is never summed over a set.  The
-corral's squared row norms are kept in a list instead of being summed again
-each major cycle, with the same bits.  Hitting the major-cycle cap raises a
-plain ``RuntimeError`` that reports the gap.  A min-norm point x of f - w_p
-gives the point x + (w_p - w) of B(f - w), which may prove its rounded set
-the unique minimizer of f - w without a second run (Edmonds' min-max theorem).
+Single-element gains first narrow the minimizers to a lattice [A, B].  If
+A < B, the classic Fujishige-Wolfe minimizer runs over B - A: the greedy
+linear-optimization primitive over the base polytope (Edmonds) plus Wolfe's
+nearest-point algorithm find the minimum-norm point, whose negative and
+non-positive coordinates give the minimal and maximal minimizers.  A base
+vertex of f - w is f's chain gains minus w, so f - w is never summed over a
+set.  The corral's squared row norms are kept in a list instead of being
+summed again each major cycle, with the same bits.  Hitting the major-cycle
+cap raises a plain ``RuntimeError`` that reports the gap.
 
 References:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11 (1976).
   Fujishige & Isotani, "A submodular function minimization algorithm based
   on the minimum-norm base", Pacific J. Optim. 7 (2011).
+  Iyer, Jegelka & Bilmes, "Fast semidifferential-based submodular function
+  optimization", ICML 2013.
 """
 
 from __future__ import annotations
@@ -24,19 +25,22 @@ import numpy as np
 from .core import FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, memoized, set_sum
 
 
-def greedy_base_vertex(f: SetFunctionOracle, direction, w=None) -> np.ndarray:
+def greedy_base_vertex(f: SetFunctionOracle, direction, w=None, base: frozenset = frozenset(),
+                       elements=None) -> np.ndarray:
     """Linear optimization over the base polytope of a normalized submodular f - w.
 
     Returns the coordinate vector of the argmin over the base polytope of
     the inner product with ``direction``: elements are sorted by ascending
     direction value (ties by index) and the vertex coordinates are f's
     telescoped gains along that order, minus the weights ``w`` if given.
+    Given ``elements`` E, an ascending array of elements outside ``base`` A,
+    the same for S -> f(A | S) - f(A) - w(S) over E, indexed by E's order.
     """
-    n = f.ground.n
+    E = np.arange(1, f.ground.n + 1) if elements is None else elements
     d = np.asarray(direction, dtype=float)
-    if d.shape != (n,):
-        raise ValueError(f"direction must have length {n}")
-    q = chain_gains(f, (np.argsort(d, kind="stable") + 1).tolist())
+    if d.shape != E.shape:
+        raise ValueError(f"direction must have length {len(E)}")
+    q = chain_gains(f, E[np.argsort(d, kind="stable")].tolist(), base)[E - 1]
     return q if w is None else q - w
 
 
@@ -64,33 +68,67 @@ def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _DROP_TOL = 1e-12
 _GAP_TOL = 1e-10  # relative duality gap at which the point counts as optimal
-# x_j < -ROUND_TOL marks the minimal minimizer, x_j < ROUND_TOL the maximal one
+# x_j < -ROUND_TOL marks the minimal minimizer, x_j < ROUND_TOL the maximal one;
+# a gain beyond it puts an element inside or outside every minimizer
 ROUND_TOL = 1e-9
 
 
-def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, np.ndarray]:
+def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, frozenset]:
+    """Sets A <= B with A <= M <= B for every minimizer M of a submodular f - w.
+
+    Each round moves the j in B - A with (f - w)(j | A) < -ROUND_TOL into A
+    and those with (f - w)(j | B - j) > ROUND_TOL out of B, as gains only
+    fall as the context grows.  Only a non-submodular f can send one j both
+    ways; then the lattice is all of 2^V.
+    """
+    A, B = frozenset(), f.ground.full
+    while True:
+        fA, fB = f(A), f(B)
+        free = sorted(B - A)
+        grow = {j for j in free if f(A | {j}) - fA - w[j - 1] < -ROUND_TOL}
+        shrink = {j for j in free if fB - f(B - {j}) - w[j - 1] > ROUND_TOL}
+        if grow & shrink:
+            return frozenset(), f.ground.full
+        if not grow and not shrink:
+            return A, B
+        A, B = A | grow, B - shrink
+
+
+def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, frozenset]:
     """Minimize f - w exactly; f must be 0 at the empty set and w defaults to 0.
 
-    Runs Wolfe's major/minor cycle over base-polytope vertices produced by
-    the greedy primitive, for at most 100 n^2 major cycles.  Returns
-    ``(X, f(X) - w(X), x)`` where ``x`` is the (approximate) minimum-norm point,
-    ``X = {j : x_j < -ROUND_TOL}`` is the minimal minimizer and w(X) is
-    ``set_sum`` in X's order.  ``ValueError`` if |f(empty)| > ``FLOAT_TOL``.
+    Narrows the minimizers to a lattice [A, B] (``_minimizer_lattice``), then
+    runs Wolfe's major/minor cycle on S -> f(A | S) - f(A) - w(S) over B - A
+    for at most 100 m^2 major cycles, m = |B - A|; none if A = B.  With x the
+    (approximate) minimum-norm point, returns ``(X, f(X) - w(X), Y)`` where
+    X = A | {j : x_j < -ROUND_TOL} is the minimal and Y = A | {j : x_j <
+    ROUND_TOL} the maximal minimizer, and w(X) is ``set_sum`` in X's order.
+    ``ValueError`` if w is not finite or |f(empty)| > ``FLOAT_TOL``.
     """
     n = f.ground.n
-    if w is not None and np.shape(w) != (n,):
+    w = np.zeros(n) if w is None else np.asarray(w, dtype=float)
+    if w.shape != (n,):
         raise ValueError(f"weights must have length {n}")
+    if (bad := np.flatnonzero(~np.isfinite(w))).size:
+        raise ValueError(f"weights must be finite: w[{bad[0]}] is {w[bad[0]]!r}")
     fm = f if isinstance(f, MemoizedOracle) else memoized(f)
     if not abs(f0 := fm(frozenset())) <= FLOAT_TOL:  # also rejects NaN
         raise ValueError(f"f must be normalized: value at empty set is {f0!r}")
+    weights = w.tolist()
+    A, B = _minimizer_lattice(fm, weights)
+    if A == B:
+        return A, fm(A) - set_sum(weights, A), A
 
-    x = greedy_base_vertex(fm, np.zeros(n), w)
-    S = x.reshape(1, n).copy()
+    E = np.array(sorted(B - A))
+    m = len(E)
+    wE = w[E - 1]
+    x = greedy_base_vertex(fm, np.zeros(m), wE, A, E)
+    S = x.reshape(1, m).copy()
     norms = [float(np.sum(x * x))]  # squared row norms of S
     lam = np.ones(1)
 
-    for _ in range(100 * n * n):
-        q = greedy_base_vertex(fm, x, w)
+    for _ in range(100 * m * m):
+        q = greedy_base_vertex(fm, x, wE, A, E)
         corr = max(1.0, float(x @ x), float(q @ q), max(norms))
         gap = float(x @ x - x @ q)
         if gap <= _GAP_TOL * corr:
@@ -101,7 +139,7 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, np.n
         norms.append(float(np.sum(q * q)))
         lam = np.append(lam, 0.0)
 
-        for _minor in range(10 * n + 100):
+        for _minor in range(10 * m + 100):
             y, coeffs = _affine_minimizer(S)
             if coeffs.min() >= -_DROP_TOL:
                 x, lam = y, np.maximum(coeffs, 0.0)
@@ -123,16 +161,5 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, np.n
     else:
         raise RuntimeError(f"min-norm point did not converge (gap={gap:.3e})")
 
-    X = frozenset(int(j) + 1 for j in np.where(x < -ROUND_TOL)[0])
-    return X, fm(X) - (0.0 if w is None else set_sum(np.asarray(w, float).tolist(), X)), x
-
-
-def certifies_unique_minimizer(X: frozenset, y: np.ndarray, slack: float) -> bool:
-    """Whether y in B(f - w) with (f - w)(X) = y(X) + slack proves X the unique minimizer.
-
-    True if y < -ROUND_TOL on X, y > ROUND_TOL off X and slack < m = min |y_j|:
-    then (f - w)(Y) >= y(Y) >= y(X) + m |Y ^ X| > (f - w)(X) for every Y != X
-    (Edmonds' min-max theorem).
-    """
-    return (bool((np.abs(y) > max(ROUND_TOL, slack)).all())
-            and X == frozenset((np.flatnonzero(y < 0) + 1).tolist()))
+    X = A | frozenset(E[x < -ROUND_TOL].tolist())
+    return X, fm(X) - set_sum(weights, X), A | frozenset(E[x < ROUND_TOL].tolist())

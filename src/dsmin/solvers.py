@@ -43,8 +43,8 @@ from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import (FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips, memoized,
-                   set_sum, subset_key)
-from .sfm import ROUND_TOL, certifies_unique_minimizer, min_norm_point
+                   subset_key)
+from .sfm import min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
 _EQ_TOL = 1e-12  # two objective values within this are treated as equal
@@ -278,19 +278,10 @@ class _Run:
         return TracePoint(S, self.value(S), self.calls(),
                           time.perf_counter() - self.t0)
 
-    def v_oracle(self) -> SetFunctionOracle:
-        return SetFunctionOracle(self.ground, lambda S: self.value(S), name="v")
-
     def scorer(self, heuristic: str) -> SetFunctionOracle:
         if heuristic == "v_gain":
-            return self.v_oracle()
+            return SetFunctionOracle(self.ground, self.value, name="v")
         return self.g
-
-
-def _plateau_allowed(v_cur: float, epsilon: float) -> bool:
-    # the raw non-increase rule v_next <= v_prev*(1+eps) admits equal-value
-    # moves exactly when eps == 0 or the current value is 0
-    return epsilon == 0.0 or v_cur == 0.0
 
 
 def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
@@ -325,7 +316,9 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
                     _, move = min(strict, key=lambda p: (p[0], subset_key(p[1])))
                     move_is_strict = True
                     break
-            if move is None and _plateau_allowed(v_cur, opts.epsilon):
+            # the raw non-increase rule v_next <= v_prev*(1+eps) admits
+            # equal-value moves exactly when eps == 0 or the current value is 0
+            if move is None and (opts.epsilon == 0.0 or v_cur == 0.0):
                 fresh = [c for c in plateau_pool if c not in plateau_seen]
                 if fresh:
                     move = min(fresh, key=subset_key)
@@ -382,9 +375,8 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
     the configured heuristic (both, for ``random``) plus one boundary-pinned
     random permutation per element are retried.  For submodular f and g that
     certifies local optimality; for any other pair the final single-element
-    scan of the descent guarantees it on convergence.  A retry whose bound
-    shifts the last min-norm point at X, rounded to X alone, into a proof
-    that X is the surrogate's unique minimizer skips its SFM.  No constraints.
+    scan of the descent guarantees it on convergence.  Each SFM yields the
+    surrogate's minimal and maximal minimizers.  No constraints.
     """
     opts = opts or SolverOptions()
     if constraint.kind != "none":
@@ -393,18 +385,9 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
     ground = run.ground
     heur_scorer = run.scorer(opts.heuristic)
 
-    held = None  # (X, w, x, slack) of the last SFM at X whose minimizers were X alone
-
     def candidates(X: frozenset, sigma: Permutation) -> list[frozenset]:
-        nonlocal held
-        w = modular_lower_bound(run.g, X, sigma).weights
-        if held and held[0] == X and certifies_unique_minimizer(X, held[2] + (held[1] - w), held[3]):
-            return []  # the SFM would return [X, X], which the descent drops
-        Xm, val, x = min_norm_point(run.f, w)
-        largest = frozenset(j for j in ground.elements() if x[j - 1] < ROUND_TOL)
-        if Xm == largest == X:
-            held = (X, w, x, val - set_sum(x.tolist(), X))
-        return [Xm, largest]
+        X_min, _, X_max = min_norm_point(run.f, modular_lower_bound(run.g, X, sigma).weights)
+        return [X_min, X_max]
 
     def primary(X, t):
         sigma = choose_permutation(opts.heuristic, X, heur_scorer, run.rng)

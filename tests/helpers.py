@@ -8,8 +8,8 @@ import numpy as np
 
 from dsmin import DSInstance, GroundSet, SetFunctionOracle, build_function
 from dsmin.bounds import totally_normalize
-from dsmin.core import (FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, AffineModular,
-                        brute_force_minimize, evaluate_table, set_sum)
+from dsmin.core import (FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, AffineModular, evaluate_table,
+                        set_of, set_sum)
 from dsmin.featsel import _entropy_from_counts, conditional_entropy, empirical_entropy
 from dsmin.functions import modular_spec
 
@@ -135,15 +135,21 @@ def exhaustive_max(fn, n):
 
 
 def sfm_brute_force(f, w=None):
-    """Exhaustive drop-in replacement for ``min_norm_point``: minimizes f - w (small n)."""
+    """Exhaustive drop-in replacement for ``min_norm_point`` (small n).
+
+    Returns ``(X, min of f - w, Y)`` with X the intersection and Y the union
+    of the sets within ``FLOAT_TOL`` of the minimum: for submodular f, the
+    minimal and the maximal minimizer.
+    """
     if w is not None:
         weights = np.asarray(w, float).tolist()
         f = SetFunctionOracle(f.ground, lambda S, f=f: f(S) - set_sum(weights, S))
-    X, val = brute_force_minimize(f)
-    x = np.zeros(f.ground.n)
-    for j in X:
-        x[j - 1] = -1.0
-    return X, val, x
+    table = evaluate_table(f)
+    best = float(table.min())
+    masks = np.flatnonzero(table <= best + FLOAT_TOL)
+    n = f.ground.n
+    return (set_of(int(np.bitwise_and.reduce(masks)), n), best,
+            set_of(int(np.bitwise_or.reduce(masks)), n))
 
 
 def check_monotone(f, tol=FLOAT_TOL):
@@ -171,10 +177,10 @@ class TotalNormalization:
 
 
 def totally_normalize_instance(f, g):
-    nf = totally_normalize(f)
-    ng = totally_normalize(g)
-    k = AffineModular(0.0, nf.shift.weights - ng.shift.weights)
-    return TotalNormalization(nf.polymatroid, k, ng.polymatroid)
+    f_prime, f_shift = totally_normalize(f)
+    g_prime, g_shift = totally_normalize(g)
+    return TotalNormalization(f_prime, AffineModular(0.0, f_shift.weights - g_shift.weights),
+                              g_prime)
 
 
 def _row_sort_counts(rows):

@@ -135,34 +135,34 @@ class TestTotallyNormalize:
         assert sorted(map(sorted, seen)) == [[1, 2], [1, 2, 3], [1, 3], [2, 3]]
 
     def test_sqrt(self):
-        parts = totally_normalize(helpers.sqrt_card(3))
-        np.testing.assert_allclose(parts.shift.weights, [SQ3 - SQ2] * 3)
-        assert parts.polymatroid({1}) == pytest.approx(1 - (SQ3 - SQ2))
+        part, shift = totally_normalize(helpers.sqrt_card(3))
+        np.testing.assert_allclose(shift.weights, [SQ3 - SQ2] * 3)
+        assert part({1}) == pytest.approx(1 - (SQ3 - SQ2))
 
     def test_modular_collapses(self):
         rng = np.random.default_rng(3)
         f = helpers.random_modular(rng, 4)
-        parts = totally_normalize(f)
+        part, _ = totally_normalize(f)
         for S in helpers.all_subsets(4):
-            assert parts.polymatroid(S) == pytest.approx(0.0, abs=1e-9)
+            assert part(S) == pytest.approx(0.0, abs=1e-9)
 
     def test_triangle_cut(self):
-        parts = totally_normalize(helpers.triangle_cut())
-        np.testing.assert_allclose(parts.shift.weights, [-2.0] * 3)
-        assert parts.polymatroid({1}) == pytest.approx(4.0)
-        assert parts.polymatroid({1, 2, 3}) == pytest.approx(6.0)
-        assert check_monotone(parts.polymatroid)
+        part, shift = totally_normalize(helpers.triangle_cut())
+        np.testing.assert_allclose(shift.weights, [-2.0] * 3)
+        assert part({1}) == pytest.approx(4.0)
+        assert part({1, 2, 3}) == pytest.approx(6.0)
+        assert check_monotone(part)
 
     def test_monotone_and_reconstructs(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
             n = int(rng.integers(2, 7))
             f = helpers.random_submodular(rng, n)
-            parts = totally_normalize(f)
-            assert check_monotone(parts.polymatroid)
-            assert parts.polymatroid(frozenset()) == pytest.approx(0.0, abs=1e-9)
+            part, shift = totally_normalize(f)
+            assert check_monotone(part)
+            assert part(frozenset()) == pytest.approx(0.0, abs=1e-9)
             for S in helpers.all_subsets(n):
-                assert parts.polymatroid(S) + parts.shift.value(S) == pytest.approx(f(S), abs=1e-9)
+                assert part(S) + shift.value(S) == pytest.approx(f(S), abs=1e-9)
 
 
 class TestSqrtCurvature:

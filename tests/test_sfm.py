@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import GroundSet, SetFunctionOracle, build_function, min_norm_point
-from dsmin.core import brute_force_minimize, evaluate_table, mask_of
+from dsmin import GroundSet, SetFunctionOracle, build_function, memoized, min_norm_point
+from dsmin.core import brute_force_minimize, evaluate_table, set_of
 from dsmin.functions import modular_spec
-from dsmin.sfm import ROUND_TOL, certifies_unique_minimizer, greedy_base_vertex
+from dsmin.sfm import _minimizer_lattice, greedy_base_vertex
 
 import helpers
 
@@ -80,16 +80,14 @@ class TestGreedyBaseVertex:
 class TestMinNormPoint:
     def test_modular(self):
         f = build_function(modular_spec([-1.0, 2.0, -3.0]))
-        X, val, x = min_norm_point(f)
-        assert X == frozenset({1, 3})
+        X, val, Y = min_norm_point(f)
+        assert X == Y == frozenset({1, 3})  # the lattice pins it; no vertex is made
         assert val == pytest.approx(-4.0)
-        np.testing.assert_allclose(x, [-1.0, 2.0, -3.0], atol=1e-9)
 
     def test_triangle_cut_minimal_minimizer(self):
-        X, val, x = min_norm_point(helpers.triangle_cut())
-        assert X == frozenset()
+        X, val, Y = min_norm_point(helpers.triangle_cut())
+        assert (X, Y) == (frozenset(), frozenset({1, 2, 3}))
         assert val == 0.0
-        np.testing.assert_allclose(x, np.zeros(3), atol=1e-6)
 
     def test_sqrt_minus_linear(self):
         g = GroundSet(3)
@@ -110,11 +108,10 @@ class TestMinNormPoint:
             cases.append(SetFunctionOracle(
                 h.ground, lambda S, h=h, w=w: h(S) - sum(w[j - 1] for j in S)))
         for f in cases:
-            X, val, x = min_norm_point(f)
-            _, best = brute_force_minimize(f)
+            X, val, Y = min_norm_point(f)
+            best_X, best, best_Y = helpers.sfm_brute_force(f)
             assert val == pytest.approx(best, abs=1e-6)
-            # duality certificate
-            assert val >= float(np.minimum(x, 0.0).sum()) - 1e-6
+            assert (X, Y) == (best_X, best_Y)
 
     @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
     def test_weights_minimize_f_minus_w(self, family):
@@ -123,14 +120,27 @@ class TestMinNormPoint:
             n = int(rng.integers(2, 11))
             f = helpers.FAMILY_BUILDERS[family](rng, n)
             w = greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
-            X, val, _ = min_norm_point(f, w)
-            best_X, best, _ = helpers.sfm_brute_force(f, w)
-            assert X == best_X  # the minimal minimizer
+            X, val, Y = min_norm_point(f, w)
+            best_X, best, best_Y = helpers.sfm_brute_force(f, w)
+            assert (X, Y) == (best_X, best_Y)  # the minimal and maximal minimizers
             assert val == pytest.approx(best, abs=1e-9)
 
     def test_weights_of_the_wrong_length_are_rejected(self):
         with pytest.raises(ValueError, match="length"):
             min_norm_point(helpers.triangle_cut(), np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_rejected(self, bad):
+        # an infinite weight would otherwise pin the lattice to a -inf "minimum"
+        with pytest.raises(ValueError, match=r"w\[1\] is"):
+            min_norm_point(helpers.triangle_cut(), [0.0, bad, 1.0])
+
+    def test_crossing_lattice_runs_unreduced(self):
+        # not submodular: element 1 has gain -1 at the empty set and +1 at {2}
+        f = build_function(helpers.table_spec(2, [0.0, -1.0, 0.0, 1.0]))
+        assert _minimizer_lattice(memoized(f), [0.0, 0.0]) == (frozenset(), frozenset({1, 2}))
+        X, val, Y = min_norm_point(f)
+        assert X <= Y and val == f(X)
 
     def test_unnormalized_f_is_rejected(self):
         # 10 + modular(-1, 2, -3): the minimum is 6 at {1, 3}; a chain that starts
@@ -160,58 +170,36 @@ class TestMinNormPoint:
             assert val == pytest.approx(best, abs=1e-6)
 
 
-def _held_point(f, w_p):
-    """(X, x, slack) of min_norm_point(f, w_p) as sub-sup holds it; None unless x
-    rounds to the same X at -ROUND_TOL and at ROUND_TOL."""
-    X, val, x = min_norm_point(f, w_p)
-    if X != frozenset(int(j) + 1 for j in np.flatnonzero(x < ROUND_TOL)):
-        return None
-    return X, x, val - sum(x[j - 1] for j in X)
+def _lattice_weights(rng, f, kind):
+    """Weights that make f - w have one minimizer (kind 0), a tie between every
+    prefix of a greedy chain (1: w is a base vertex, so f - w >= 0 with 0 on the
+    chain), or ties on some elements only (2)."""
+    n = f.ground.n
+    if kind == 0:
+        return greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
+    w = greedy_base_vertex(f, rng.normal(0, 1, n))
+    return w if kind == 1 else w + np.where(rng.random(n) < 0.5, rng.normal(0, 0.5, n), 0.0)
 
 
-class TestUniqueMinimizerCertificate:
-    @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
-    def test_accepted_shifts_have_a_unique_minimizer(self, family):
-        rng = np.random.default_rng(47)
-        accepted = trials = 0
-        for _ in range(25):
+class TestMinimizerLattice:
+    @pytest.mark.parametrize("family", ["cut", "facility", "concave", "table"])
+    def test_lattice_holds_every_minimizer_and_rounds_to_the_extremes(self, family):
+        rng = np.random.default_rng(61)
+        pinned = 0
+        for trial in range(24):
             n = int(rng.integers(2, 11))
             f = helpers.FAMILY_BUILDERS[family](rng, n)
-            w_p = greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
-            if (held := _held_point(f, w_p)) is None:
-                continue
-            X, x, slack = held
-            for scale in (1e-3, 0.1, 0.3, 1.0):
-                w = w_p + rng.normal(0, scale, n)
-                trials += 1
-                if not certifies_unique_minimizer(X, x + (w_p - w), slack):
-                    continue
-                accepted += 1
-                assert helpers.sfm_brute_force(f, w)[0] == X
-                table = evaluate_table(SetFunctionOracle(
-                    f.ground, lambda S: f(S) - sum(w[j - 1] for j in S)))
-                assert np.flatnonzero(table == table.min()).tolist() == [mask_of(X)]
-        assert accepted >= trials // 4 and accepted < trials
-
-    def test_point_inside_the_rounding_band_or_too_much_slack_is_refused(self):
-        y = np.array([-1.0, 2.0, 0.5])
-        assert certifies_unique_minimizer(frozenset({1}), y, 0.0)
-        assert certifies_unique_minimizer(frozenset({1}), y, 0.49)
-        assert not certifies_unique_minimizer(frozenset({1}), y, 0.5)  # slack >= m
-        assert not certifies_unique_minimizer(frozenset({1, 2}), y, 0.0)  # signs disagree
-        for edge in (0.5 * ROUND_TOL, -0.5 * ROUND_TOL, ROUND_TOL, -ROUND_TOL):
-            assert not certifies_unique_minimizer(frozenset({1}), np.array([-1.0, 2.0, edge]),
-                                                  0.0)
-
-    def test_a_shift_across_the_rounding_band_is_refused(self):
-        rng = np.random.default_rng(53)
-        f = helpers.random_cut(rng, 8)
-        w_p = greedy_base_vertex(f, rng.normal(0, 1, 8)) + rng.normal(0, 0.5, 8)
-        X, x, slack = _held_point(f, w_p)
-        assert certifies_unique_minimizer(X, x, slack)
-        j = int(np.argmin(np.abs(x)))  # the coordinate nearest zero
-        for to in (0.0, 0.5 * ROUND_TOL, -0.5 * ROUND_TOL, -np.sign(x[j])):
-            w = w_p.copy()
-            w[j] += x[j] - to  # moves coordinate j of the shifted point to ``to``
-            assert not certifies_unique_minimizer(X, x + (w_p - w), slack)
-        assert not certifies_unique_minimizer(X, x, abs(x[j]))  # slack >= m
+            w = _lattice_weights(rng, f, trial % 3)
+            A, B = _minimizer_lattice(memoized(f), w.tolist())
+            table = evaluate_table(SetFunctionOracle(
+                f.ground, lambda S: f(S) - sum(w[j - 1] for j in S)))
+            minimizers = [set_of(int(m), n) for m in np.flatnonzero(table <= table.min() + 1e-9)]
+            assert all(A <= M <= B for M in minimizers)
+            if A == B:
+                pinned += 1
+                assert minimizers == [A]
+            X, val, Y = min_norm_point(f, w)
+            best_X, best, best_Y = helpers.sfm_brute_force(f, w)
+            assert (X, Y) == (best_X, best_Y)
+            assert val == pytest.approx(best, abs=1e-9)
+        assert 0 < pinned < 24  # both the pinned and the Wolfe path run

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import dsmin.sfm
 import dsmin.solvers
 from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
                    SolverError, SolverOptions, min_norm_point, minima_lower_bounds,
@@ -248,11 +249,17 @@ class TestBoundReuse:
         monkeypatch.setattr(dsmin.core.AffineModular, "value",
                             lambda m, Y: sums.append(Y) or real_value(m, Y))
         lower = self._log(monkeypatch, "modular_lower_bound", lambda g, Y, sigma: Y)
-        sfm = self._log(monkeypatch, "min_norm_point", lambda *a: None)
+        vertices = []
+        real_vertex = dsmin.sfm.greedy_base_vertex
+        monkeypatch.setattr(dsmin.sfm, "greedy_base_vertex",
+                            lambda *a: vertices.append(a) or real_vertex(*a))
+        made = self._log(monkeypatch, "min_norm_point", lambda *a: len(vertices))
         tr = sub_sup(self._instance(), SolverOptions(seed=2))
         assert tr.n_accepted >= 1
         assert sums == []  # f - h is never summed over a set
-        assert 0 < len(sfm) < len(lower)  # certified retries at a stall skip their SFM
+        assert len(made) == len(lower)  # one SFM per lower bound
+        made = np.diff(made + [len(vertices)])  # the vertices each SFM made
+        assert (made == 0).any() and (made > 0).any()  # the lattice settles some alone
 
     def test_randomized_sup_sub_keeps_its_sweep_draws(self, monkeypatch):
         upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
