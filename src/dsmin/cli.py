@@ -236,6 +236,10 @@ def cmd_featsel(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in FEATSEL_METHODS:
             raise UsageError(f"unknown method {m!r}")
+    if args.folds < 2:
+        raise UsageError(f"folds must be >= 2, got {args.folds}")
+    if args.budget is not None and args.budget < 0:
+        raise UsageError(f"budget must be >= 0, got {args.budget}")
     if args.budget is not None and "subsup" in methods:
         raise UsageError("--budget cannot constrain subsup; leave subsup out of --methods")
     if args.cost == "modular":

@@ -20,6 +20,7 @@ import numpy as np
 
 # Absolute tolerance for all floating >= / <= checks unless overridden.
 FLOAT_TOL = 1e-9
+EQ_TOL = 1e-12  # two objective values within this are treated as equal
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import GroundSet, SetFunctionOracle, memoized, whole
+from .core import EQ_TOL, GroundSet, SetFunctionOracle, best_flip, memoized, set_sum, whole
 from .solvers import DSInstance, OptimizationTrace, TracePoint
 
 
@@ -44,6 +44,7 @@ class Dataset:
     rows: np.ndarray
     labels: np.ndarray
 
+    ground: GroundSet = field(init=False, repr=False)
     arity: np.ndarray = field(init=False)
     classes: np.ndarray = field(init=False)
     _class_rows: list[np.ndarray] = field(init=False, repr=False)
@@ -77,7 +78,7 @@ class Dataset:
         self.arity = top.astype(np.int64) + 1
         self.classes, inv = np.unique(self.labels, return_inverse=True)
         self._class_rows = [np.where(inv == c)[0] for c in range(len(self.classes))]
-        self._cache = {}
+        self.ground = GroundSet(self.n_features)
 
     @property
     def n_rows(self) -> int:
@@ -86,10 +87,6 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.rows.shape[1]
-
-    @property
-    def ground(self) -> GroundSet:
-        return GroundSet(self.n_features)
 
 
 def parse_sparse_dataset(path: str) -> Dataset:
@@ -260,7 +257,7 @@ def evaluate_cost(cm: CostModel, A: Iterable[int]) -> float:
         hit = A & b
         covered += len(hit)
         if hit:
-            total += math.sqrt(sum(cm.weights[j - 1] for j in hit))
+            total += math.sqrt(set_sum(cm.weights, hit))
     if covered != len(A):
         raise ValueError("feature set contains elements outside all cost blocks")
     return cm.lam * total
@@ -297,11 +294,11 @@ def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
         def f_fn(S):
             return conditional_entropy(ds, S, alpha) + evaluate_cost(cost, S)
     else:
-        per_feature = {j: conditional_entropy(ds, frozenset({j}), alpha)
-                       for j in ground.elements()}
+        per_feature = [conditional_entropy(ds, frozenset({j}), alpha)
+                       for j in ground.elements()]
 
         def f_fn(S):
-            return sum(per_feature[j] for j in S) + evaluate_cost(cost, S)
+            return set_sum(per_feature, S) + evaluate_cost(cost, S)
 
     f = memoized(SetFunctionOracle(ground, f_fn, name=f"cond_entropy_{mode}_plus_cost"))
     g = memoized(SetFunctionOracle(ground, lambda S: empirical_entropy(ds, S, alpha),
@@ -314,8 +311,9 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
     """Forward greedy on the selection objective.
 
     ``GrF`` scores candidates with the factored conditional entropy, ``GrNF``
-    with the joint one.  Adds the feature with the largest strict decrease
-    of the objective; stops at the budget or when no candidate helps.
+    with the joint one.  Adds the feature that lowers the objective most, by
+    more than ``EQ_TOL`` and ties to the lower index; stops at the budget or
+    when no candidate helps.
     """
     tag = mode.lower()
     if tag not in ("grf", "grnf"):
@@ -324,30 +322,19 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
         raise ValueError(f"budget must be >= 0, got {budget}")
     obj = build_objective(ds, cost, alpha,
                           "factored" if tag == "grf" else "non_factored")
-    n = ds.n_features
-    budget = n if budget is None else min(budget, n)
+    budget = ds.n_features if budget is None else budget
     t0 = time.perf_counter()
 
     def calls():
         return obj.instance.f.call_count + obj.instance.g.call_count
 
     S: frozenset = frozenset()
-    val = obj.value(S)
     trace = OptimizationTrace(f"greedy_{tag}", 0, 0.0)
-    trace.iterates.append(TracePoint(S, val, calls(), time.perf_counter() - t0))
-    while len(S) < budget:
-        best_val, best_j = val, None
-        for j in range(1, n + 1):
-            if j in S:
-                continue
-            cand = obj.value(S | {j})
-            if cand < best_val - 1e-12:
-                best_val, best_j = cand, j
-        if best_j is None:
-            break
-        S = S | {best_j}
-        val = best_val
-        trace.iterates.append(TracePoint(S, val, calls(), time.perf_counter() - t0))
+    trace.iterates.append(TracePoint(S, obj.value(S), calls(), time.perf_counter() - t0))
+    while len(S) < budget and (T := best_flip(obj.value, S, ds.ground, EQ_TOL,
+                                              lambda T: len(T) > len(S))) is not None:
+        S = T
+        trace.iterates.append(TracePoint(S, obj.value(S), calls(), time.perf_counter() - t0))
     trace.termination = "converged"
     trace.oracle_calls, trace.elapsed = calls(), time.perf_counter() - t0
     return S, trace

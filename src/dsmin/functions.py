@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import GroundSet, SetFunctionOracle, mask_of, set_sum, whole
+from .core import TABLE_MAX_N, GroundSet, SetFunctionOracle, mask_of, set_sum, whole
 
 CONCAVE_SHAPES = ("sqrt", "log1p", "power", "cap")
 
@@ -149,7 +149,7 @@ def _build_facility_location(ground, *, benefits):
 
 def _build_explicit_table(ground, *, n, values):
     n = whole(n, "explicit_table 'n'")
-    _require(1 <= n <= 20, "explicit_table limited to 1 <= n <= 20")
+    _require(1 <= n <= TABLE_MAX_N, f"explicit_table limited to 1 <= n <= {TABLE_MAX_N}")
     vals = np.asarray(values, dtype=float)
     _require(vals.shape == (1 << n,), f"table needs exactly 2^{n} values")
     _require(np.all(np.isfinite(vals)), "table values must be finite")

@@ -55,22 +55,11 @@ def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> frozenset:
     n = f.ground.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    S: set[int] = set()
-    value = f(frozenset())
-    for _ in range(k):
-        best_gain, best_j, best_val = 0.0, None, None
-        for j in f.ground.elements():
-            if j in S:
-                continue
-            cand = f(frozenset(S | {j}))
-            g = cand - value
-            if g > best_gain:
-                best_gain, best_j, best_val = g, j, cand
-        if best_j is None:
-            break
-        S.add(best_j)
-        value = best_val
-    return frozenset(S)
+    S = frozenset()
+    while len(S) < k and (T := best_flip(lambda X: -f(X), S, f.ground,
+                                         feasible=lambda T: len(T) > len(S))) is not None:
+        S = T
+    return S
 
 
 def local_search_max(f: SetFunctionOracle, start,

@@ -42,12 +42,10 @@ import numpy as np
 from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
-from .core import (FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips, memoized,
-                   subset_key)
+from .core import (EQ_TOL, FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips,
+                   memoized, subset_key)
 from .sfm import min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
-
-_EQ_TOL = 1e-12  # two objective values within this are treated as equal
 
 HEURISTICS = ("random", "g_gain", "v_gain")
 UB_STRATEGIES = ("best_of_both", "alternate")
@@ -139,7 +137,7 @@ class OptimizationTrace:
         # canonical best: the minimum value is reached by the tail of the
         # (non-increasing) trace; ties break by cardinality then lexicographic
         best = min(p.value for p in self.iterates)
-        ties = [p for p in self.iterates if p.value <= best + _EQ_TOL]
+        ties = [p for p in self.iterates if p.value <= best + EQ_TOL]
         return min(ties, key=lambda p: subset_key(p.set))
 
     @property
@@ -226,31 +224,25 @@ def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: SetFunctionOr
         raise ValueError(f"heuristic must be one of {HEURISTICS}")
     ground = scorer.ground
     X = ground.check_subset(X_t)
-    inside = sorted(X)
-    outside = sorted(ground.full - X)
     if heuristic == "random":
         rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-        inside = list(rng.permutation(inside)) if inside else []
-        outside = list(rng.permutation(outside)) if outside else []
-        return Permutation(tuple(int(j) for j in inside + outside))
+        return _shuffled_chain(X, ground.n, rng)
     base = scorer(X)
     change = {j: scorer(T) - base for j, T in zip(ground.elements(), flips(X, ground))}
-    inside.sort(key=lambda j: (change[j], j))
-    outside.sort(key=lambda j: (-change[j], j))
+    inside = sorted(X, key=lambda j: (change[j], j))
+    outside = sorted(ground.full - X, key=lambda j: (-change[j], j))
     return Permutation(tuple(inside + outside))
 
 
-def _boundary_permutation(X: frozenset, j: int, n: int,
-                          rng: np.random.Generator) -> Permutation:
-    """Random chain through X pinning element j at the inside/outside boundary."""
-    if j in X:
-        inside = [int(i) for i in rng.permutation(sorted(X - {j}))] + [j]
-        outside = [int(i) for i in rng.permutation(sorted(set(range(1, n + 1)) - X))]
-    else:
-        inside = [int(i) for i in rng.permutation(sorted(X))]
-        rest = sorted(set(range(1, n + 1)) - X - {j})
-        outside = [j] + [int(i) for i in rng.permutation(rest)]
-    return Permutation(tuple(inside + outside))
+def _shuffled_chain(X: frozenset, n: int, rng: np.random.Generator,
+                    j: int | None = None) -> Permutation:
+    """Uniformly shuffled X, then j if given, then the shuffled rest of 1..n.
+
+    Shuffling 0 or 1 elements draws nothing from rng."""
+    pin = set() if j is None else {j}
+    inside = [int(i) for i in rng.permutation(sorted(X - pin))]
+    outside = [int(i) for i in rng.permutation(sorted(set(range(1, n + 1)) - X - pin))]
+    return Permutation(tuple(inside + list(pin) + outside))
 
 
 # -- shared descent driver ------------------------------------------------------
@@ -305,12 +297,12 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
                     if cand == X or not run.constraint.is_feasible(cand):
                         continue
                     val = run.value(cand)
-                    if val < v_cur - _EQ_TOL:
+                    if val < v_cur - EQ_TOL:
                         if accept_step(v_cur, val, opts.epsilon):
                             strict.append((val, cand))
                         else:
                             eps_blocked = True
-                    elif abs(val - v_cur) <= _EQ_TOL:
+                    elif abs(val - v_cur) <= EQ_TOL:
                         plateau_pool.append(cand)
                 if strict:
                     _, move = min(strict, key=lambda p: (p[0], subset_key(p[1])))
@@ -401,7 +393,7 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
             sigma = choose_permutation(heur, X, run.scorer(heur), run.rng)
             out.extend(candidates(X, sigma))
         for j in ground.elements():
-            sigma = _boundary_permutation(X, j, ground.n, run.rng)
+            sigma = _shuffled_chain(X, ground.n, run.rng, j)
             out.extend(candidates(X, sigma))
         return out
 
@@ -491,7 +483,7 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
     def sweep(X, t):
         out: list[frozenset] = []
         for j in ground.elements():
-            sigma = _boundary_permutation(X, j, ground.n, run.rng)
+            sigma = _shuffled_chain(X, ground.n, run.rng, j)
             out.extend(candidates(X, sigma, (1, 2)))
         return out
 

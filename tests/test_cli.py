@@ -328,6 +328,15 @@ class TestFeatsel:
     def test_usage_errors_exit_1(self, dataset, extra):
         assert main(["featsel", "--data", dataset] + extra) == 1
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--folds", "1"], "folds must be >= 2"), (["--folds", "0"], "folds must be >= 2"),
+        (["--budget", "-1", "--methods", "grnf"], "budget must be >= 0")])
+    def test_bad_folds_or_budget_exit_1_before_output(self, dataset, capsys, extra, message):
+        assert main(["featsel", "--data", dataset] + extra) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
     @pytest.mark.parametrize("label", ["1.7", "inf"])
     def test_label_that_is_not_whole_exits_1(self, tmp_path, capsys, label):
         path = tmp_path / "d.libsvm"

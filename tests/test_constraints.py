@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsmin import Constraint
-from dsmin.constraints import modular_minimize_constrained
+from dsmin.constraints import modular_maximal_minimizer, modular_minimize_constrained
 from dsmin.core import AffineModular
 
 import helpers
@@ -41,6 +41,25 @@ class TestCardinality:
     def test_bad_k(self):
         with pytest.raises(ValueError):
             modular_minimize_constrained(weights(1.0), Constraint.cardinality_le(5))
+
+
+class TestMaximalMinimizer:
+    def test_zero_weights_join_the_unconstrained_set(self):
+        assert modular_maximal_minimizer(weights(-2.0, 0.0, 1.0, 0.0), Constraint.none()) \
+            == frozenset({1, 2, 4})
+
+    def test_cap_pads_with_zero_weights_by_index(self):
+        m = weights(0.0, 1.0, 0.0, -1.0, 0.0)
+        assert modular_maximal_minimizer(m, Constraint.cardinality_le(3)) == frozenset({1, 3, 4})
+
+    def test_ties_go_to_the_lower_index(self):
+        m = weights(-1.0, -2.0, -1.0, -1.0)
+        assert modular_maximal_minimizer(m, Constraint.cardinality_le(2)) == frozenset({1, 2})
+
+    @pytest.mark.parametrize("constraint", [Constraint.cardinality_eq(1),
+                                            Constraint.partition_matroid([[1, 2]], [1])])
+    def test_other_kinds_return_none(self, constraint):
+        assert modular_maximal_minimizer(weights(-1.0, 0.0), constraint) is None
 
 
 class TestPartitionMatroid:

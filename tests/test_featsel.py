@@ -353,6 +353,14 @@ class TestGreedySelect:
         assert grnf == frozenset({1, 2})
         assert obj.value(grnf) < obj.value(grf) - 0.1
 
+    def test_nonfactored_tie_goes_to_lower_index(self):
+        # reordered so that features 2 and 4 are the same column: equal values, 2 wins
+        ds = synthetic_complementary(extra_dup=True)
+        ds = Dataset(ds.rows[:, [3, 0, 1, 2, 4, 5]], ds.labels)
+        S, trace = greedy_select(ds, CostModel.modular_cardinality(0.01), "GrNF", alpha=0.0)
+        assert trace.iterates[1].set == frozenset({2})
+        assert 4 not in S
+
     def test_budget_respected(self):
         ds = synthetic_complementary()
         S, _ = greedy_select(ds, CostModel.modular_cardinality(0.001), "GrNF",

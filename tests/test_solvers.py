@@ -96,6 +96,37 @@ class TestChoosePermutation:
             assert sigma.chain_contains(X)
 
 
+class TestShuffledChain:
+    @staticmethod
+    def _old_chain(X, n, rng, j):
+        """Reference chains written out per case: two shuffles, or j pinned inside or outside."""
+        if j is None:
+            inside, outside = sorted(X), sorted(set(range(1, n + 1)) - X)
+            inside = list(rng.permutation(inside)) if inside else []
+            outside = list(rng.permutation(outside)) if outside else []
+            return tuple(int(i) for i in inside + outside)
+        if j in X:
+            inside = [int(i) for i in rng.permutation(sorted(X - {j}))] + [j]
+            outside = [int(i) for i in rng.permutation(sorted(set(range(1, n + 1)) - X))]
+        else:
+            inside = [int(i) for i in rng.permutation(sorted(X))]
+            rest = sorted(set(range(1, n + 1)) - X - {j})
+            outside = [j] + [int(i) for i in rng.permutation(rest)]
+        return tuple(inside + outside)
+
+    @pytest.mark.parametrize("X", [frozenset(), frozenset({3}), frozenset({2, 5, 6}),
+                                   frozenset(range(1, 7))])
+    def test_pins_j_at_the_boundary_and_draws_as_before(self, X):
+        for seed in range(5):
+            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+            for j in (None, *range(1, 7)):
+                sigma = dsmin.solvers._shuffled_chain(X, 6, new, j)
+                assert sigma.order == self._old_chain(X, 6, old, j)
+                assert sigma.chain_contains(X)
+                if j is not None:
+                    assert sigma.order[len(X - {j})] == j
+
+
 class TestSubSup:
     def test_reaches_global_on_showcase(self):
         tr = sub_sup(helpers.tri_instance(), SolverOptions(seed=0))
@@ -226,7 +257,7 @@ class TestBoundReuse:
         upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
         lower = self._log(monkeypatch, "modular_lower_bound", lambda g, Y, sigma: Y)
         perms = self._log(monkeypatch, "choose_permutation", lambda *a: None)
-        self._log(monkeypatch, "_boundary_permutation", lambda *a: None, perms)
+        self._log(monkeypatch, "_shuffled_chain", lambda *a: None, perms)
         tr = mod_mod(self._instance(), SolverOptions(seed=1), constraint)
         assert tr.n_accepted >= 1
         assert len(upper) == len(set(upper))  # at most the 2 variants per set
