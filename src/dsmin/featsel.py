@@ -8,9 +8,9 @@ directly; the greedy baselines here add one feature at a time.
 
 Entropies are empirical plug-in estimates in bits.  Each query packs the
 rows' values on A into one int64 code per row (mixed radix over the sorted
-columns, first column most significant) and counts the distinct codes; the
-codes sort in the lexicographic order of the rows, so the counts, and every
-entropy, come out exactly as a sort of the rows themselves would give them.
+columns, first column most significant), sorts the codes and counts runs.
+The codes sort in the lexicographic order of the rows, so the counts, and
+every entropy, come out exactly as a sort of the rows would give them.
 The conditional entropy can be taken jointly ("non_factored") or as a
 per-feature sum ("factored", the class-conditional independence shortcut);
 the factored sum over-counts shared class-conditional information, which is
@@ -37,8 +37,9 @@ class Dataset:
     ``rows[i, j - 1]`` is the value of feature j in sample i; values of
     feature j are integers in ``0..arity[j-1]-1``.  Values that are negative,
     not whole or not below 2^63 - 1 (so that the arity fits int64) are
-    rejected, and float or uint64 rows are stored as int64.  Entropy queries
-    are memoized on the dataset.
+    rejected, and float or uint64 rows are stored as int64.  ``rows`` is a
+    private column-major copy (each feature contiguous in ``rows.T``) and
+    ``labels`` a private copy.  Entropy queries are memoized on the dataset.
     """
 
     rows: np.ndarray
@@ -52,7 +53,7 @@ class Dataset:
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows)
-        self.labels = np.asarray(self.labels)
+        self.labels = np.array(self.labels)
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
             raise ValueError("dataset needs a non-empty 2-D row matrix")
         if self.rows.shape[1] == 0:
@@ -73,8 +74,7 @@ class Dataset:
             j = int(np.argmax(top))
             raise ValueError(f"feature {j + 1} holds a value {top[j]} that is too large "
                              "(values must lie below 2^63 - 1)")
-        if cast:
-            self.rows = self.rows.astype(np.int64)
+        self.rows = np.array(self.rows, dtype=np.int64 if cast else None, order="F")
         self.arity = top.astype(np.int64) + 1
         self.classes, inv = np.unique(self.labels, return_inverse=True)
         self._class_rows = [np.where(inv == c)[0] for c in range(len(self.classes))]
@@ -137,8 +137,8 @@ def parse_sparse_dataset(path: str) -> Dataset:
     return Dataset(rows, np.asarray(labels))
 
 
-def _entropy_from_counts(counts: np.ndarray, alpha: float) -> float:
-    m = counts.sum()
+def _entropy_from_counts(counts: np.ndarray, alpha: float, m: int) -> float:
+    """Entropy of the counts of m samples, with ``alpha`` pseudo-counts."""
     if alpha == 0.0:
         p = counts / m
         return float(-(p * np.log2(p)).sum()) + 0.0
@@ -148,6 +148,16 @@ def _entropy_from_counts(counts: np.ndarray, alpha: float) -> float:
     h = -(p * np.log2(p)).sum()
     q = alpha / total
     return float(h - q * math.log2(q))
+
+
+def _run_lengths(code: np.ndarray) -> np.ndarray:
+    """``np.unique(code, return_counts=True)[1]``; sorts ``code`` in place."""
+    code.sort()
+    edge = np.empty(len(code) + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(code[1:], code[:-1], out=edge[1:-1])
+    start = edge.nonzero()[0]
+    return start[1:] - start[:-1]
 
 
 def _row_codes(ds: Dataset, A: frozenset) -> np.ndarray:
@@ -160,23 +170,30 @@ def _row_codes(ds: Dataset, A: frozenset) -> np.ndarray:
     cols = sorted(j - 1 for j in A)
     arity = ds.arity[cols].tolist()
     if math.prod(arity) < 2 ** 63:
-        weights = np.cumprod([1] + arity[:0:-1], dtype=np.int64)[::-1]
-        return ds.rows[:, cols] @ weights
+        place, radix = [], 1
+        for a in reversed(arity):
+            place.append(radix)
+            radix *= a
+        return np.array(place[::-1], dtype=np.int64) @ ds.rows.T[cols]
     code = np.zeros(ds.n_rows, dtype=np.int64)
     radix = 1
     for c, a in zip(cols, arity):
         if radix * a >= 2 ** 63:
             distinct, code = np.unique(code, return_inverse=True)
             radix = len(distinct)
-        code = code * a + ds.rows[:, c]
+        code = code * a + ds.rows.T[c]
         radix *= a
     return code
 
 
+def _check_smoothing(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"smoothing must be finite and >= 0, got {alpha!r}")
+
+
 def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
     """Plug-in joint entropy (bits) of the features A, H of the empty set is 0."""
-    if alpha < 0:
-        raise ValueError("smoothing must be >= 0")
+    _check_smoothing(alpha)
     A = ds.ground.check_subset(A)
     if not A:
         return 0.0
@@ -184,14 +201,13 @@ def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> floa
     hit = ds._cache.get(key)
     if hit is None:
         hit = ds._cache[key] = _entropy_from_counts(
-            np.unique(_row_codes(ds, A), return_counts=True)[1], alpha)
+            _run_lengths(_row_codes(ds, A)), alpha, ds.n_rows)
     return hit
 
 
 def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
     """Class-weighted plug-in entropy H(X_A | C) in bits."""
-    if alpha < 0:
-        raise ValueError("smoothing must be >= 0")
+    _check_smoothing(alpha)
     A = ds.ground.check_subset(A)
     if not A:
         return 0.0
@@ -203,8 +219,7 @@ def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> fl
     m = ds.n_rows
     total = 0.0
     for idx in ds._class_rows:
-        counts = np.unique(code[idx], return_counts=True)[1]
-        total += (len(idx) / m) * _entropy_from_counts(counts, alpha)
+        total += (len(idx) / m) * _entropy_from_counts(_run_lengths(code[idx]), alpha, len(idx))
     ds._cache[key] = total
     return total
 
@@ -348,6 +363,7 @@ def naive_bayes_cv(ds: Dataset, A: Iterable[int], folds: int = 10,
     likelihoods; fold assignment is stratified by class and deterministic
     in the seed.  Prediction ties go to the lower class value.
     """
+    _check_smoothing(alpha)
     A = ds.ground.check_subset(A)
     if folds < 2:
         raise ValueError("folds must be >= 2")

@@ -196,10 +196,11 @@ def row_sort_entropies(ds, A, alpha):
     if not A:
         return 0.0, 0.0
     sub = ds.rows[:, sorted(j - 1 for j in A)]
-    joint = _entropy_from_counts(_row_sort_counts(sub), alpha)
+    joint = _entropy_from_counts(_row_sort_counts(sub), alpha, len(sub))
     cond = 0.0
     for idx in ds._class_rows:
-        cond += (len(idx) / ds.n_rows) * _entropy_from_counts(_row_sort_counts(sub[idx]), alpha)
+        counts = _row_sort_counts(sub[idx])
+        cond += (len(idx) / ds.n_rows) * _entropy_from_counts(counts, alpha, len(idx))
     return joint, cond
 
 

@@ -353,6 +353,14 @@ class TestFeatsel:
         assert out == ""
         assert err.startswith("error: cost trade-off lambda must be finite and non-negative")
 
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_smoothing_exits_1_before_output(self, dataset, capsys, alpha):
+        assert main(["featsel", "--data", dataset, "--alpha", alpha]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: smoothing must be finite and >= 0")
+
     def test_non_finite_block_weight_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "b.json"
         path.write_text('{"blocks": [[1, 2], [3]], "weights": [1.0, NaN, 1.0]}')

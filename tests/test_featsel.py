@@ -6,8 +6,8 @@ import pytest
 from dsmin import (CostModel, Dataset, GroundSet, SetFunctionOracle,
                    build_objective, greedy_select, sub_sup, sup_sub, mod_mod, SolverOptions)
 from dsmin.core import brute_force_minimize, check_submodular
-from dsmin.featsel import (conditional_entropy, empirical_entropy, evaluate_cost,
-                           naive_bayes_cv, parse_sparse_dataset)
+from dsmin.featsel import (_run_lengths, conditional_entropy, empirical_entropy,
+                           evaluate_cost, naive_bayes_cv, parse_sparse_dataset)
 
 import helpers
 from helpers import mutual_information
@@ -124,6 +124,24 @@ class TestDataset:
         ds = Dataset(np.array([[0.0, 2.0], [1.0, 0.0]]), np.array([0, 1]))
         assert ds.rows.dtype == np.int64 and ds.arity.tolist() == [2, 3]
 
+    def test_later_changes_to_the_callers_arrays_do_not_reach_it(self):
+        rng = np.random.default_rng(89)
+        X = rng.integers(0, 3, (30, 4))
+        y = rng.integers(0, 2, 30)
+        ds = Dataset(X, y)
+        reference = Dataset(X.copy(), y.copy())
+        assert empirical_entropy(ds, {1}, 0.0) > 0  # cached before the change
+        X[:, 0] = 0
+        X[:, 1] = X[:, 2]
+        y[:] = 1 - y
+        y[0] = 5
+        for A in ({1}, {1, 2}, {2, 3}, {1, 2, 3, 4}):
+            for alpha in (0.0, 1.0):
+                assert empirical_entropy(ds, A, alpha) == empirical_entropy(reference, A, alpha)
+                assert (conditional_entropy(ds, A, alpha)
+                        == conditional_entropy(reference, A, alpha))
+            assert naive_bayes_cv(ds, A, folds=3) == naive_bayes_cv(reference, A, folds=3)
+
 
 class TestEntropy:
     def test_uniform_binary_column(self):
@@ -165,12 +183,32 @@ class TestEntropy:
         with pytest.raises(ValueError, match="smoothing"):
             conditional_entropy(ds, {1, 2}, -1.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_smoothing_rejected(self, alpha):
+        ds = Dataset(np.array([[0, 1], [1, 0], [1, 1]]), np.array([0, 1, 0]))
+        message = "smoothing must be finite and >= 0"
+        with pytest.raises(ValueError, match=message):
+            empirical_entropy(ds, {1, 2}, alpha)
+        with pytest.raises(ValueError, match=message):
+            conditional_entropy(ds, {1, 2}, alpha)
+        with pytest.raises(ValueError, match=message):
+            naive_bayes_cv(ds, {1, 2}, folds=2, alpha=alpha)
+
+    @pytest.mark.parametrize("code", [
+        [7], [3] * 9, [5, 0, 9, 2], [2 ** 63 - 2, 0, 2 ** 63 - 2, 0, 0, 1],
+        np.random.default_rng(97).integers(0, 6, 200)])
+    def test_run_lengths_match_unique_counts(self, code):
+        code = np.array(code, dtype=np.int64)
+        expected = np.unique(code, return_counts=True)[1]
+        assert _run_lengths(code.copy()).tolist() == expected.tolist()
+
     def test_row_codes_match_row_sort_bit_for_bit(self):
         """Both entropies equal, with ==, those of the counts a sort of the rows
         gives, on narrow data and on data wide enough to re-code the codes."""
         rng = np.random.default_rng(2051)
         cases = []
-        for dtype in (np.int8, np.int64):
+        for dtype in (np.int8, np.uint8, np.int64, np.float64):
             for top in (2, 3, 4, 5):
                 for n_classes in (1, 2, 3):
                     arity = rng.integers(2, top + 1, 7)
