@@ -52,7 +52,8 @@ def whole(x, what: str) -> int:
     """x as an int; ValueError unless a whole real number, OverflowError if infinite."""
     if type(x) is int:  # most sizes and endpoints: skip the slower checks below
         return x
-    if isinstance(x, bool) or not isinstance(x, numbers.Real) or float(x) != int(x):
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x)
+            or float(x) != int(x)):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
 

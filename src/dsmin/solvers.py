@@ -19,6 +19,10 @@ exactly equal value are taken at most once each (never revisiting a set
 since the last strict decrease), which lets the bound-based procedures
 walk off weak plateaus without losing termination.
 
+The cyclic garbage collector is paused while a descent runs; cyclic
+garbage that a user oracle makes during a solve is freed after the solve
+returns.
+
 On a stall each procedure retries a linear-size family of permutations
 and/or bound variants before declaring convergence.  When f and g are
 submodular that family certifies that no single-element change improves v.
@@ -32,7 +36,9 @@ a local minimum whatever the oracles.
 from __future__ import annotations
 
 import functools
+import gc
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -43,7 +49,7 @@ from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import (EQ_TOL, FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips,
-                   memoized, subset_key)
+                   memoized, subset_key, whole)
 from .sfm import min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
@@ -99,10 +105,13 @@ class SolverOptions:
     dg_mode: str = "deterministic"
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        _check_epsilon(self.epsilon)
+        self.max_iters = whole(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        self.seed = whole(self.seed, "seed")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"heuristic must be one of {HEURISTICS}")
         if self.ub_strategy not in UB_STRATEGIES:
@@ -186,6 +195,11 @@ class OptimizationTrace:
                 fh.write(f"{i},{p.value!r},{p.oracle_calls},{p.elapsed * 1000.0:.3f}\n")
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 <= epsilon < math.inf:  # also rejects NaN
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+
+
 def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     """Multiplicative sufficient-improvement gate for one step.
 
@@ -194,8 +208,7 @@ def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     current value (possible under constraints): require a decrease of at
     least epsilon * |v_prev|.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    _check_epsilon(epsilon)
     if v_prev < 0.0:
         return v_next <= v_prev * (1.0 + epsilon)
     if v_prev == 0.0:
@@ -277,74 +290,82 @@ class _Run:
 
 
 def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
-    opts = run.opts
-    trace = OptimizationTrace(run.algo, opts.seed, opts.epsilon)
-    X = start
-    trace.iterates.append(run.point(X))
-    plateau_seen = {X}
-
+    # every set the descent makes stays alive as a memo key, so each young
+    # collection would re-walk all the sets made since the one before
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        t = 0
-        while True:
-            v_cur = run.value(X)
-            move = None
-            move_is_strict = False
-            eps_blocked = False
-            plateau_pool: list[frozenset] = []
-            for phase in (primary, sweep):
-                strict: list[tuple[float, frozenset]] = []
-                for cand in phase(X, t):
-                    if cand == X or not run.constraint.is_feasible(cand):
-                        continue
-                    val = run.value(cand)
-                    if val < v_cur - EQ_TOL:
-                        if accept_step(v_cur, val, opts.epsilon):
-                            strict.append((val, cand))
+        opts = run.opts
+        trace = OptimizationTrace(run.algo, opts.seed, opts.epsilon)
+        X = start
+        trace.iterates.append(run.point(X))
+        plateau_seen = {X}
+
+        try:
+            t = 0
+            while True:
+                v_cur = run.value(X)
+                move = None
+                move_is_strict = False
+                eps_blocked = False
+                plateau_pool: list[frozenset] = []
+                for phase in (primary, sweep):
+                    strict: list[tuple[float, frozenset]] = []
+                    for cand in phase(X, t):
+                        if cand == X or not run.constraint.is_feasible(cand):
+                            continue
+                        val = run.value(cand)
+                        if val < v_cur - EQ_TOL:
+                            if accept_step(v_cur, val, opts.epsilon):
+                                strict.append((val, cand))
+                            else:
+                                eps_blocked = True
+                        elif abs(val - v_cur) <= EQ_TOL:
+                            plateau_pool.append(cand)
+                    if strict:
+                        _, move = min(strict, key=lambda p: (p[0], subset_key(p[1])))
+                        move_is_strict = True
+                        break
+                # the raw non-increase rule v_next <= v_prev*(1+eps) admits
+                # equal-value moves exactly when eps == 0 or the current value is 0
+                if move is None and (opts.epsilon == 0.0 or v_cur == 0.0):
+                    fresh = [c for c in plateau_pool if c not in plateau_seen]
+                    if fresh:
+                        move = min(fresh, key=subset_key)
+                if move is None and not eps_blocked and run.constraint.kind == "none":
+                    # the sweeps miss improving flips when f or g is not submodular;
+                    # when it finds none, this scan is also the final check below
+                    flip = best_flip(run.value, trace.final_set, run.ground, FLOAT_TOL)
+                    if flip is not None:
+                        if accept_step(v_cur, run.value(flip), opts.epsilon):
+                            move, move_is_strict = flip, True
                         else:
                             eps_blocked = True
-                    elif abs(val - v_cur) <= EQ_TOL:
-                        plateau_pool.append(cand)
-                if strict:
-                    _, move = min(strict, key=lambda p: (p[0], subset_key(p[1])))
-                    move_is_strict = True
+                if move is None:
+                    trace.termination = "epsilon_stop" if eps_blocked else "converged"
                     break
-            # the raw non-increase rule v_next <= v_prev*(1+eps) admits
-            # equal-value moves exactly when eps == 0 or the current value is 0
-            if move is None and (opts.epsilon == 0.0 or v_cur == 0.0):
-                fresh = [c for c in plateau_pool if c not in plateau_seen]
-                if fresh:
-                    move = min(fresh, key=subset_key)
-            if move is None and not eps_blocked and run.constraint.kind == "none":
-                # the sweeps miss improving flips when f or g is not submodular;
-                # when it finds none, this scan is also the final check below
-                flip = best_flip(run.value, trace.final_set, run.ground, FLOAT_TOL)
-                if flip is not None:
-                    if accept_step(v_cur, run.value(flip), opts.epsilon):
-                        move, move_is_strict = flip, True
-                    else:
-                        eps_blocked = True
-            if move is None:
-                trace.termination = "epsilon_stop" if eps_blocked else "converged"
-                break
-            if move_is_strict:
-                plateau_seen = {move}
-            else:
-                plateau_seen.add(move)
-            X = move
-            trace.iterates.append(run.point(X))
-            t += 1
-            if t >= opts.max_iters:
-                trace.termination = "iter_cap"
-                break
-    except Exception as exc:
-        raise SolverError(f"{run.algo} inner solver failed: {exc}", trace) from exc
+                if move_is_strict:
+                    plateau_seen = {move}
+                else:
+                    plateau_seen.add(move)
+                X = move
+                trace.iterates.append(run.point(X))
+                t += 1
+                if t >= opts.max_iters:
+                    trace.termination = "iter_cap"
+                    break
+        except Exception as exc:
+            raise SolverError(f"{run.algo} inner solver failed: {exc}", trace) from exc
 
-    if run.constraint.kind == "none":
-        # converging means the final scan above found no flip
-        trace.locally_optimal = trace.termination == "converged" or local_optimality_check(
-            run.value, trace.final_set, ground=run.ground)
-    trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
-    return trace
+        if run.constraint.kind == "none":
+            # converging means the final scan above found no flip
+            trace.locally_optimal = trace.termination == "converged" or local_optimality_check(
+                run.value, trace.final_set, ground=run.ground)
+        trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
+        return trace
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # -- the three procedures --------------------------------------------------------

@@ -125,6 +125,12 @@ class TestOptimize:
         assert main(["optimize", "--instance", instance] + extra) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("epsilon", ["nan", "inf"])
+    def test_non_finite_epsilon_exits_1(self, instance, capsys, epsilon):
+        assert main(["optimize", "--instance", instance, "--epsilon", epsilon]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "epsilon must be finite and >= 0" in err
+
     def test_constraint_file_missing_key_exits_1(self, instance, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"kind": "cardinality_le"}))

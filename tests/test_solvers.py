@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -41,6 +42,11 @@ class TestAcceptStep:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
             accept_step(-1.0, -2.0, -0.1)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, epsilon):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            accept_step(-1.0, -2.0, epsilon)
 
 
 class TestLocalOptimalityCheck:
@@ -450,7 +456,9 @@ class TestTraceMachinery:
 
     @pytest.mark.parametrize("bad", [{"epsilon": -0.1}, {"max_iters": 0},
                                      {"heuristic": "nope"}, {"ub_strategy": "nope"},
-                                     {"dg_mode": "nope"}])
+                                     {"dg_mode": "nope"}, {"epsilon": math.nan},
+                                     {"epsilon": math.inf}, {"max_iters": math.nan},
+                                     {"max_iters": 2.5}, {"seed": 1.5}, {"seed": -1}])
     def test_bad_options_rejected(self, bad):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
             SolverOptions(**bad)
@@ -469,6 +477,48 @@ class TestTraceMachinery:
         g = SetFunctionOracle(g3, lambda S: 0.0)
         with pytest.raises(ValueError):
             DSInstance(f, g)
+
+
+class TestCollectorPause:
+    """The cyclic collector is off during a descent and as before after it."""
+
+    @staticmethod
+    def _recording_instance(seen: list, explode_at: int | None = None) -> DSInstance:
+        def g(S):
+            seen.append(gc.isenabled())
+            if len(S) == explode_at:
+                raise RuntimeError("boom")
+            return 2.0 * math.sqrt(len(S))
+
+        return DSInstance(helpers.triangle_cut(), SetFunctionOracle(GroundSet(3), g))
+
+    @pytest.mark.parametrize("solver", [sub_sup, sup_sub, mod_mod])
+    def test_off_during_the_solve_and_on_after(self, solver):
+        seen: list[bool] = []
+        inst = self._recording_instance(seen)
+        assert gc.isenabled()
+        seen.clear()  # the instance evaluates g at the empty set
+        solver(inst, SolverOptions(seed=0))
+        assert seen and not any(seen)
+        assert gc.isenabled()
+
+    def test_a_caller_that_disabled_it_keeps_it_off(self):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            sub_sup(helpers.tri_instance(), SolverOptions(seed=0))
+            assert not gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("solver", [sub_sup, sup_sub, mod_mod])
+    def test_on_again_after_a_failed_solve(self, solver):
+        seen: list[bool] = []
+        with pytest.raises(SolverError, match="boom"):
+            solver(self._recording_instance(seen, explode_at=2), SolverOptions(seed=0))
+        assert seen and not seen[-1]
+        assert gc.isenabled()
 
 
 @pytest.mark.parametrize("algo", sorted(SOLVERS))
