@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import AffineModular, SetFunctionOracle, chain_gains, evaluate_table
+from .core import PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains, evaluate_table
 
 
 @dataclass(frozen=True)
@@ -115,47 +115,26 @@ def sqrt_curvature(n: int) -> float:
     return 2.0 * math.sqrt(n - 1) - math.sqrt(n) - math.sqrt(n - 2)
 
 
-DECOMPOSE_MAX_N = 16
-
-
 def _exhaustive_alpha(table: np.ndarray, n: int) -> float:
     """Smallest gain drop min over j, X strictly inside Y avoiding j.
 
-    For each element the per-context gains are folded with a subset-minimum
-    dynamic program, which searches all pairs X strictly contained in Y
-    without enumerating them one by one.
+    Per element a, over the contexts without a: m[Y] is the least gain of a
+    over the subsets of Y, and a strict subset of Y lies inside some Y - b,
+    so the drops m[Y - b] - gain[Y] cover every pair.  An array viewed as
+    (-1, 2, 2**b) holds the masks without bit b at [:, 0], with it at [:, 1].
     """
-    if n < 2:
-        return math.inf
-    full = (1 << n) - 1
     alpha = math.inf
-    masks = np.arange(1 << n, dtype=np.int64)
     for a in range(n):
-        bit = 1 << a
-        rest = masks[(masks & bit) == 0]
-        gains = table[rest | bit] - table[rest]
-        # m[Y] = min over X subset of Y (within the reduced lattice) of gains[X]
-        reduced = np.full(1 << n, math.inf)
-        reduced[rest] = gains
-        m = reduced.copy()
-        for b in range(n):
-            if b == a:
-                continue
-            bb = 1 << b
-            hi = masks[(masks & bb) != 0]
-            m[hi] = np.minimum(m[hi], m[hi ^ bb])
-        # strict subset minimum: best over Y minus one element
-        strict = np.full(1 << n, math.inf)
-        for b in range(n):
-            if b == a:
-                continue
-            bb = 1 << b
-            hi = masks[((masks & bb) != 0) & ((masks & bit) == 0)]
-            strict[hi] = np.minimum(strict[hi], m[hi ^ bb])
-        cand = strict[rest] - gains
-        best = cand.min()
-        if best < alpha:
-            alpha = float(best)
+        by_a = table.reshape(-1, 2, 1 << a)
+        gains = (by_a[:, 1] - by_a[:, 0]).ravel()
+        m = gains.copy()
+        for b in range(n - 1):
+            pairs = m.reshape(-1, 2, 1 << b)
+            np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
+        for b in range(n - 1):
+            drop = (m.reshape(-1, 2, 1 << b)[:, 0] - gains.reshape(-1, 2, 1 << b)[:, 1]).min()
+            if drop < alpha:
+                alpha = float(drop)
     return alpha
 
 
@@ -181,7 +160,7 @@ def ds_decompose(v: SetFunctionOracle,
                                  or not math.isfinite(alpha_lb)):
         raise ValueError(f"alpha_lb must be a finite real number, got {alpha_lb!r}")
     alpha = alpha_lb
-    if n <= DECOMPOSE_MAX_N:
+    if n <= PAIRWISE_MAX_N:
         alpha = _exhaustive_alpha(evaluate_table(v), n)
         if alpha_lb is not None:
             if alpha_lb > alpha + 1e-12:
@@ -190,7 +169,7 @@ def ds_decompose(v: SetFunctionOracle,
                     "the resulting first part would not be submodular")
             alpha = min(alpha, alpha_lb)
     elif alpha_lb is None:
-        raise ValueError(f"n={n} > {DECOMPOSE_MAX_N}: supply alpha_lb to decompose")
+        raise ValueError(f"n={n} > {PAIRWISE_MAX_N}: supply alpha_lb to decompose")
 
     beta = sqrt_curvature(n) if n >= 2 else math.nan
     scale = 0.0 if alpha >= 0.0 else abs(alpha) / beta

@@ -122,7 +122,7 @@ def _parse_constraint(text: str | None) -> Constraint:
     if text.startswith("@"):
         try:
             return Constraint.from_dict(_read_json(text[1:], "constraint"))
-        except (OverflowError, TypeError) as exc:
+        except TypeError as exc:
             raise UsageError(f"malformed constraint {text[1:]}: {exc!r}")
     if "=" in text:
         key, _, val = text.partition("=")

@@ -201,29 +201,28 @@ def _knapsack_min(weights: np.ndarray, costs, budget: int) -> frozenset:
     return frozenset(chosen)
 
 
+def _lightest(w: np.ndarray, items: Iterable[int], k: int | None) -> list[int]:
+    """Without k, items as a list in their given order; with k, the k lightest
+    of them by (w, i).  The minimizers build each frozenset from this list,
+    whose order fixes the frozenset's iteration order and so its set sums."""
+    return list(items) if k is None else sorted(items, key=lambda i: (w[i - 1], i))[:k]
+
+
 def modular_minimize_constrained(m: AffineModular, constraint: Constraint) -> frozenset:
     """Exactly minimize an affine-modular function over a constraint family.
 
     Deterministic tie-breaking throughout: by index for equal weights.
     """
-    w = m.weights
-    n = len(w)
-    constraint.validate(n)
-    kind = constraint.kind
-    if kind == "none":
-        return frozenset(int(j) + 1 for j in np.where(w < 0.0)[0])
-    if kind == "cardinality_le":
-        neg = sorted((int(j) + 1 for j in np.where(w < 0.0)[0]), key=lambda i: (w[i - 1], i))
-        return frozenset(neg[:constraint.k])
+    w, kind = m.weights, constraint.kind
+    constraint.validate(len(w))
+    if kind in ("none", "cardinality_le"):
+        negative = (np.flatnonzero(w < 0.0) + 1).tolist()
+        return frozenset(_lightest(w, negative, None if kind == "none" else constraint.k))
     if kind == "cardinality_eq":
-        order = sorted(range(1, n + 1), key=lambda i: (w[i - 1], i))
-        return frozenset(order[:constraint.k])
+        return frozenset(_lightest(w, range(1, len(w) + 1), constraint.k))
     if kind == "partition_matroid":
-        chosen: list[int] = []
-        for b, q in zip(constraint.blocks, constraint.quotas):
-            neg = sorted((i for i in b if w[i - 1] < 0.0), key=lambda i: (w[i - 1], i))
-            chosen.extend(neg[:q])
-        return frozenset(chosen)
+        return frozenset(j for b, q in zip(constraint.blocks, constraint.quotas)
+                         for j in _lightest(w, [i for i in b if w[i - 1] < 0.0], q))
     if kind == "spanning_tree":
         return _kruskal(constraint, w)
     if kind == "knapsack":
@@ -238,12 +237,8 @@ def modular_maximal_minimizer(m: AffineModular, constraint: Constraint) -> froze
     cardinality cap it pads the negative selection with zero-weight
     elements up to the cap.  Other constraint kinds return ``None``.
     """
-    w = m.weights
-    n = len(w)
-    if constraint.kind == "none":
-        return frozenset(int(j) + 1 for j in np.where(w <= 0.0)[0])
-    if constraint.kind == "cardinality_le":
-        nonpos = sorted((int(j) + 1 for j in np.where(w <= 0.0)[0]),
-                        key=lambda i: (w[i - 1], i))
-        return frozenset(nonpos[:constraint.k])
-    return None
+    w, kind = m.weights, constraint.kind
+    if kind not in ("none", "cardinality_le"):
+        return None
+    nonpositive = (np.flatnonzero(w <= 0.0) + 1).tolist()
+    return frozenset(_lightest(w, nonpositive, None if kind == "none" else constraint.k))

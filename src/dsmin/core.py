@@ -49,13 +49,29 @@ class GroundSet:
 
 
 def whole(x, what: str) -> int:
-    """x as an int; ValueError unless a whole real number, OverflowError if infinite."""
+    """x as an int; ValueError naming ``what`` unless a finite whole real number."""
     if type(x) is int:  # most sizes and endpoints: skip the slower checks below
         return x
-    if (isinstance(x, bool) or not isinstance(x, numbers.Real) or math.isnan(x)
+    if (isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x)
             or float(x) != int(x)):
         raise ValueError(f"{what} must be an integer, got {x!r}")
     return int(x)
+
+
+def nonnegative(x, what: str) -> float:
+    """x as a float; ValueError naming ``what`` unless a finite real number >= 0.
+
+    bool and str are not real numbers here."""
+    if type(x) is float and 0.0 <= x < math.inf:  # every entropy query: skip the rest
+        return x
+    if not isinstance(x, bool) and isinstance(x, numbers.Real):
+        try:
+            y = float(x)
+        except OverflowError:  # an int past the float range
+            y = math.inf
+        if 0.0 <= y < math.inf:  # also rejects NaN
+            return y
+    raise ValueError(f"{what} must be finite and >= 0, got {x!r}")
 
 
 def subset_key(X: Iterable[int]) -> tuple:
@@ -125,8 +141,8 @@ class MemoizedOracle(SetFunctionOracle):
     ``ValueError`` naming the set.
     """
 
-    def __init__(self, inner: SetFunctionOracle, name: str | None = None):
-        super().__init__(inner.ground, inner._fn, name or inner.name)
+    def __init__(self, inner: SetFunctionOracle):
+        super().__init__(inner.ground, inner._fn, inner.name)
         self._cache: dict[frozenset, float] = {}
 
     def __call__(self, X: Iterable[int]) -> float:
@@ -222,7 +238,9 @@ def brute_force_minimize(v: SetFunctionOracle) -> tuple[frozenset, float]:
     return min(ties, key=subset_key), float(best)
 
 
-SUBMODULAR_CHECK_MAX_N = 16
+# The one cap on O(n^2 2^n) passes over a value table: the submodularity
+# check here and the decomposition constant in ``bounds.ds_decompose``.
+PAIRWISE_MAX_N = 16
 
 
 def check_submodular(f: SetFunctionOracle, tol: float = FLOAT_TOL) -> bool:
@@ -233,8 +251,8 @@ def check_submodular(f: SetFunctionOracle, tol: float = FLOAT_TOL) -> bool:
     both, f(X+j) + f(X+k) >= f(X+j+k) + f(X).  Refuses n > 16.
     """
     n = f.ground.n
-    if n > SUBMODULAR_CHECK_MAX_N:
-        raise ValueError(f"submodularity check refused for n={n} > {SUBMODULAR_CHECK_MAX_N}")
+    if n > PAIRWISE_MAX_N:
+        raise ValueError(f"submodularity check refused for n={n} > {PAIRWISE_MAX_N}")
     vals = evaluate_table(f)
     masks = np.arange(1 << n)
     for a in range(n):

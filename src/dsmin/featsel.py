@@ -26,7 +26,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import EQ_TOL, GroundSet, SetFunctionOracle, best_flip, memoized, set_sum, whole
+from .core import (EQ_TOL, GroundSet, SetFunctionOracle, best_flip, memoized, nonnegative,
+                   set_sum, whole)
 from .solvers import DSInstance, OptimizationTrace, TracePoint
 
 
@@ -107,7 +108,7 @@ def parse_sparse_dataset(path: str) -> Dataset:
             parts = text.split()
             try:
                 label = whole(float(parts[0]), "label")
-            except (OverflowError, ValueError):
+            except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}, not a whole number")
             on: list[int] = []
             prev = 0
@@ -186,14 +187,9 @@ def _row_codes(ds: Dataset, A: frozenset) -> np.ndarray:
     return code
 
 
-def _check_smoothing(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"smoothing must be finite and >= 0, got {alpha!r}")
-
-
 def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
     """Plug-in joint entropy (bits) of the features A, H of the empty set is 0."""
-    _check_smoothing(alpha)
+    alpha = nonnegative(alpha, "smoothing")
     A = ds.ground.check_subset(A)
     if not A:
         return 0.0
@@ -207,7 +203,7 @@ def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> floa
 
 def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
     """Class-weighted plug-in entropy H(X_A | C) in bits."""
-    _check_smoothing(alpha)
+    alpha = nonnegative(alpha, "smoothing")
     A = ds.ground.check_subset(A)
     if not A:
         return 0.0
@@ -236,9 +232,7 @@ class CostModel:
     def __post_init__(self):
         if self.kind not in ("modular_cardinality", "partition_sqrt"):
             raise ValueError(f"unknown cost model {self.kind!r}")
-        if not (math.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"cost trade-off lambda must be finite and non-negative, "
-                             f"got {self.lam!r}")
+        object.__setattr__(self, "lam", nonnegative(self.lam, "cost trade-off lambda"))
         if self.kind == "partition_sqrt":
             if not self.blocks or self.weights is None:
                 raise ValueError("partition_sqrt needs blocks and per-feature weights")
@@ -252,11 +246,11 @@ class CostModel:
 
     @staticmethod
     def modular_cardinality(lam: float) -> "CostModel":
-        return CostModel("modular_cardinality", float(lam))
+        return CostModel("modular_cardinality", lam)
 
     @staticmethod
     def partition_sqrt(blocks, weights, lam: float) -> "CostModel":
-        return CostModel("partition_sqrt", float(lam),
+        return CostModel("partition_sqrt", lam,
                          tuple(frozenset(b) for b in blocks),
                          tuple(float(w) for w in weights))
 
@@ -363,7 +357,7 @@ def naive_bayes_cv(ds: Dataset, A: Iterable[int], folds: int = 10,
     likelihoods; fold assignment is stratified by class and deterministic
     in the seed.  Prediction ties go to the lower class value.
     """
-    _check_smoothing(alpha)
+    alpha = nonnegative(alpha, "smoothing")
     A = ds.ground.check_subset(A)
     if folds < 2:
         raise ValueError("folds must be >= 2")

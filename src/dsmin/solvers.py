@@ -38,7 +38,6 @@ from __future__ import annotations
 import functools
 import gc
 import json
-import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -49,7 +48,7 @@ from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import (EQ_TOL, FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips,
-                   memoized, subset_key, whole)
+                   memoized, nonnegative, subset_key, whole)
 from .sfm import min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
@@ -105,7 +104,7 @@ class SolverOptions:
     dg_mode: str = "deterministic"
 
     def __post_init__(self):
-        _check_epsilon(self.epsilon)
+        self.epsilon = nonnegative(self.epsilon, "epsilon")
         self.max_iters = whole(self.max_iters, "max_iters")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
@@ -195,11 +194,6 @@ class OptimizationTrace:
                 fh.write(f"{i},{p.value!r},{p.oracle_calls},{p.elapsed * 1000.0:.3f}\n")
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 <= epsilon < math.inf:  # also rejects NaN
-        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon!r}")
-
-
 def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     """Multiplicative sufficient-improvement gate for one step.
 
@@ -208,7 +202,7 @@ def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     current value (possible under constraints): require a decrease of at
     least epsilon * |v_prev|.
     """
-    _check_epsilon(epsilon)
+    epsilon = nonnegative(epsilon, "epsilon")
     if v_prev < 0.0:
         return v_next <= v_prev * (1.0 + epsilon)
     if v_prev == 0.0:
@@ -217,28 +211,25 @@ def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
 
 
 def local_optimality_check(v: Callable[[frozenset], float], X: Iterable[int],
-                           tol: float = FLOAT_TOL, ground: GroundSet | None = None) -> bool:
-    """True iff no single-element addition or deletion decreases v at X by more than tol."""
-    if ground is None:
-        ground = v.ground  # type: ignore[attr-defined]
-    return best_flip(v, frozenset(X), ground, tol) is None
+                           ground: GroundSet) -> bool:
+    """True iff no single-element addition or deletion decreases v at X by more than FLOAT_TOL."""
+    return best_flip(v, frozenset(X), ground, FLOAT_TOL) is None
 
 
 def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: SetFunctionOracle,
-                       seed) -> Permutation:
+                       rng: np.random.Generator) -> Permutation:
     """Permutation whose chain contains X_t, ordered per the heuristic.
 
     Gain heuristics place the members of X_t first, sorted by decreasing
     within-gain scorer(j | X_t - j), followed by the outside elements by
     decreasing add-gain scorer(j | X_t); ties break toward the lower index.
-    ``random`` shuffles the two segments uniformly under the given seed.
+    ``random`` shuffles the two segments uniformly with draws from rng.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"heuristic must be one of {HEURISTICS}")
     ground = scorer.ground
     X = ground.check_subset(X_t)
     if heuristic == "random":
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
         return _shuffled_chain(X, ground.n, rng)
     base = scorer(X)
     change = {j: scorer(T) - base for j, T in zip(ground.elements(), flips(X, ground))}

@@ -8,7 +8,7 @@ import numpy as np
 
 from dsmin import DSInstance, GroundSet, SetFunctionOracle, build_function
 from dsmin.bounds import totally_normalize
-from dsmin.core import (FLOAT_TOL, SUBMODULAR_CHECK_MAX_N, AffineModular, evaluate_table,
+from dsmin.core import (FLOAT_TOL, PAIRWISE_MAX_N, AffineModular, evaluate_table,
                         set_of, set_sum)
 from dsmin.featsel import _entropy_from_counts, conditional_entropy, empirical_entropy
 from dsmin.functions import modular_spec
@@ -152,11 +152,51 @@ def sfm_brute_force(f, w=None):
             set_of(int(np.bitwise_or.reduce(masks)), n))
 
 
+def brute_force_alpha(v):
+    """The decomposition constant by enumeration: the least gain drop
+    v(j | X) - v(j | Y) over every j and X strictly inside Y inside V - j,
+    inf when there is no such pair (n = 1)."""
+    n, table = v.ground.n, evaluate_table(v)
+    alpha = math.inf
+    for j in range(n):
+        contexts = [Y for Y in range(1 << n) if not Y >> j & 1]
+        for Y in contexts:
+            for X in contexts:
+                if X != Y and X & Y == X:
+                    drop = (table[X | 1 << j] - table[X]) - (table[Y | 1 << j] - table[Y])
+                    alpha = min(alpha, float(drop))
+    return alpha
+
+
+def reference_minimizers(w, constraint):
+    """``(modular_minimize_constrained, modular_maximal_minimizer)`` for
+    weights w under a none, cardinality or partition constraint, each set
+    built from its element list kind by kind.  The list order fixes the
+    frozenset's iteration order and with it every ``set_sum`` over it."""
+    negative = [int(j) + 1 for j in np.where(w < 0.0)[0]]
+    nonpositive = [int(j) + 1 for j in np.where(w <= 0.0)[0]]
+
+    def by_weight(items):
+        return sorted(items, key=lambda i: (w[i - 1], i))
+
+    kind, k = constraint.kind, constraint.k
+    if kind == "none":
+        return frozenset(negative), frozenset(nonpositive)
+    if kind == "cardinality_le":
+        return frozenset(by_weight(negative)[:k]), frozenset(by_weight(nonpositive)[:k])
+    if kind == "cardinality_eq":
+        return frozenset(by_weight(range(1, len(w) + 1))[:k]), None
+    chosen = []
+    for b, q in zip(constraint.blocks, constraint.quotas):
+        chosen.extend(by_weight(i for i in b if w[i - 1] < 0.0)[:q])
+    return frozenset(chosen), None
+
+
 def check_monotone(f, tol=FLOAT_TOL):
     """Exhaustively test that adding any element never decreases f."""
     n = f.ground.n
-    if n > SUBMODULAR_CHECK_MAX_N:
-        raise ValueError(f"monotonicity check refused for n={n} > {SUBMODULAR_CHECK_MAX_N}")
+    if n > PAIRWISE_MAX_N:
+        raise ValueError(f"monotonicity check refused for n={n} > {PAIRWISE_MAX_N}")
     vals = evaluate_table(f)
     masks = np.arange(1 << n)
     for a in range(n):

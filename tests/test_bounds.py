@@ -244,6 +244,19 @@ class TestDSDecompose:
         with pytest.raises(ValueError):
             ds_decompose(v)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("rounded", [False, True], ids=["normal", "rounded"])
+    def test_alpha_equals_enumeration(self, n, rounded):
+        # tables rounded to 0.1 tie many gain drops
+        rng = np.random.default_rng(200 + n)
+        for _ in range(8):
+            table = rng.normal(0.0, 1.0, 1 << n)
+            if rounded:
+                table = np.round(table, 1)
+            table[0] = 0.0
+            v = SetFunctionOracle(GroundSet(n), lambda S, t=table: float(t[mask_of(S)]))
+            assert ds_decompose(v)[0] == helpers.brute_force_alpha(v)
+
     def test_random_tables_reconstruct(self):
         rng = np.random.default_rng(13)
         for _ in range(10):

@@ -150,6 +150,15 @@ class TestOptimize:
                      "--constraint", f"@{path}"]) == 1
         assert "must be an integer" in capsys.readouterr().err
 
+    def test_infinite_constraint_bound_exits_1_naming_it(self, instance, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"kind": "cardinality_le", "k": 1e999}')
+        assert main(["optimize", "--instance", instance, "--algo", "modmod",
+                     "--constraint", f"@{path}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cardinality bound must be an integer, got inf")
+
     @pytest.mark.parametrize("algo,flags", [
         ("subsup", ["--heuristic", "random"]),
         ("supsub", ["--ub-strategy", "alternate", "--dg-mode", "randomized"]),
@@ -357,7 +366,7 @@ class TestFeatsel:
         assert main(["featsel", "--data", dataset, f"--lambdas={lambdas}"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: cost trade-off lambda must be finite and non-negative")
+        assert err.startswith("error: cost trade-off lambda must be finite and >= 0")
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     @pytest.mark.filterwarnings("error")

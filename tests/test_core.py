@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, memoized
 from dsmin.core import (AffineModular, best_flip, brute_force_minimize, check_submodular,
-                        evaluate_table, mask_of, set_of, subset_key)
+                        evaluate_table, mask_of, nonnegative, set_of, subset_key, whole)
 
 from dsmin.functions import build_function, modular_spec
 
@@ -199,6 +200,27 @@ def test_evaluate_table_matches_pointwise():
     table = evaluate_table(f)
     for S in helpers.all_subsets(5):
         assert table[mask_of(S)] == pytest.approx(f(S))
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
+                         ids=["inf", "-inf", "nan", "numpy_inf"])
+def test_whole_rejects_non_finite_naming_the_field(x):
+    with pytest.raises(ValueError, match="size must be an integer, got"):
+        whole(x, "size")
+
+
+@pytest.mark.parametrize("x", [True, np.True_, "0.5", b"1", None, [1.0], math.nan, math.inf,
+                               -math.inf, -0.5, np.float64(-1.0), 10 ** 400])
+def test_nonnegative_rejects_naming_the_field(x):
+    with pytest.raises(ValueError, match="rate must be finite and >= 0, got"):
+        nonnegative(x, "rate")
+
+
+@pytest.mark.parametrize("x", [0, 3, 0.0, 1.5, np.float64(0.25), np.int64(2), np.float32(0.5),
+                               Fraction(1, 4)])
+def test_nonnegative_returns_a_float(x):
+    out = nonnegative(x, "rate")
+    assert type(out) is float and out == x
 
 
 def test_check_monotone():

@@ -183,7 +183,8 @@ class TestEntropy:
         with pytest.raises(ValueError, match="smoothing"):
             conditional_entropy(ds, {1, 2}, -1.0)
 
-    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf"), True, "0.1",
+                                       None, pytest.param(10 ** 400, id="huge_int")])
     @pytest.mark.filterwarnings("error")
     def test_non_finite_smoothing_rejected(self, alpha):
         ds = Dataset(np.array([[0, 1], [1, 0], [1, 1]]), np.array([0, 1, 0]))
@@ -297,12 +298,18 @@ class TestCostModel:
         with pytest.raises(ValueError):
             CostModel("other", 1.0)
 
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0, True, "0.5", None])
     def test_rejects_bad_lambda(self, lam):
-        with pytest.raises(ValueError, match="lambda must be finite and non-negative"):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             CostModel.modular_cardinality(lam)
-        with pytest.raises(ValueError, match="lambda must be finite and non-negative"):
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
             CostModel.partition_sqrt([[1, 2]], [1.0, 1.0], lam)
+        with pytest.raises(ValueError, match="lambda must be finite and >= 0"):
+            CostModel("modular_cardinality", lam)
+
+    def test_lambda_is_stored_as_a_float(self):
+        assert type(CostModel.modular_cardinality(1).lam) is float
+        assert type(CostModel("modular_cardinality", np.float64(0.5)).lam) is float
 
     @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0])
     def test_rejects_bad_partition_weights(self, w):

@@ -52,8 +52,8 @@ class TestAcceptStep:
 class TestLocalOptimalityCheck:
     def test_modular_negative_set(self):
         f = build_function(modular_spec([-1.0, 2.0, -3.0]))
-        assert local_optimality_check(f, {1, 3})
-        assert not local_optimality_check(f, frozenset())
+        assert local_optimality_check(f, {1, 3}, f.ground)
+        assert not local_optimality_check(f, frozenset(), f.ground)
 
     def test_agrees_with_exhaustive_scan(self):
         rng = np.random.default_rng(51)
@@ -66,32 +66,33 @@ class TestLocalOptimalityCheck:
             expected = all(
                 v(X - {j} if j in X else X | {j}) >= base - 1e-9
                 for j in range(1, n + 1))
-            assert local_optimality_check(v, X) == expected
+            assert local_optimality_check(v, X, v.ground) == expected
 
 
 class TestChoosePermutation:
     def test_gain_ordering_example(self):
         g = GroundSet(3)
         scorer = SetFunctionOracle(g, lambda S: sum([3.0, 1.0, 2.0][j - 1] for j in S))
-        sigma = choose_permutation("g_gain", {2, 3}, scorer, 0)
+        sigma = choose_permutation("g_gain", {2, 3}, scorer, np.random.default_rng(0))
         assert sigma.order == (3, 2, 1)
 
     def test_random_is_reproducible(self):
         scorer = helpers.sqrt_card(5)
-        a = choose_permutation("random", frozenset(), scorer, 7)
-        b = choose_permutation("random", frozenset(), scorer, 7)
+        a = choose_permutation("random", frozenset(), scorer, np.random.default_rng(7))
+        b = choose_permutation("random", frozenset(), scorer, np.random.default_rng(7))
         assert a.order == b.order
 
     def test_full_set_orders_by_within_gain(self):
         g = GroundSet(3)
         scorer = SetFunctionOracle(g, lambda S: sum([1.0, 5.0, 3.0][j - 1] for j in S))
-        sigma = choose_permutation("g_gain", {1, 2, 3}, scorer, 0)
+        sigma = choose_permutation("g_gain", {1, 2, 3}, scorer, np.random.default_rng(0))
         assert sigma.order == (2, 3, 1)
         assert sigma.chain_contains({1, 2, 3})
 
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValueError, match="heuristic must be one of"):
-            choose_permutation("nope", frozenset(), helpers.sqrt_card(3), 0)
+            choose_permutation("nope", frozenset(), helpers.sqrt_card(3),
+                               np.random.default_rng(0))
 
     def test_chain_contains_base(self):
         rng = np.random.default_rng(53)
@@ -458,7 +459,10 @@ class TestTraceMachinery:
                                      {"heuristic": "nope"}, {"ub_strategy": "nope"},
                                      {"dg_mode": "nope"}, {"epsilon": math.nan},
                                      {"epsilon": math.inf}, {"max_iters": math.nan},
-                                     {"max_iters": 2.5}, {"seed": 1.5}, {"seed": -1}])
+                                     {"max_iters": 2.5}, {"seed": 1.5}, {"seed": -1},
+                                     {"max_iters": math.inf}, {"seed": -math.inf},
+                                     {"epsilon": True}, {"epsilon": "0.1"},
+                                     {"epsilon": 10 ** 400}, {"epsilon": None}])
     def test_bad_options_rejected(self, bad):
         with pytest.raises(ValueError, match=f"{next(iter(bad))} must"):
             SolverOptions(**bad)
