@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains, evaluate_table
+from .core import (PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains,
+                   evaluate_table, min_gain_drop)
 
 
 @dataclass(frozen=True)
@@ -115,29 +116,6 @@ def sqrt_curvature(n: int) -> float:
     return 2.0 * math.sqrt(n - 1) - math.sqrt(n) - math.sqrt(n - 2)
 
 
-def _exhaustive_alpha(table: np.ndarray, n: int) -> float:
-    """Smallest gain drop min over j, X strictly inside Y avoiding j.
-
-    Per element a, over the contexts without a: m[Y] is the least gain of a
-    over the subsets of Y, and a strict subset of Y lies inside some Y - b,
-    so the drops m[Y - b] - gain[Y] cover every pair.  An array viewed as
-    (-1, 2, 2**b) holds the masks without bit b at [:, 0], with it at [:, 1].
-    """
-    alpha = math.inf
-    for a in range(n):
-        by_a = table.reshape(-1, 2, 1 << a)
-        gains = (by_a[:, 1] - by_a[:, 0]).ravel()
-        m = gains.copy()
-        for b in range(n - 1):
-            pairs = m.reshape(-1, 2, 1 << b)
-            np.minimum(pairs[:, 1], pairs[:, 0], out=pairs[:, 1])
-        for b in range(n - 1):
-            drop = (m.reshape(-1, 2, 1 << b)[:, 0] - gains.reshape(-1, 2, 1 << b)[:, 1]).min()
-            if drop < alpha:
-                alpha = float(drop)
-    return alpha
-
-
 def ds_decompose(v: SetFunctionOracle,
                  alpha_lb: float | None = None) -> tuple[float, float, float]:
     """The constants ``(alpha, beta, scale)`` that write v as a difference of
@@ -161,7 +139,7 @@ def ds_decompose(v: SetFunctionOracle,
         raise ValueError(f"alpha_lb must be a finite real number, got {alpha_lb!r}")
     alpha = alpha_lb
     if n <= PAIRWISE_MAX_N:
-        alpha = _exhaustive_alpha(evaluate_table(v), n)
+        alpha = min_gain_drop(evaluate_table(v), n)
         if alpha_lb is not None:
             if alpha_lb > alpha + 1e-12:
                 raise ValueError(

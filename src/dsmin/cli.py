@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
                     help=f"'all' or comma list of {','.join(FEATSEL_METHODS)}")
     fs.add_argument("--cost", choices=("modular", "partition_sqrt"), default="modular")
     fs.add_argument("--blocks", help="JSON file {blocks: [[...]], weights?: [...]}")
-    fs.add_argument("--alpha", type=float, default=1.0)
+    fs.add_argument("--alpha", type=float, default=1.0,
+                    help="entropy and naive Bayes smoothing; f and g are submodular only at 0")
     fs.add_argument("--folds", type=int, default=10)
     fs.add_argument("--budget", type=int)
     fs.add_argument("--seed", type=int, default=0)

@@ -8,15 +8,17 @@ program over integer costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
 
 from .core import AffineModular, whole
 
-CONSTRAINT_KINDS = ("none", "cardinality_le", "cardinality_eq",
-                    "partition_matroid", "spanning_tree", "knapsack")
+_READS = {"none": (), "cardinality_le": ("k",), "cardinality_eq": ("k",),
+          "partition_matroid": ("blocks", "quotas"), "spanning_tree": ("n_vertices", "edges"),
+          "knapsack": ("costs", "budget")}
+CONSTRAINT_KINDS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,12 @@ class Constraint:
     edges: tuple[tuple[int, int], ...] | None = None
     costs: tuple[int, ...] | None = None
     budget: int | None = None
+
+    def __post_init__(self):
+        if self.kind in CONSTRAINT_KINDS:  # validate rejects an unknown kind
+            for f in fields(self)[1:]:
+                if f.name not in _READS[self.kind] and getattr(self, f.name) is not None:
+                    raise ValueError(f"a {self.kind} constraint takes no {f.name!r}")
 
     # -- constructors ---------------------------------------------------------
 

@@ -2,9 +2,11 @@
 
 Selecting features A to explain a class C is a trade-off between the
 relevance I(X_A; C) = H(X_A) - H(X_A | C) and the cost of A.  Minimizing
-``cost(A) + H(X_A | C) - H(X_A)`` is therefore a difference of two
-submodular functions, which the solvers in :mod:`dsmin.solvers` handle
-directly; the greedy baselines here add one feature at a time.
+``cost(A) + H(X_A | C) - H(X_A)`` is a difference of two submodular
+functions only with unsmoothed entropies (alpha = 0); the default alpha = 1
+can break submodularity on either side, and the solvers in
+:mod:`dsmin.solvers` then run on modular bounds that are not bounds.  The
+greedy baselines here add one feature at a time.
 
 Entropies are empirical plug-in estimates in bits.  Each query packs the
 rows' values on A into one int64 code per row (mixed radix over the sorted
@@ -241,8 +243,11 @@ class CostModel:
                 if seen & b:
                     raise ValueError("cost blocks must be disjoint")
                 seen |= b
-            if not all(math.isfinite(w) and w >= 0 for w in self.weights):
-                raise ValueError("cost weights must be finite and non-negative")
+            try:
+                weights = tuple(nonnegative(w, "cost weight") for w in self.weights)
+            except ValueError:
+                raise ValueError("cost weights must be finite and non-negative") from None
+            object.__setattr__(self, "weights", weights)
 
     @staticmethod
     def modular_cardinality(lam: float) -> "CostModel":
@@ -251,8 +256,7 @@ class CostModel:
     @staticmethod
     def partition_sqrt(blocks, weights, lam: float) -> "CostModel":
         return CostModel("partition_sqrt", lam,
-                         tuple(frozenset(b) for b in blocks),
-                         tuple(float(w) for w in weights))
+                         tuple(frozenset(b) for b in blocks), tuple(weights))
 
 
 def evaluate_cost(cm: CostModel, A: Iterable[int]) -> float:
@@ -289,6 +293,7 @@ class FeatSelObjective:
 
 def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
                     mode: str = "non_factored") -> FeatSelObjective:
+    """``[H(X_A | C) + cost(A)] - H(X_A)``; both sides are submodular only at alpha = 0."""
     if mode not in ("factored", "non_factored"):
         raise ValueError(f"mode must be factored or non_factored, got {mode!r}")
     ground = ds.ground
@@ -327,11 +332,11 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
     tag = mode.lower()
     if tag not in ("grf", "grnf"):
         raise ValueError(f"mode must be GrF or GrNF, got {mode!r}")
-    if budget is not None and budget < 0:
+    budget = ds.n_features if budget is None else whole(budget, "budget")
+    if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     obj = build_objective(ds, cost, alpha,
                           "factored" if tag == "grf" else "non_factored")
-    budget = ds.n_features if budget is None else budget
     t0 = time.perf_counter()
 
     def calls():
@@ -359,6 +364,7 @@ def naive_bayes_cv(ds: Dataset, A: Iterable[int], folds: int = 10,
     """
     alpha = nonnegative(alpha, "smoothing")
     A = ds.ground.check_subset(A)
+    folds = whole(folds, "folds")
     if folds < 2:
         raise ValueError("folds must be >= 2")
     if not A:

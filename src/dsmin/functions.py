@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import TABLE_MAX_N, GroundSet, SetFunctionOracle, mask_of, set_sum, whole
+from .core import TABLE_MAX_N, GroundSet, SetFunctionOracle, mask_of, nonnegative, set_sum, whole
 
 CONCAVE_SHAPES = ("sqrt", "log1p", "power", "cap")
 
@@ -86,7 +86,7 @@ def _concave_fn(shape: str, exponent: float, cap: float):
     if shape == "log1p":
         return math.log1p
     if shape == "power":
-        p = float(exponent)
+        p = nonnegative(exponent, "power exponent")
         _require(0.0 < p <= 1.0, "power shape needs exponent in (0, 1]")
         return lambda t: t ** p
     c = float(cap)
@@ -113,10 +113,8 @@ def _build_graph_cut(ground, *, n, edges=()):
     for e in edges:
         _require(len(e) in (2, 3), "edge must be [u, v] or [u, v, weight]")
         u, v = whole(e[0], "graph edge endpoint"), whole(e[1], "graph edge endpoint")
-        w = float(e[2]) if len(e) == 3 else 1.0
+        w = nonnegative(e[2], "cut edge weight") if len(e) == 3 else 1.0
         _require(1 <= u <= n and 1 <= v <= n and u != v, f"bad edge endpoints ({u}, {v})")
-        _require(math.isfinite(w) and w >= 0.0,
-                 "cut edge weights must be finite and non-negative")
         cut_edges.append((u, v, w))
 
     def cut(S):
@@ -160,10 +158,7 @@ def _build_explicit_table(ground, *, n, values):
 
 
 def _scaled_term(ground, *, coeff, spec):
-    c = float(coeff)
-    _require(math.isfinite(c) and c >= 0.0,
-             "scaled_sum coefficients must be finite and non-negative")
-    return c, build_function(spec, ground)
+    return nonnegative(coeff, "scaled_sum coefficient"), build_function(spec, ground)
 
 
 def _build_scaled_sum(ground, *, terms):

@@ -37,10 +37,11 @@ from __future__ import annotations
 
 import functools
 import gc
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -274,10 +275,15 @@ class _Run:
         return TracePoint(S, self.value(S), self.calls(),
                           time.perf_counter() - self.t0)
 
-    def scorer(self, heuristic: str) -> SetFunctionOracle:
-        if heuristic == "v_gain":
-            return SetFunctionOracle(self.ground, self.value, name="v")
-        return self.g
+    def chain(self, X: frozenset, heuristic: str | None = None) -> Permutation:
+        heuristic = heuristic or self.opts.heuristic
+        scorer = self.g
+        if heuristic == "v_gain":  # not kept on self: the cycle would hold the memos
+            scorer = SetFunctionOracle(self.ground, self.value, name="v")
+        return choose_permutation(heuristic, X, scorer, self.rng)
+
+    def pinned_chains(self, X: frozenset) -> Iterator[Permutation]:
+        return (_shuffled_chain(X, self.ground.n, self.rng, j) for j in self.ground.elements())
 
 
 def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
@@ -386,28 +392,19 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
     if constraint.kind != "none":
         raise ValueError(f"sub_sup supports no constraint, got {constraint.kind!r}")
     run = _Run("subsup", inst, opts, constraint)
-    ground = run.ground
-    heur_scorer = run.scorer(opts.heuristic)
 
     def candidates(X: frozenset, sigma: Permutation) -> list[frozenset]:
         X_min, _, X_max = min_norm_point(run.f, modular_lower_bound(run.g, X, sigma).weights)
         return [X_min, X_max]
 
     def primary(X, t):
-        sigma = choose_permutation(opts.heuristic, X, heur_scorer, run.rng)
-        return candidates(X, sigma)
+        return candidates(X, run.chain(X))
 
     def sweep(X, t):
-        out: list[frozenset] = []
-        for heur in ("g_gain", "v_gain"):
-            if heur == opts.heuristic:
-                continue  # primary has just solved this permutation at X
-            sigma = choose_permutation(heur, X, run.scorer(heur), run.rng)
-            out.extend(candidates(X, sigma))
-        for j in ground.elements():
-            sigma = _shuffled_chain(X, ground.n, run.rng, j)
-            out.extend(candidates(X, sigma))
-        return out
+        # primary has just solved the configured heuristic's chain at X
+        gains = (run.chain(X, h) for h in ("g_gain", "v_gain") if h != opts.heuristic)
+        return [S for sigma in itertools.chain(gains, run.pinned_chains(X))
+                for S in candidates(X, sigma)]
 
     return _descent(run, frozenset(), primary, sweep)
 
@@ -472,8 +469,6 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
     opts = opts or SolverOptions()
     constraint.validate(inst.ground.n)
     run = _Run("modmod", inst, opts, constraint)
-    ground = run.ground
-    heur_scorer = run.scorer(opts.heuristic)
 
     # both variants at the current set; the descent never returns to a set
     upper = functools.lru_cache(maxsize=2)(lambda X, v: modular_upper_bound(run.f, X, v))
@@ -489,20 +484,14 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
         return out
 
     def primary(X, t):
-        sigma = choose_permutation(opts.heuristic, X, heur_scorer, run.rng)
-        return candidates(X, sigma, _variants(opts.ub_strategy, t))
+        return candidates(X, run.chain(X), _variants(opts.ub_strategy, t))
 
     def sweep(X, t):
-        out: list[frozenset] = []
-        for j in ground.elements():
-            sigma = _shuffled_chain(X, ground.n, run.rng, j)
-            out.extend(candidates(X, sigma, (1, 2)))
-        return out
+        return [S for sigma in run.pinned_chains(X) for S in candidates(X, sigma, (1, 2))]
 
     start = frozenset()
-    if not constraint.is_feasible(frozenset()):
-        sigma = choose_permutation(opts.heuristic, start, heur_scorer, run.rng)
-        boot = [c for c in candidates(start, sigma, (1, 2)) if constraint.is_feasible(c)]
+    if not constraint.is_feasible(start):
+        boot = list(filter(constraint.is_feasible, candidates(start, run.chain(start), (1, 2))))
         if not boot:
             raise SolverError("could not find a feasible starting point", None)
         start = min(boot, key=lambda S: (run.value(S), subset_key(S)))

@@ -62,11 +62,20 @@ class TestMaximalMinimizer:
         assert modular_maximal_minimizer(weights(-1.0, 0.0), constraint) is None
 
 
-def test_unconstrained_ignores_a_stray_k():
-    m = weights(-1.0, 0.0, -3.0, 2.0)
-    c = Constraint("none", k=1)
-    assert modular_minimize_constrained(m, c) == frozenset({1, 3})
-    assert modular_maximal_minimizer(m, c) == frozenset({1, 2, 3})
+@pytest.mark.parametrize("kind,stray", [
+    ("none", {"k": 1}),
+    ("cardinality_le", {"k": 1, "budget": 7}),
+    ("cardinality_eq", {"k": 1, "blocks": (frozenset({1}),)}),
+    ("partition_matroid", {"blocks": (frozenset({1}),), "quotas": (1,), "k": 1}),
+    ("spanning_tree", {"n_vertices": 2, "edges": ((1, 2),), "costs": (1,)}),
+    ("knapsack", {"costs": (1,), "budget": 1, "quotas": (1,)}),
+])
+def test_fields_the_kind_never_reads_are_rejected(kind, stray):
+    name = list(stray)[-1]
+    with pytest.raises(ValueError, match=f"{kind} constraint takes no '{name}'"):
+        Constraint(kind, **stray)
+    del stray[name]
+    Constraint(kind, **stray).validate(1)
 
 
 def test_minimizers_keep_the_reference_iteration_order():

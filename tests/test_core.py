@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, memoized
-from dsmin.core import (AffineModular, best_flip, brute_force_minimize, check_submodular,
-                        evaluate_table, mask_of, nonnegative, set_of, subset_key, whole)
+from dsmin.core import (FLOAT_TOL, AffineModular, best_flip, brute_force_minimize,
+                        check_submodular, evaluate_table, mask_of, nonnegative, set_of,
+                        subset_key, whole)
 
 from dsmin.functions import build_function, modular_spec
 
@@ -145,6 +146,30 @@ class TestCheckSubmodular:
     def test_refuses_large(self):
         with pytest.raises(ValueError):
             check_submodular(SetFunctionOracle(GroundSet(17), lambda S: 0.0))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_verdict_is_the_enumerated_alpha_within_tol(self, n):
+        rng = np.random.default_rng(300 + n)
+        for trial in range(24):
+            # a submodular table, a random one, and one a few tol away from submodular
+            table = evaluate_table(helpers.random_submodular(rng, n))
+            if trial % 3 == 1:
+                table = rng.normal(0.0, 1.0, 1 << n)
+            elif trial % 3 == 2:
+                table = table + rng.uniform(-1e-9, 1e-9, 1 << n)
+            if trial % 2:
+                table = np.round(table, 1)  # ties many gain drops
+            table[0] = 0.0
+            f = SetFunctionOracle(GroundSet(n), lambda S, t=table: float(t[mask_of(S)]))
+            assert check_submodular(f) == (helpers.brute_force_alpha(f) >= -FLOAT_TOL)
+
+    def test_violations_within_tol_that_add_up_past_it(self):
+        # each gain grows by 0.6 tol per added element: every pairwise
+        # violation is within tol, the growth over two elements is not
+        sizes = [0.0, 0.0, 0.6 * FLOAT_TOL, 1.8 * FLOAT_TOL]
+        f = SetFunctionOracle(GroundSet(3), lambda S: sizes[len(S)])
+        assert helpers.brute_force_alpha(f) < -FLOAT_TOL
+        assert not check_submodular(f)
 
 
 def test_gain_telescopes_to_full_range():

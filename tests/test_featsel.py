@@ -311,10 +311,16 @@ class TestCostModel:
         assert type(CostModel.modular_cardinality(1).lam) is float
         assert type(CostModel("modular_cardinality", np.float64(0.5)).lam) is float
 
-    @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0, True, "1.5"])
     def test_rejects_bad_partition_weights(self, w):
         with pytest.raises(ValueError, match="weights must be finite and non-negative"):
             CostModel.partition_sqrt([[1, 2]], [1.0, w], 1.0)
+
+    def test_hand_built_weights_are_checked_and_stored_as_floats(self):
+        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+            CostModel("partition_sqrt", 1.0, (frozenset({1, 2}),), (1.0, True))
+        cm = CostModel("partition_sqrt", 1.0, (frozenset({1, 2}),), (1, np.float64(2.5)))
+        assert cm.weights == (1.0, 2.5) and all(type(w) is float for w in cm.weights)
 
 
 class TestObjective:
@@ -422,6 +428,12 @@ class TestGreedySelect:
         with pytest.raises(ValueError, match="budget"):
             greedy_select(ds, CostModel.modular_cardinality(0.1), "GrNF", budget=-3)
 
+    @pytest.mark.parametrize("budget", [2.5, True, "2"])
+    def test_budget_must_be_whole(self, budget):
+        ds = synthetic_complementary()
+        with pytest.raises(ValueError, match="budget must be an integer"):
+            greedy_select(ds, CostModel.modular_cardinality(0.1), "GrNF", budget=budget)
+
 
 class TestNaiveBayes:
     def test_label_copy_feature_is_perfect(self):
@@ -445,6 +457,12 @@ class TestNaiveBayes:
         with pytest.raises(ValueError):
             naive_bayes_cv(ds, frozenset())
 
+    def test_folds_must_be_whole(self):
+        ds = synthetic_complementary()
+        with pytest.raises(ValueError, match="folds must be an integer"):
+            naive_bayes_cv(ds, {1}, folds=2.5)
+        assert naive_bayes_cv(ds, {1}, folds=2.0) == naive_bayes_cv(ds, {1}, folds=2)
+
     def test_handles_rare_class_without_error(self):
         rows = np.array([[0], [1], [0], [1], [1]])
         labels = np.array([0, 0, 0, 0, 1])  # class 1 missing from most folds
@@ -465,6 +483,20 @@ class TestSolversOnObjective:
             tr = solver(obj.instance, SolverOptions(seed=11))
             assert tr.final_value < grf_val - 0.1
             assert tr.final_value >= best - 1e-9
+
+    @pytest.mark.parametrize("mode", ["factored", "non_factored"])
+    def test_unsmoothed_objective_is_a_difference_of_submodular_functions(self, mode):
+        rng = np.random.default_rng(151)
+        for n in (1, 4, 7, 10):
+            y = rng.integers(0, 2, 200)
+            rows = (rng.integers(0, 3, (200, n)) + y[:, None] * rng.integers(0, 2, n)) % 3
+            half = (n + 1) // 2
+            blocks = [range(1, half + 1)] + ([range(half + 1, n + 1)] if n > 1 else [])
+            for cost in (CostModel.modular_cardinality(0.1),
+                         CostModel.partition_sqrt(blocks, rng.uniform(0.0, 2.0, n), 0.1)):
+                obj = build_objective(Dataset(rows, y), cost, 0.0, mode)
+                assert check_submodular(obj.instance.f)
+                assert check_submodular(obj.instance.g)
 
     def test_mod_mod_ends_locally_optimal_with_smoothing(self):
         # with alpha = 1 neither entropy is submodular, so the modular bounds

@@ -94,6 +94,11 @@ def test_malformed_specs_rejected(bad):
     {"kind": "facility_location", "benefits": [[1.0, math.inf]]},
     {"kind": "explicit_table", "n": 1, "values": [0.0, math.nan]},
     {"kind": "scaled_sum", "terms": [{"coeff": math.inf, "spec": {"kind": "modular", "weights": [1.0]}}]},
+    {"kind": "graph_cut", "n": 3, "edges": [[1, 2, True]]},
+    {"kind": "graph_cut", "n": 3, "edges": [[1, 2, "0.5"]]},
+    {"kind": "scaled_sum", "terms": [{"coeff": "2", "spec": {"kind": "modular", "weights": [1.0]}}]},
+    {"kind": "concave_of_modular", "shape": "power", "weights": [1.0], "exponent": "0.5"},
+    {"kind": "concave_of_modular", "shape": "power", "weights": [1.0], "exponent": math.nan},
 ])
 def test_non_finite_specs_rejected(bad):
     with pytest.raises(ValueError, match="finite"):
