@@ -8,6 +8,7 @@ program over integer costs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 from typing import Iterable
 
@@ -18,7 +19,6 @@ from .core import AffineModular, whole
 _READS = {"none": (), "cardinality_le": ("k",), "cardinality_eq": ("k",),
           "partition_matroid": ("blocks", "quotas"), "spanning_tree": ("n_vertices", "edges"),
           "knapsack": ("costs", "budget")}
-CONSTRAINT_KINDS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -29,6 +29,11 @@ class Constraint:
     of a connected graph on ``n_vertices`` vertices; feasible sets are
     exactly the spanning trees.  ``partition_matroid`` uses independence
     semantics: at most ``quotas[b]`` elements from ``blocks[b]``.
+
+    When made, a constraint checks all that needs no n: a known kind with just
+    its fields; whole k, quotas, costs, budget >= 0 and block elements; disjoint
+    blocks, one quota each; a connected graph on 1..n_vertices.  ``validate(n)``
+    checks the rest: k <= n, blocks covering 1..n, one edge or cost per element.
     """
 
     kind: str = "none"
@@ -41,10 +46,40 @@ class Constraint:
     budget: int | None = None
 
     def __post_init__(self):
-        if self.kind in CONSTRAINT_KINDS:  # validate rejects an unknown kind
-            for f in fields(self)[1:]:
-                if f.name not in _READS[self.kind] and getattr(self, f.name) is not None:
-                    raise ValueError(f"a {self.kind} constraint takes no {f.name!r}")
+        if self.kind not in _READS:
+            raise ValueError(f"unknown constraint kind {self.kind!r}")
+        for f in fields(self)[1:]:
+            given = getattr(self, f.name) is not None
+            if given != (f.name in _READS[self.kind]):
+                raise ValueError(f"a {self.kind} constraint "
+                                 f"{'takes no' if given else 'needs'} {f.name!r}")
+        put = functools.partial(object.__setattr__, self)
+        if self.k is not None:
+            put("k", whole(self.k, "cardinality bound", 0))
+        if self.blocks is not None:
+            put("blocks", tuple(frozenset(whole(i, "partition element") for i in b)
+                                for b in self.blocks))
+            put("quotas", tuple(whole(q, "partition quota", 0) for q in self.quotas))
+            if len(self.quotas) != len(self.blocks):
+                raise ValueError("partition matroid needs matching blocks and quotas")
+            if sum(map(len, self.blocks)) != len(frozenset().union(*self.blocks)):
+                raise ValueError("partition blocks must be disjoint")
+        if self.edges is not None:
+            put("n_vertices", whole(self.n_vertices, "vertex count"))
+            put("edges", tuple(tuple(whole(x, "graph edge endpoint") for x in (u, v))
+                               for u, v in self.edges))
+            if len(self.edges) < self.n_vertices - 1:  # spares a union-find that size
+                raise ValueError("spanning tree constraint requires a connected graph")
+            comp = _UnionFind(self.n_vertices)
+            for u, v in self.edges:
+                if u == v or min(u, v) < 1 or max(u, v) > self.n_vertices:
+                    raise ValueError(f"bad graph edge ({u}, {v})")
+                comp.union(u - 1, v - 1)
+            if comp.n_components != 1:
+                raise ValueError("spanning tree constraint requires a connected graph")
+        if self.costs is not None:
+            put("costs", tuple(whole(c, "knapsack cost", 0) for c in self.costs))
+            put("budget", whole(self.budget, "knapsack budget", 0))
 
     # -- constructors ---------------------------------------------------------
 
@@ -54,76 +89,41 @@ class Constraint:
 
     @staticmethod
     def cardinality_le(k: int) -> "Constraint":
-        return Constraint("cardinality_le", k=whole(k, "cardinality bound"))
+        return Constraint("cardinality_le", k=k)
 
     @staticmethod
     def cardinality_eq(k: int) -> "Constraint":
-        return Constraint("cardinality_eq", k=whole(k, "cardinality bound"))
+        return Constraint("cardinality_eq", k=k)
 
     @staticmethod
     def partition_matroid(blocks, quotas) -> "Constraint":
-        return Constraint("partition_matroid",
-                          blocks=tuple(frozenset(b) for b in blocks),
-                          quotas=tuple(whole(q, "partition quota") for q in quotas))
+        return Constraint("partition_matroid", blocks=blocks, quotas=quotas)
 
     @staticmethod
     def spanning_tree(n_vertices: int, edges) -> "Constraint":
-        return Constraint("spanning_tree", n_vertices=whole(n_vertices, "vertex count"),
-                          edges=tuple(tuple(whole(x, "graph edge endpoint") for x in (u, v))
-                                      for u, v in edges))
+        return Constraint("spanning_tree", n_vertices=n_vertices, edges=edges)
 
     @staticmethod
     def knapsack(costs, budget) -> "Constraint":
-        c = tuple(whole(x, "knapsack cost") for x in costs)
-        if any(x < 0 for x in c):
-            raise ValueError("knapsack costs must be non-negative")
-        b = whole(budget, "knapsack budget")
-        if b < 0:
-            raise ValueError(f"knapsack budget must be non-negative, got {budget!r}")
-        return Constraint("knapsack", costs=c, budget=b)
+        return Constraint("knapsack", costs=costs, budget=budget)
 
     @staticmethod
     def from_dict(d: dict) -> "Constraint":
-        """``{"kind": k, **args}`` as ``Constraint.k(**args)``; a bad key raises TypeError."""
-        args = {**d}
-        kind = args.pop("kind", "none")
-        if kind not in CONSTRAINT_KINDS:
-            raise ValueError(f"unknown constraint kind {kind!r}")
-        return getattr(Constraint, kind)(**args)
+        """The constraint a JSON object describes; an unknown key raises TypeError."""
+        return Constraint(**{"kind": "none", **d})
 
     # -- validation and feasibility --------------------------------------------
 
     def validate(self, n: int) -> None:
-        if self.kind not in CONSTRAINT_KINDS:
-            raise ValueError(f"unknown constraint kind {self.kind!r}")
-        if self.kind in ("cardinality_le", "cardinality_eq"):
-            if self.k is None or not 0 <= self.k <= n:
-                raise ValueError(f"cardinality bound must lie in 0..{n}, got {self.k!r}")
-        elif self.kind == "partition_matroid":
-            if not self.blocks or self.quotas is None or len(self.blocks) != len(self.quotas):
-                raise ValueError("partition matroid needs matching blocks and quotas")
-            seen: set[int] = set()
-            for b in self.blocks:
-                if seen & b:
-                    raise ValueError("partition blocks must be disjoint")
-                seen |= b
-            if seen != set(range(1, n + 1)):
-                raise ValueError("partition blocks must cover 1..n")
-            if any(q < 0 for q in self.quotas):
-                raise ValueError("quotas must be non-negative")
-        elif self.kind == "spanning_tree":
-            if self.edges is None or len(self.edges) != n:
-                raise ValueError("spanning tree needs one graph edge per ground element")
-            comp = _UnionFind(self.n_vertices)
-            for u, v in self.edges:
-                if not (1 <= u <= self.n_vertices and 1 <= v <= self.n_vertices) or u == v:
-                    raise ValueError(f"bad graph edge ({u}, {v})")
-                comp.union(u - 1, v - 1)
-            if comp.n_components != 1:
-                raise ValueError("spanning tree constraint requires a connected graph")
-        elif self.kind == "knapsack":
-            if self.costs is None or len(self.costs) != n:
-                raise ValueError("knapsack needs one cost per ground element")
+        """Check that the constraint fits a ground set of n elements."""
+        if self.k is not None and self.k > n:
+            raise ValueError(f"cardinality bound must lie in 0..{n}, got {self.k!r}")
+        if self.blocks is not None and frozenset().union(*self.blocks) != set(range(1, n + 1)):
+            raise ValueError("partition blocks must cover 1..n")
+        if self.edges is not None and len(self.edges) != n:
+            raise ValueError("spanning tree needs one graph edge per ground element")
+        if self.costs is not None and len(self.costs) != n:
+            raise ValueError("knapsack needs one cost per ground element")
 
     def is_feasible(self, X: Iterable[int]) -> bool:
         S = frozenset(X)
@@ -135,18 +135,11 @@ class Constraint:
             return len(S) == self.k
         if self.kind == "partition_matroid":
             return all(len(S & b) <= q for b, q in zip(self.blocks, self.quotas))
-        if self.kind == "spanning_tree":
-            if len(S) != self.n_vertices - 1:
-                return False
+        if self.kind == "spanning_tree":  # n_vertices - 1 edges without a cycle
             uf = _UnionFind(self.n_vertices)
-            for i in S:
-                u, v = self.edges[i - 1]
-                if not uf.union(u - 1, v - 1):
-                    return False  # cycle
-            return uf.n_components == 1
-        if self.kind == "knapsack":
-            return sum(self.costs[i - 1] for i in S) <= self.budget
-        raise ValueError(f"unknown constraint kind {self.kind!r}")
+            return len(S) == self.n_vertices - 1 and all(
+                uf.union(*(x - 1 for x in self.edges[i - 1])) for i in S)
+        return sum(self.costs[i - 1] for i in S) <= self.budget
 
 
 class _UnionFind:
@@ -179,8 +172,6 @@ def _kruskal(constraint: Constraint, weights: np.ndarray) -> frozenset:
             chosen.append(i)
             if len(chosen) == constraint.n_vertices - 1:
                 break
-    if len(chosen) != constraint.n_vertices - 1:
-        raise ValueError("graph is not connected; no spanning tree exists")
     return frozenset(chosen)
 
 
@@ -233,9 +224,7 @@ def modular_minimize_constrained(m: AffineModular, constraint: Constraint) -> fr
                          for j in _lightest(w, [i for i in b if w[i - 1] < 0.0], q))
     if kind == "spanning_tree":
         return _kruskal(constraint, w)
-    if kind == "knapsack":
-        return _knapsack_min(w, constraint.costs, constraint.budget)
-    raise ValueError(f"unknown constraint kind {kind!r}")
+    return _knapsack_min(w, constraint.costs, constraint.budget)
 
 
 def modular_maximal_minimizer(m: AffineModular, constraint: Constraint) -> frozenset | None:

@@ -30,8 +30,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"ground set size must be an integer >= 1, got {self.n!r}")
+        object.__setattr__(self, "n", whole(self.n, "ground set size", 1))
 
     def elements(self) -> range:
         return range(1, self.n + 1)
@@ -48,14 +47,17 @@ class GroundSet:
         return S
 
 
-def whole(x, what: str) -> int:
-    """x as an int; ValueError naming ``what`` unless a finite whole real number."""
-    if type(x) is int:  # most sizes and endpoints: skip the slower checks below
-        return x
-    if (isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x)
-            or float(x) != int(x)):
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return int(x)
+def whole(x, what: str, low: int | None = None) -> int:
+    """x as an int; ValueError naming ``what`` unless a finite whole real number,
+    and not below ``low`` if given."""
+    if type(x) is not int:  # most sizes and endpoints are: skip the slower checks
+        if (isinstance(x, bool) or not isinstance(x, numbers.Real) or not math.isfinite(x)
+                or float(x) != int(x)):
+            raise ValueError(f"{what} must be an integer, got {x!r}")
+        x = int(x)
+    if low is not None and x < low:
+        raise ValueError(f"{what} must be >= {low}, got {x!r}")
+    return x
 
 
 def nonnegative(x, what: str) -> float:
@@ -220,13 +222,17 @@ TABLE_MAX_N = 20
 
 
 def evaluate_table(f: SetFunctionOracle) -> np.ndarray:
-    """Evaluate f on all subsets; entry ``m`` is f of the bitmask-``m`` set."""
+    """Evaluate f on all subsets; entry ``m`` is f of the bitmask-``m`` set.
+    A NaN or an infinity raises ``ValueError`` naming its set (the lowest mask)."""
     n = f.ground.n
     if n > TABLE_MAX_N:
         raise ValueError(f"full table refused for n={n} > {TABLE_MAX_N}")
     out = np.empty(1 << n)
     for m in range(1 << n):
         out[m] = f(set_of(m, n))
+    if not np.isfinite(out).all():
+        m = int(np.argmin(np.isfinite(out)))  # the lowest non-finite mask
+        raise ValueError(f"{f.name} is not finite at {sorted(set_of(m, n))}: {float(out[m])!r}")
     return out
 
 

@@ -332,9 +332,7 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
     tag = mode.lower()
     if tag not in ("grf", "grnf"):
         raise ValueError(f"mode must be GrF or GrNF, got {mode!r}")
-    budget = ds.n_features if budget is None else whole(budget, "budget")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    budget = ds.n_features if budget is None else whole(budget, "budget", 0)
     obj = build_objective(ds, cost, alpha,
                           "factored" if tag == "grf" else "non_factored")
     t0 = time.perf_counter()
@@ -364,9 +362,7 @@ def naive_bayes_cv(ds: Dataset, A: Iterable[int], folds: int = 10,
     """
     alpha = nonnegative(alpha, "smoothing")
     A = ds.ground.check_subset(A)
-    folds = whole(folds, "folds")
-    if folds < 2:
-        raise ValueError("folds must be >= 2")
+    folds = whole(folds, "folds", 2)
     if not A:
         raise ValueError("feature set must be non-empty")
     cols = sorted(j - 1 for j in A)

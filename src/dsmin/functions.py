@@ -59,7 +59,7 @@ def decomposition_spec_pair(v_spec: dict, n: int, scale: float) -> tuple[dict, d
             scaled_sum_spec([(scale, sqrt_spec)]))
 
 
-# -- builders: (ground, or None to size it from the spec, **spec keys) -> oracle --
+# -- builders: (**spec keys) -> (n, fn, name); build_function makes the oracle --
 
 def _require(cond: bool, msg: str) -> None:
     if not cond:
@@ -73,11 +73,9 @@ def _weights_array(weights) -> np.ndarray:
     return w
 
 
-def _build_modular(ground, *, weights):
+def _build_modular(*, weights):
     w = _weights_array(weights)
-    ground = ground or GroundSet(len(w))
-    _require(ground.n == len(w), "weight vector length must equal ground set size")
-    return SetFunctionOracle(ground, lambda S, w=w.tolist(): set_sum(w, S), name="modular")
+    return len(w), lambda S, w=w.tolist(): set_sum(w, S), "modular"
 
 
 def _concave_fn(shape: str, exponent: float, cap: float):
@@ -89,26 +87,20 @@ def _concave_fn(shape: str, exponent: float, cap: float):
         p = nonnegative(exponent, "power exponent")
         _require(0.0 < p <= 1.0, "power shape needs exponent in (0, 1]")
         return lambda t: t ** p
-    c = float(cap)
-    _require(c >= 0.0, "cap must be non-negative")
+    c = math.inf if cap == math.inf else nonnegative(cap, "cap")  # +inf caps nothing
     return lambda t: min(t, c)
 
 
-def _build_concave_of_modular(ground, *, weights, shape="sqrt", exponent=0.5, cap=1.0):
+def _build_concave_of_modular(*, weights, shape="sqrt", exponent=0.5, cap=1.0):
     _require(shape in CONCAVE_SHAPES, f"unknown concave shape {shape!r}")
     w = _weights_array(weights)
     _require(np.all(w >= 0.0), "concave-of-modular weights must be non-negative")
     phi = _concave_fn(shape, exponent, cap)
-    ground = ground or GroundSet(len(w))
-    _require(ground.n == len(w), "weight vector length must equal ground set size")
-    return SetFunctionOracle(ground, lambda S, w=w.tolist(): float(phi(set_sum(w, S))),
-                             name=f"{shape}_of_modular")
+    return len(w), lambda S, w=w.tolist(): float(phi(set_sum(w, S))), f"{shape}_of_modular"
 
 
-def _build_graph_cut(ground, *, n, edges=()):
+def _build_graph_cut(*, n, edges=()):
     n = whole(n, "graph_cut 'n'")
-    ground = ground or GroundSet(n)
-    _require(ground.n == n, "graph_cut 'n' must equal ground set size")
     cut_edges = []
     for e in edges:
         _require(len(e) in (2, 3), "edge must be [u, v] or [u, v, weight]")
@@ -124,17 +116,14 @@ def _build_graph_cut(ground, *, n, edges=()):
                 total += w
         return total
 
-    return SetFunctionOracle(ground, cut, name="graph_cut")
+    return n, cut, "graph_cut"
 
 
-def _build_facility_location(ground, *, benefits):
+def _build_facility_location(*, benefits):
     B = np.asarray(benefits, dtype=float)
     _require(B.ndim == 2 and B.shape[1] >= 1, "'benefits' must be a 2-D matrix")
     _require(np.all(np.isfinite(B) & (B >= 0.0)),
              "facility benefits must be finite and non-negative")
-    n = B.shape[1]
-    ground = ground or GroundSet(n)
-    _require(ground.n == n, "benefit matrix width must equal ground set size")
 
     def fl(S):
         if not S:
@@ -142,31 +131,29 @@ def _build_facility_location(ground, *, benefits):
         cols = [j - 1 for j in S]
         return float(B[:, cols].max(axis=1).sum())
 
-    return SetFunctionOracle(ground, fl, name="facility_location")
+    return B.shape[1], fl, "facility_location"
 
 
-def _build_explicit_table(ground, *, n, values):
+def _build_explicit_table(*, n, values):
     n = whole(n, "explicit_table 'n'")
     _require(1 <= n <= TABLE_MAX_N, f"explicit_table limited to 1 <= n <= {TABLE_MAX_N}")
     vals = np.asarray(values, dtype=float)
     _require(vals.shape == (1 << n,), f"table needs exactly 2^{n} values")
     _require(np.all(np.isfinite(vals)), "table values must be finite")
-    ground = ground or GroundSet(n)
-    _require(ground.n == n, "table 'n' must equal ground set size")
     vals = vals - vals[0]  # normalize at construction
-    return SetFunctionOracle(ground, lambda S: float(vals[mask_of(S)]), name="table")
+    return n, lambda S: float(vals[mask_of(S)]), "table"
 
 
-def _scaled_term(ground, *, coeff, spec):
-    return nonnegative(coeff, "scaled_sum coefficient"), build_function(spec, ground)
+def _scaled_term(*, coeff, spec):
+    return nonnegative(coeff, "scaled_sum coefficient"), build_function(spec)
 
 
-def _build_scaled_sum(ground, *, terms):
+def _build_scaled_sum(*, terms):
     _require(isinstance(terms, list) and terms, "scaled_sum needs a non-empty 'terms' list")
-    oracles = [_scaled_term(ground, **t) for t in terms]
-    ground = ground or oracles[0][1].ground
-    for _, o in oracles:
-        _require(o.ground.n == ground.n, "scaled_sum children must share one ground set")
+    oracles = [_scaled_term(**t) for t in terms]
+    n = oracles[0][1].ground.n
+    _require(all(o.ground.n == n for _, o in oracles),
+             "scaled_sum children must share one ground set size")
 
     def total(S):
         t = 0.0
@@ -174,7 +161,7 @@ def _build_scaled_sum(ground, *, terms):
             t += c * o._fn(S)
         return t
 
-    return SetFunctionOracle(ground, total, name="scaled_sum")
+    return n, total, "scaled_sum"
 
 
 _BUILDERS = {
@@ -188,16 +175,20 @@ _BUILDERS = {
 
 
 def build_function(spec: dict, ground: GroundSet | None = None) -> SetFunctionOracle:
-    """Construct the oracle a spec describes, normalized to 0 at the empty set."""
+    """Construct the oracle a spec describes, normalized to 0 at the empty set,
+    on a ground set sized from the spec or on ``ground``, which must fit it."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError("function spec must be an object with a 'kind' field")
     kind, params = spec["kind"], {k: v for k, v in spec.items() if k != "kind"}
     if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ValueError(f"unknown function kind {kind!r}")
     try:
-        return _BUILDERS[kind](ground, **params)
+        n, fn, name = _BUILDERS[kind](**params)
     except TypeError as exc:
         raise ValueError(f"malformed {kind} spec: {exc}") from exc
+    ground = ground or GroundSet(n)
+    _require(ground.n == n, f"{kind} spec has size {n}, the ground set {ground.n}")
+    return SetFunctionOracle(ground, fn, name=name)
 
 
 def instance_from_dict(doc: dict) -> tuple[GroundSet, SetFunctionOracle, SetFunctionOracle]:

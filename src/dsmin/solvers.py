@@ -106,12 +106,8 @@ class SolverOptions:
 
     def __post_init__(self):
         self.epsilon = nonnegative(self.epsilon, "epsilon")
-        self.max_iters = whole(self.max_iters, "max_iters")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        self.seed = whole(self.seed, "seed")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        self.max_iters = whole(self.max_iters, "max_iters", 1)
+        self.seed = whole(self.seed, "seed", 0)
         if self.heuristic not in HEURISTICS:
             raise ValueError(f"heuristic must be one of {HEURISTICS}")
         if self.ub_strategy not in UB_STRATEGIES:

@@ -169,6 +169,8 @@ class TestSqrtCurvature:
     def test_closed_form_values(self):
         assert sqrt_curvature(2) == pytest.approx(2 - SQ2, abs=1e-12)
         assert sqrt_curvature(3) == pytest.approx(2 * SQ2 - SQ3 - 1, abs=1e-12)
+        with pytest.raises(ValueError, match="n >= 2"):
+            sqrt_curvature(1)
 
     def test_is_true_pairwise_margin(self):
         # compare against direct enumeration of the gain-drop margin
@@ -273,6 +275,11 @@ class TestDSDecompose:
 
 
 class TestMinimaLowerBounds:
+    def test_ground_sets_must_match(self):
+        f = build_function(modular_spec([1.0, 2.0]))
+        with pytest.raises(ValueError, match="share a ground set"):
+            minima_lower_bounds(f, build_function(modular_spec([1.0])), sfm_brute_force)
+
     def test_modular_pair_is_exact(self):
         f = build_function(modular_spec([1.0, 2.0]))
         g = build_function(modular_spec([2.0, 1.0]))

@@ -230,6 +230,15 @@ class TestCertify:
     def test_missing_instance_exits_1(self, tmp_path):
         assert main(["certify", "--instance", str(tmp_path / "none.json")]) == 1
 
+    def test_brute_force_is_skipped_past_20_elements(self, tmp_path, capsys):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"n": 21, "f": graph_cut_spec(21, [[1, 21]]),
+                                    "g": sqrt_cardinality_spec(21)}))
+        assert main(["certify", "--instance", str(path)]) == 0
+        report = _lines(capsys)
+        assert report["n"] == "21" and report["brute-force minimum"] == "skipped (n > 20)"
+        assert float(report["bound2"]) <= float(report["bound1"])
+
     def test_deterministic_report_has_no_seed(self, instance, capsys):
         assert main(["certify", "--instance", instance]) == 0
         assert "seed" not in _lines(capsys)

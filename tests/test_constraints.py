@@ -1,4 +1,5 @@
 import itertools
+from functools import partial
 
 import networkx as nx
 import numpy as np
@@ -146,6 +147,9 @@ class TestSpanningTree:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             Constraint.spanning_tree(4, [(1, 2), (3, 4), (1, 2)]).validate(3)
+        # too few edges for the vertex count: rejected before any per-vertex work
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            Constraint.spanning_tree(10 ** 18, [(1, 2)])
 
     def test_feasibility(self):
         c = Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)])
@@ -201,14 +205,17 @@ def test_constraint_from_dict():
 
 
 @pytest.mark.parametrize("doc", [
-    {"kind": "cardinality_le", "k": 2, "budget": 5},
-    {"kind": "none", "k": 1},
-    {"kind": "knapsack", "costs": [1, 2, 3]},
-    {"kind": "spanning_tree", "n_vertices": 3, "edges": [[1, 2]], "directed": False},
-    [["kind", "cardinality_le"], ["k", 2]],  # not an object
+    ({"kind": "cardinality_le", "k": 2, "budget": 5}, ValueError, "takes no 'budget'"),
+    ({"kind": "none", "k": 1}, ValueError, "takes no 'k'"),
+    ({"kind": "knapsack", "costs": [1, 2, 3]}, ValueError, "needs 'budget'"),
+    ({"kind": "spanning_tree", "n_vertices": 3, "edges": [[1, 2]], "directed": False},
+     TypeError, "directed"),
+    ([["kind", "cardinality_le"], ["k", 2]], TypeError, "mapping"),  # not an object
 ])
 def test_constraint_from_dict_rejects_bad_documents(doc):
-    with pytest.raises(TypeError):
+    # a field the kind never reads or lacks is named; an unknown key is a TypeError
+    doc, error, fragment = doc
+    with pytest.raises(error, match=fragment):
         Constraint.from_dict(doc)
 
 
@@ -220,17 +227,45 @@ def test_constraint_from_dict_kinds():
 
 
 @pytest.mark.parametrize("constraint,fragment", [
-    (Constraint("nope"), "unknown constraint kind"),
-    (Constraint.partition_matroid([[1, 2], [3]], [1]), "matching blocks and quotas"),
-    (Constraint.partition_matroid([[1, 2], [3]], [1, -1]), "quotas must be non-negative"),
+    (partial(Constraint, "nope"), "unknown constraint kind"),
+    (partial(Constraint.partition_matroid, [[1, 2], [3]], [1]), "matching blocks and quotas"),
+    (partial(Constraint.partition_matroid, [[1, 2], [3]], [1, -1]),
+     "partition quota must be >= 0"),
     (Constraint.spanning_tree(3, [(1, 2), (2, 3)]), "one graph edge per ground element"),
-    (Constraint.spanning_tree(3, [(1, 2), (2, 2), (1, 3)]), "bad graph edge"),
-    (Constraint.spanning_tree(3, [(1, 2), (2, 4), (1, 3)]), "bad graph edge"),
+    (partial(Constraint.spanning_tree, 3, [(1, 2), (2, 2), (1, 3)]), "bad graph edge"),
+    (partial(Constraint.spanning_tree, 3, [(1, 2), (2, 4), (1, 3)]), "bad graph edge"),
     (Constraint.knapsack([1, 2], 3), "one cost per ground element"),
 ])
 def test_validate_rejects(constraint, fragment):
+    # what needs no n fails when the constraint is made (a partial here); the
+    # rest is made at collection and fails to fit n = 3
     with pytest.raises(ValueError, match=fragment):
-        constraint.validate(3)
+        constraint() if isinstance(constraint, partial) else constraint.validate(3)
+
+
+@pytest.mark.parametrize("fields,fragment", [
+    ({"kind": "cardinality_le", "k": 2.5}, "cardinality bound must be an integer"),
+    ({"kind": "cardinality_le", "k": True}, "cardinality bound must be an integer"),
+    ({"kind": "partition_matroid", "blocks": [[1, 2], [3]], "quotas": (1.5, 1)},
+     "partition quota must be an integer"),
+    ({"kind": "partition_matroid", "blocks": [[True, 2], [3]], "quotas": (1, 1)},
+     "partition element must be an integer"),
+    ({"kind": "knapsack", "costs": (1, 1, 1)}, "knapsack constraint needs 'budget'"),
+    ({"kind": "knapsack", "costs": (-1, 1, 1), "budget": 2},
+     "knapsack cost must be >= 0"),
+    ({"kind": "knapsack", "costs": (1, 1, 1), "budget": -5},
+     "knapsack budget must be >= 0"),
+], ids=["fractional_k", "bool_k", "fractional_quota", "bool_block_element", "no_budget",
+        "negative_cost", "negative_budget"])
+def test_hand_built_constraints_are_read_when_made(fields, fragment):
+    # the dataclass itself reads its fields, not only the named constructors
+    with pytest.raises(ValueError, match=fragment):
+        Constraint(**fields)
+
+
+def test_spanning_tree_feasibility_rejects_a_cycle():
+    c = Constraint.spanning_tree(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
+    assert c.is_feasible({1, 2, 4}) and not c.is_feasible({1, 2, 3})
 
 
 @pytest.mark.parametrize("make", [Constraint.cardinality_le, Constraint.cardinality_eq])
@@ -243,7 +278,8 @@ def test_cardinality_bound_must_be_whole(make):
 
 
 def test_spanning_tree_numbers_must_be_whole():
-    assert Constraint.spanning_tree(3.0, [(1, 2.0)]) == Constraint.spanning_tree(3, [(1, 2)])
+    c = Constraint.spanning_tree(3.0, [(1, 2.0), (2, 3)])
+    assert c == Constraint.spanning_tree(3, [(1, 2), (2, 3)]) and type(c.n_vertices) is int
     with pytest.raises(ValueError, match="vertex count must be an integer"):
         Constraint.spanning_tree(3.7, [(1, 2)])
     with pytest.raises(ValueError, match="graph edge endpoint must be an integer"):
@@ -253,21 +289,28 @@ def test_spanning_tree_numbers_must_be_whole():
 def test_partition_quota_must_be_whole():
     c = Constraint.partition_matroid([[1, 2]], [1.0])
     assert c == Constraint.partition_matroid([[1, 2]], [1]) and type(c.quotas[0]) is int
+    # a whole float element is read as the int it equals, so it can index the weights
+    c = Constraint.partition_matroid([[1.0, 2], [3]], [1, 1])
+    assert modular_minimize_constrained(weights(-1.0, -2.0, 1.0), c) == frozenset({2})
+    assert all(type(i) is int for b in c.blocks for i in b)
     with pytest.raises(ValueError, match="partition quota must be an integer"):
         Constraint.partition_matroid([[1, 2]], [1.5])
 
 
 @pytest.mark.parametrize("bad", ["2", True, b"2", None, np.True_],
                          ids=["str", "bool", "bytes", "None", "numpy_bool"])
-@pytest.mark.parametrize("make", [
-    Constraint.cardinality_le, Constraint.cardinality_eq,
-    lambda q: Constraint.partition_matroid([[1]], [q]),
-    lambda c: Constraint.knapsack([c], 1), lambda b: Constraint.knapsack([1], b),
-    lambda v: Constraint.spanning_tree(v, [(1, 2)]),
-    lambda u: Constraint.spanning_tree(2, [(u, 2)])],
+@pytest.mark.parametrize("make,field", [
+    (Constraint.cardinality_le, "k"), (Constraint.cardinality_eq, "k"),
+    (lambda q: Constraint.partition_matroid([[1]], [q]), None),
+    (lambda c: Constraint.knapsack([c], 1), None),
+    (lambda b: Constraint.knapsack([1], b), "budget"),
+    (lambda v: Constraint.spanning_tree(v, [(1, 2)]), "n_vertices"),
+    (lambda u: Constraint.spanning_tree(2, [(u, 2)]), None)],
     ids=["cardinality_le", "cardinality_eq", "quota", "knapsack_cost", "knapsack_budget",
          "vertex_count", "edge_endpoint"])
-def test_whole_numbers_must_be_numbers(make, bad):
-    # a JSON string or boolean is not read as the number it spells
-    with pytest.raises(ValueError, match="must be an integer"):
+def test_whole_numbers_must_be_numbers(make, field, bad):
+    # a JSON string or boolean is not read as the number it spells; a field
+    # left None is missing
+    fragment = f"needs {field!r}" if bad is None and field else "must be an integer"
+    with pytest.raises(ValueError, match=fragment):
         make(bad)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dsmin import GroundSet, SetFunctionOracle, memoized
+from dsmin import GroundSet, SetFunctionOracle, ds_decompose, memoized
 from dsmin.core import (FLOAT_TOL, AffineModular, best_flip, brute_force_minimize,
                         check_submodular, evaluate_table, mask_of, nonnegative, set_of,
                         subset_key, whole)
@@ -26,6 +26,16 @@ class TestGroundSet:
             GroundSet(0)
         with pytest.raises(ValueError):
             GroundSet(3).check_subset({0, 1})
+
+    @pytest.mark.parametrize("n", [np.int64(3), 3.0])
+    def test_whole_sizes_are_read_as_ints(self, n):
+        g = GroundSet(n)
+        assert g == GroundSet(3) and type(g.n) is int
+
+    @pytest.mark.parametrize("n", [True, 2.5])
+    def test_sizes_that_are_not_whole_numbers_are_rejected(self, n):
+        with pytest.raises(ValueError, match="ground set size must be an integer"):
+            GroundSet(n)
 
 
 def test_subset_key_orders_by_cardinality_then_lex():
@@ -227,11 +237,28 @@ def test_evaluate_table_matches_pointwise():
         assert table[mask_of(S)] == pytest.approx(f(S))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("reader", [check_submodular, ds_decompose, brute_force_minimize],
+                         ids=["check_submodular", "ds_decompose", "brute_force_minimize"])
+def test_tables_must_be_finite(reader, bad):
+    # a NaN would slip through every min() and comparison on the table
+    f = SetFunctionOracle(GroundSet(3), lambda S: bad if S in ({1, 2}, {3}) else 0.0, "spiky")
+    with pytest.raises(ValueError, match=r"spiky is not finite at \[1, 2\]: "):
+        reader(f)
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, np.float64(math.inf)],
                          ids=["inf", "-inf", "nan", "numpy_inf"])
 def test_whole_rejects_non_finite_naming_the_field(x):
     with pytest.raises(ValueError, match="size must be an integer, got"):
         whole(x, "size")
+
+
+def test_whole_checks_the_lower_bound_after_reading():
+    assert whole(2.0, "folds", 2) == 2 and whole(-3, "shift") == -3
+    for x in (1, 1.0, np.int64(1)):
+        with pytest.raises(ValueError, match="folds must be >= 2, got 1$"):
+            whole(x, "folds", 2)
 
 
 @pytest.mark.parametrize("x", [True, np.True_, "0.5", b"1", None, [1.0], math.nan, math.inf,

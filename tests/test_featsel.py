@@ -69,6 +69,18 @@ class TestParse:
         assert ds.rows[0].tolist() == [0, 0, 1, 0, 0, 0, 1, 0]
         assert ds.labels.tolist() == [1, 0]
 
+    def test_skips_blank_and_comment_lines(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text("# header\n1 2:1\n\n  # note\n0 1:1\n")
+        ds = parse_sparse_dataset(str(p))
+        assert ds.rows.tolist() == [[0, 1], [1, 0]] and ds.labels.tolist() == [1, 0]
+
+    def test_file_of_comments_has_no_data_lines(self, tmp_path):
+        p = tmp_path / "d.libsvm"
+        p.write_text("# header\n\n# footer\n")
+        with pytest.raises(ValueError, match="no data lines"):
+            parse_sparse_dataset(str(p))
+
     def test_infers_width_from_max_index(self, tmp_path):
         p = tmp_path / "d.libsvm"
         p.write_text("-1 2:1\n+1 5:1\n")
@@ -119,6 +131,16 @@ class TestDataset:
     def test_rejects_rows_without_features(self):
         with pytest.raises(ValueError, match="dataset has no features"):
             Dataset(np.zeros((3, 0), dtype=np.int8), np.array([0, 1, 0]))
+
+    @pytest.mark.parametrize("rows", [np.array([0, 1, 1]), np.zeros((0, 2), dtype=np.int8)],
+                             ids=["one_dimensional", "no_rows"])
+    def test_rejects_rows_that_are_not_a_non_empty_matrix(self, rows):
+        with pytest.raises(ValueError, match="non-empty 2-D row matrix"):
+            Dataset(rows, np.zeros(len(rows)))
+
+    def test_rejects_too_few_labels(self):
+        with pytest.raises(ValueError, match="one label per row"):
+            Dataset(np.array([[0, 1], [1, 0]]), np.array([0]))
 
     def test_whole_float_values_are_stored_as_int64(self):
         ds = Dataset(np.array([[0.0, 2.0], [1.0, 0.0]]), np.array([0, 1]))
@@ -297,6 +319,8 @@ class TestCostModel:
             CostModel.partition_sqrt([[1], [1]], [1.0], 1.0)
         with pytest.raises(ValueError):
             CostModel("other", 1.0)
+        with pytest.raises(ValueError, match="partition_sqrt needs blocks"):
+            CostModel("partition_sqrt", 1.0)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1.0, True, "0.5", None])
     def test_rejects_bad_lambda(self, lam):
@@ -462,6 +486,14 @@ class TestNaiveBayes:
         with pytest.raises(ValueError, match="folds must be an integer"):
             naive_bayes_cv(ds, {1}, folds=2.5)
         assert naive_bayes_cv(ds, {1}, folds=2.0) == naive_bayes_cv(ds, {1}, folds=2)
+        with pytest.raises(ValueError, match="folds must be >= 2"):
+            naive_bayes_cv(ds, {1}, folds=1)
+
+    def test_folds_left_empty_are_skipped(self):
+        # two rows per class: a third fold gets no rows, and the first two
+        # are the folds of a two-fold run
+        ds = Dataset(np.array([[0], [1], [1], [0]]), np.array([0, 0, 1, 1]))
+        assert naive_bayes_cv(ds, {1}, folds=3) == naive_bayes_cv(ds, {1}, folds=2)
 
     def test_handles_rare_class_without_error(self):
         rows = np.array([[0], [1], [0], [1], [1]])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import build_function, instance_from_dict
+from dsmin import GroundSet, build_function, instance_from_dict
 from dsmin.core import AffineModular, check_submodular
 from dsmin.functions import modular_spec, sqrt_cardinality_spec
 
@@ -122,6 +122,31 @@ def test_whole_float_sizes_and_endpoints_are_read_as_ints():
     assert f.ground.n == 3 and f({1}) == 1.0
 
 
+@pytest.mark.parametrize("cap", ["1.5", True, math.nan, -1.0])
+def test_concave_cap_must_be_a_number_at_least_zero(cap):
+    with pytest.raises(ValueError, match="cap must be finite and >= 0"):
+        build_function({"kind": "concave_of_modular", "shape": "cap", "weights": [1.0],
+                        "cap": cap})
+
+
+def test_infinite_concave_cap_caps_nothing():
+    spec = {"kind": "concave_of_modular", "shape": "cap", "weights": [1.5, 2.0], "cap": math.inf}
+    f = build_function(json.loads(json.dumps(spec)))
+    assert [f(S) for S in ({1}, {1, 2})] == [1.5, 3.5]
+
+
+def test_spec_size_must_fit_the_ground_set():
+    for spec in (modular_spec([1.0, 2.0]), graph_cut_spec(2, [[1, 2]]),
+                 sqrt_cardinality_spec(2, coeff=2.0)):
+        assert build_function(spec, GroundSet(2)).ground == GroundSet(2)
+        with pytest.raises(ValueError, match="spec has size 2, the ground set 3"):
+            build_function(spec, GroundSet(3))
+    mixed = {"kind": "scaled_sum", "terms": [{"coeff": 1.0, "spec": modular_spec([1.0])},
+                                             {"coeff": 1.0, "spec": modular_spec([1.0, 2.0])}]}
+    with pytest.raises(ValueError, match="children must share one ground set size"):
+        build_function(mixed)
+
+
 def test_optional_keys_take_their_defaults():
     w = [1.0, 4.0]
     plain = {"kind": "concave_of_modular", "weights": w}
@@ -162,6 +187,8 @@ def test_instance_from_dict():
     assert g({1}) == pytest.approx(2.0)
     with pytest.raises(ValueError):
         instance_from_dict({"n": 3, "f": doc["f"]})
+    with pytest.raises(ValueError, match="instance document must be a JSON object"):
+        instance_from_dict([])
 
 
 @pytest.mark.parametrize("n", [3.7, "3", True])
