@@ -8,11 +8,13 @@ can break submodularity on either side, and the solvers in
 :mod:`dsmin.solvers` then run on modular bounds that are not bounds.  The
 greedy baselines here add one feature at a time.
 
-Entropies are empirical plug-in estimates in bits.  Each query packs the
-rows' values on A into one int64 code per row (mixed radix over the sorted
-columns, first column most significant), sorts the codes and counts runs.
-The codes sort in the lexicographic order of the rows, so the counts, and
-every entropy, come out exactly as a sort of the rows would give them.
+Entropies are empirical plug-in estimates in bits.  Each query sorts one
+int64 code per row for its values on A and counts runs.  When the features'
+bit widths sum to at most 63, the first query packs each row into one bit
+field (first feature most significant) and A's code masks it; otherwise
+each query builds a mixed-radix code over A's sorted columns.  Either code
+sorts in the lexicographic order of the rows on A, so every entropy comes
+out exactly as a sort of the rows would give it.
 The conditional entropy can be taken jointly ("non_factored") or as a
 per-feature sum ("factored", the class-conditional independence shortcut);
 the factored sum over-counts shared class-conditional information, which is
@@ -24,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -42,7 +45,8 @@ class Dataset:
     not whole or not below 2^63 - 1 (so that the arity fits int64) are
     rejected, and float or uint64 rows are stored as int64.  ``rows`` is a
     private column-major copy (each feature contiguous in ``rows.T``) and
-    ``labels`` a private copy.  Entropy queries are memoized on the dataset.
+    ``labels`` a private copy.  Entropy queries are memoized on the dataset,
+    and the first one packs the rows into ``_packing`` when they fit 63 bits.
     """
 
     rows: np.ndarray
@@ -82,6 +86,18 @@ class Dataset:
         self.classes, inv = np.unique(self.labels, return_inverse=True)
         self._class_rows = [np.where(inv == c)[0] for c in range(len(self.classes))]
         self.ground = GroundSet(self.n_features)
+
+    @cached_property
+    def _packing(self) -> tuple[np.ndarray, list[int]] | None:
+        """Each row as one int64 bit field, feature 1 in the top bits, and each
+        feature's mask; None when the widths ``bit_length(arity - 1)`` sum past 63."""
+        widths = [int(a - 1).bit_length() for a in self.arity]
+        if sum(widths) > 63:
+            return None
+        shifts = (np.cumsum(widths[::-1])[::-1] - widths).tolist()  # later widths' sums
+        place = [1 << s if b else 0 for b, s in zip(widths, shifts)]
+        masks = [((1 << b) - 1) << s for b, s in zip(widths, shifts)]
+        return self.rows @ np.array(place, dtype=np.int64), masks
 
     @property
     def n_rows(self) -> int:
@@ -166,10 +182,14 @@ def _run_lengths(code: np.ndarray) -> np.ndarray:
 def _row_codes(ds: Dataset, A: frozenset) -> np.ndarray:
     """The int64 code of each row's values on A, as the module docstring says.
 
-    Once the product of the arities reaches 2^63 the code is built column by
+    With packed rows it is one mask.  Otherwise it is a mixed-radix code;
+    once the product of the arities reaches 2^63 it is built column by
     column and replaced by its rank among its distinct values before it
     would overflow, which keeps it exact and its order unchanged.
     """
+    if (packing := ds._packing) is not None:
+        packed, masks = packing
+        return packed & sum(masks[j - 1] for j in A)  # the masks' bits are disjoint
     cols = sorted(j - 1 for j in A)
     arity = ds.arity[cols].tolist()
     if math.prod(arity) < 2 ** 63:
@@ -380,7 +400,7 @@ def naive_bayes_cv(ds: Dataset, A: Iterable[int], folds: int = 10,
         fold_of[idx] = np.arange(len(idx)) % folds
 
     accuracies = []
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 for a class absent at alpha 0
         for k in range(folds):
             train = fold_of != k
             test = ~train

@@ -268,6 +268,27 @@ def test_spanning_tree_feasibility_rejects_a_cycle():
     assert c.is_feasible({1, 2, 4}) and not c.is_feasible({1, 2, 3})
 
 
+@pytest.mark.parametrize("c, X, element", [
+    (Constraint.knapsack([5, 1, 1], 1), {0}, 0),  # would read costs[-1]
+    (Constraint.knapsack([5, 1, 1], 9), {1, 4}, 4),
+    (Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)]), {0, 1}, 0),
+    (Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)]), {1, 5}, 5),
+    (Constraint.partition_matroid([[1, 2], [3]], [1, 1]), {7, 8, 9}, 7),
+    (Constraint.partition_matroid([[1, 2], [3]], [1, 1]), {-1, 2}, -1),
+], ids=["knapsack_zero", "knapsack_above", "tree_zero", "tree_above", "partition_above",
+        "partition_negative"])
+def test_feasibility_rejects_elements_outside_the_ground_set(c, X, element):
+    with pytest.raises(ValueError, match=f"element {element} lies outside the ground set 1..3"):
+        c.is_feasible(X)
+
+
+@pytest.mark.parametrize("c", [Constraint.none(), Constraint.cardinality_le(2),
+                               Constraint.cardinality_eq(2)])
+def test_kinds_without_n_read_only_the_size(c):
+    assert c.is_feasible({0, 99}) and c.is_feasible({1, 2})
+    assert c.is_feasible({1, 2, 3}) == (c.kind == "none")
+
+
 @pytest.mark.parametrize("make", [Constraint.cardinality_le, Constraint.cardinality_eq])
 def test_cardinality_bound_must_be_whole(make):
     assert make(2.0) == make(2)

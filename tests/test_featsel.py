@@ -228,9 +228,11 @@ class TestEntropy:
 
     def test_row_codes_match_row_sort_bit_for_bit(self):
         """Both entropies equal, with ==, those of the counts a sort of the rows
-        gives, on narrow data and on data wide enough to re-code the codes."""
+        gives: on data packed into one int64 (bit widths summing to at most 63,
+        the boundary included) and on wider data, some of it wide enough to
+        re-code the codes."""
         rng = np.random.default_rng(2051)
-        cases = []
+        cases = []  # (dataset, whether its rows are packed)
         for dtype in (np.int8, np.uint8, np.int64, np.float64):
             for top in (2, 3, 4, 5):
                 for n_classes in (1, 2, 3):
@@ -238,12 +240,29 @@ class TestEntropy:
                     pool = rng.integers(0, arity, (12, 7))  # repeated rows
                     rows = np.vstack([pool[rng.integers(0, 12, 40)],
                                       rng.integers(0, arity, (20, 7))]).astype(dtype)
-                    cases.append(Dataset(rows, rng.integers(0, n_classes, 60)))
-        for arity, width in ((2, 70), (5, 30)):
-            pool = rng.integers(0, arity, (15, width), dtype=np.int8)
-            cases.append(Dataset(pool[rng.integers(0, 15, 50)], rng.integers(0, 2, 50)))
-            assert math.prod(int(a) for a in cases[-1].arity) >= 2 ** 63
-        for ds in cases:
+                    cases.append((Dataset(rows, rng.integers(0, n_classes, 60)), True))
+
+        def data(arity):
+            """50 rows of repeats, with each feature's top value in the first."""
+            arity = np.array(arity)
+            pool = rng.integers(0, arity, (15, len(arity)))
+            rows = np.vstack([arity - 1, pool[rng.integers(0, 15, 49)]])
+            ds = Dataset(rows, rng.integers(0, 2, 50))
+            assert ds.arity.tolist() == arity.tolist()
+            return ds
+
+        for arity, packed in (
+                ([2] * 63, True), ([8, 5, 6, 7] * 5 + [5], True),  # 63 bits
+                ([1] + [2] * 63, True),  # a constant first feature has no bits
+                ([2] * 64, False),
+                ([2, 1, 3, 4, 5, 8, 9, 16, 17], True),  # 2^k and 2^k + 1, a constant
+                ([3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 1] * 2, False),  # 94 bits
+                ([2] * 70, False), ([5] * 30, False)):
+            cases.append((data(arity), packed))
+        for ds, _ in cases[-3:]:  # codes re-coded past 2^63
+            assert math.prod(int(a) for a in ds.arity) >= 2 ** 63
+        for ds, packed in cases:
+            assert (ds._packing is not None) == packed
             n = ds.n_features
             subsets = [frozenset(range(1, n + 1)), frozenset({n})] + [
                 frozenset(int(j) + 1 for j in rng.choice(n, rng.integers(1, n + 1),
@@ -501,6 +520,13 @@ class TestNaiveBayes:
         ds = Dataset(rows, labels)
         acc = naive_bayes_cv(ds, {1}, folds=3, alpha=1.0)
         assert 0.0 <= acc <= 1.0
+
+    def test_class_missing_from_a_training_fold_at_zero_smoothing(self):
+        # the one class-1 row is tested in the fold whose training rows are
+        # all class 0: class 1's likelihoods there are 0/0, dropped without a
+        # warning, and its prior is 0, so that fold gets 2 of 3 rows right
+        ds = Dataset(np.array([[0], [1], [0], [1], [1]]), np.array([0, 0, 0, 0, 1]))
+        assert naive_bayes_cv(ds, {1}, folds=2, alpha=0.0) == pytest.approx((2 / 3 + 1) / 2)
 
 
 class TestSolversOnObjective:

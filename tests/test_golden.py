@@ -69,6 +69,25 @@ def _featsel():
     return build_objective(*_featsel_data(), 1.0).instance
 
 
+def _wide_data():
+    """64 rows of 24 features valued 0..4, six of them noisy class copies, and a cost.
+
+    Three bits a feature make 72, too wide for one int64 of packed row
+    codes, so every entropy query takes the per-query code path.
+    """
+    rng = np.random.default_rng(19)
+    y = rng.integers(0, 2, 64)
+    X = rng.integers(0, 5, (64, 24))
+    for j in range(6):
+        X[:, j] = np.where(rng.random(64) < 0.2 + 0.1 * j, X[:, j], 4 * y)
+    return Dataset(X, y), CostModel.modular_cardinality(0.01)
+
+
+def _wide():
+    """The MI objective on ``_wide_data``."""
+    return build_objective(*_wide_data(), 1.0).instance
+
+
 def _graph(doc):
     return lambda: DSInstance(*instance_from_dict(doc)[1:])
 
@@ -82,7 +101,8 @@ TREE = Constraint.spanning_tree(8, [(i, i % 8 + 1) for i in range(1, 9)]
                                 + [(i, (i + 1) % 8 + 1) for i in range(1, 9)])
 INSTANCES = {"cut0": _graph(_cut(0)), "cut1": _graph(_cut(1)),
              "fac0": _graph(_facility(0)), "fac1": _graph(_facility(1)),
-             "featsel": _featsel, "featsel_data": _featsel_data}
+             "featsel": _featsel, "featsel_data": _featsel_data,
+             "wide": _wide, "wide_data": _wide_data}
 RUNS = {
     "subsup": lambda i: sub_sup(i),
     "subsup_random": lambda i: sub_sup(i, SolverOptions(heuristic="random", seed=3)),
@@ -106,7 +126,8 @@ GREEDY = {"grnf": lambda d: greedy_select(*d, "grnf")[1],
 CASES = ([f"{run}/{name}" for name in ("cut0", "cut1", "fac0", "fac1") for run in RUNS]
          + [f"{run}/featsel" for run in ("subsup", "supsub", "supsub_randomized", "modmod",
                                          "modmod_cap")]
-         + [f"{run}/featsel_data" for run in GREEDY])
+         + [f"{run}/featsel_data" for run in GREEDY]
+         + ["modmod/wide", "grnf/wide_data"])
 
 
 def record(case):
@@ -130,6 +151,10 @@ def test_reproduces_recording(case, golden):
 
 def test_every_case_recorded(golden):
     assert sorted(golden) == sorted(CASES)
+
+
+def test_wide_data_takes_the_per_query_codes():
+    assert _wide_data()[0]._packing is None and _featsel_data()[0]._packing is not None
 
 
 if __name__ == "__main__":
