@@ -126,9 +126,10 @@ class Constraint:
             raise ValueError("knapsack needs one cost per ground element")
 
     def is_feasible(self, X: Iterable[int]) -> bool:
-        """Whether X is feasible.  Partition, spanning tree and knapsack
-        constraints know n and raise on an element outside 1..n; the
-        cardinality kinds and ``none`` know no n and read only ``len(X)``."""
+        """Whether X is feasible.  Spanning tree and knapsack constraints know
+        n and raise on an element outside 1..n, a partition matroid on one in
+        no block; the cardinality kinds and ``none`` know no ground set and
+        read only ``len(X)``."""
         S = frozenset(X)
         if self.kind == "none":
             return True
@@ -136,12 +137,13 @@ class Constraint:
             return len(S) <= self.k
         if self.kind == "cardinality_eq":
             return len(S) == self.k
-        n = (len(self.costs) if self.kind == "knapsack" else len(self.edges)
-             if self.kind == "spanning_tree" else sum(map(len, self.blocks)))
-        if outside := [i for i in S if not 1 <= i <= n]:
-            raise ValueError(f"element {min(outside)} lies outside the ground set 1..{n}")
         if self.kind == "partition_matroid":
+            if outside := S.difference(*self.blocks):
+                raise ValueError(f"element {min(outside)} lies in no partition block")
             return all(len(S & b) <= q for b, q in zip(self.blocks, self.quotas))
+        n = len(self.costs if self.kind == "knapsack" else self.edges)
+        if outside := [i for i in S if i not in range(1, n + 1)]:
+            raise ValueError(f"element {min(outside)} lies outside the ground set 1..{n}")
         if self.kind == "spanning_tree":  # n_vertices - 1 edges without a cycle
             uf = _UnionFind(self.n_vertices)
             return len(S) == self.n_vertices - 1 and all(

@@ -268,18 +268,32 @@ def test_spanning_tree_feasibility_rejects_a_cycle():
     assert c.is_feasible({1, 2, 4}) and not c.is_feasible({1, 2, 3})
 
 
-@pytest.mark.parametrize("c, X, element", [
-    (Constraint.knapsack([5, 1, 1], 1), {0}, 0),  # would read costs[-1]
-    (Constraint.knapsack([5, 1, 1], 9), {1, 4}, 4),
-    (Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)]), {0, 1}, 0),
-    (Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)]), {1, 5}, 5),
-    (Constraint.partition_matroid([[1, 2], [3]], [1, 1]), {7, 8, 9}, 7),
-    (Constraint.partition_matroid([[1, 2], [3]], [1, 1]), {-1, 2}, -1),
-], ids=["knapsack_zero", "knapsack_above", "tree_zero", "tree_above", "partition_above",
-        "partition_negative"])
-def test_feasibility_rejects_elements_outside_the_ground_set(c, X, element):
-    with pytest.raises(ValueError, match=f"element {element} lies outside the ground set 1..3"):
+TRIANGLE = Constraint.spanning_tree(3, [(1, 2), (2, 3), (1, 3)])
+BLOCKS = Constraint.partition_matroid([[1, 2], [3]], [1, 1])
+
+
+@pytest.mark.parametrize("c, X, message", [
+    (Constraint.knapsack([5, 1, 1], 1), {0}, "element 0 lies outside the ground set 1..3"),
+    (Constraint.knapsack([5, 1, 1], 9), {1, 4}, "element 4 lies outside the ground set 1..3"),
+    (Constraint.knapsack([5, 1, 1], 9), {1.5}, "element 1.5 lies outside the ground set 1..3"),
+    (TRIANGLE, {0, 1}, "element 0 lies outside the ground set 1..3"),
+    (TRIANGLE, {1, 5}, "element 5 lies outside the ground set 1..3"),
+    (TRIANGLE, {1.5, 2}, "element 1.5 lies outside the ground set 1..3"),
+    (BLOCKS, {7, 8, 9}, "element 7 lies in no partition block"),
+    (BLOCKS, {-1, 2}, "element -1 lies in no partition block"),
+    (BLOCKS, {1.5}, "element 1.5 lies in no partition block"),
+], ids=["knapsack_zero", "knapsack_above", "knapsack_fraction", "tree_zero", "tree_above",
+        "tree_fraction", "partition_above", "partition_negative", "partition_fraction"])
+def test_feasibility_rejects_elements_outside_the_ground_set(c, X, message):
+    with pytest.raises(ValueError, match=message):
         c.is_feasible(X)
+
+
+def test_partition_feasibility_reads_the_blocks_not_their_count():
+    c = Constraint.partition_matroid([[1, 2], [5]], [1, 1])  # never validated
+    assert c.is_feasible({1, 5}) and not c.is_feasible({1, 2})
+    with pytest.raises(ValueError, match="element 3 lies in no partition block"):
+        c.is_feasible({3})
 
 
 @pytest.mark.parametrize("c", [Constraint.none(), Constraint.cardinality_le(2),

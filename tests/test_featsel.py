@@ -229,9 +229,19 @@ class TestEntropy:
     def test_row_codes_match_row_sort_bit_for_bit(self):
         """Both entropies equal, with ==, those of the counts a sort of the rows
         gives: on data packed into one int64 (bit widths summing to at most 63,
-        the boundary included) and on wider data, some of it wide enough to
-        re-code the codes."""
+        the boundary included) and on wider data, wide enough to re-code the
+        codes; both paths see int8, uint8, int64 and float64 rows."""
         rng = np.random.default_rng(2051)
+
+        def data(arity, dtype=np.int8):
+            """50 rows of repeats, with each feature's top value in the first."""
+            arity = np.array(arity)
+            pool = rng.integers(0, arity, (15, len(arity)))
+            rows = np.vstack([arity - 1, pool[rng.integers(0, 15, 49)]]).astype(dtype)
+            ds = Dataset(rows, rng.integers(0, 2, 50))
+            assert ds.arity.tolist() == arity.tolist()
+            return ds
+
         cases = []  # (dataset, whether its rows are packed)
         for dtype in (np.int8, np.uint8, np.int64, np.float64):
             for top in (2, 3, 4, 5):
@@ -241,26 +251,16 @@ class TestEntropy:
                     rows = np.vstack([pool[rng.integers(0, 12, 40)],
                                       rng.integers(0, arity, (20, 7))]).astype(dtype)
                     cases.append((Dataset(rows, rng.integers(0, n_classes, 60)), True))
-
-        def data(arity):
-            """50 rows of repeats, with each feature's top value in the first."""
-            arity = np.array(arity)
-            pool = rng.integers(0, arity, (15, len(arity)))
-            rows = np.vstack([arity - 1, pool[rng.integers(0, 15, 49)]])
-            ds = Dataset(rows, rng.integers(0, 2, 50))
-            assert ds.arity.tolist() == arity.tolist()
-            return ds
-
+            cases += [(data([2] * 70, dtype), False), (data([5] * 30, dtype), False)]
         for arity, packed in (
                 ([2] * 63, True), ([8, 5, 6, 7] * 5 + [5], True),  # 63 bits
                 ([1] + [2] * 63, True),  # a constant first feature has no bits
                 ([2] * 64, False),
                 ([2, 1, 3, 4, 5, 8, 9, 16, 17], True),  # 2^k and 2^k + 1, a constant
-                ([3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 1] * 2, False),  # 94 bits
-                ([2] * 70, False), ([5] * 30, False)):
+                ([3, 4, 5, 8, 9, 16, 17, 32, 33, 64, 65, 1] * 2, False)):  # 94 bits
             cases.append((data(arity), packed))
-        for ds, _ in cases[-3:]:  # codes re-coded past 2^63
-            assert math.prod(int(a) for a in ds.arity) >= 2 ** 63
+        for ds, packed in cases:  # every unpacked case re-codes past 2^63
+            assert packed or math.prod(int(a) for a in ds.arity) >= 2 ** 63
         for ds, packed in cases:
             assert (ds._packing is not None) == packed
             n = ds.n_features

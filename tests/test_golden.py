@@ -61,7 +61,7 @@ def _featsel_data():
     for j in range(8):
         src = y if j < 3 else X[:, j - 3] if j < 6 else np.zeros(64, dtype=np.int8)
         X[:, j] = src ^ (rng.random(64) < 0.1 + 0.08 * j)
-    return Dataset(X, y), CostModel.modular_cardinality(0.01)
+    return Dataset(X.astype(np.int8), y), CostModel.modular_cardinality(0.01)
 
 
 def _featsel():
@@ -70,17 +70,19 @@ def _featsel():
 
 
 def _wide_data():
-    """64 rows of 24 features valued 0..4, six of them noisy class copies, and a cost.
+    """64 int8 rows of 24 features valued 0..4, six of them noisy class copies,
+    and a cost.
 
     Three bits a feature make 72, too wide for one int64 of packed row
-    codes, so every entropy query takes the per-query code path.
+    codes, so every entropy query takes the per-query code path, on int8
+    rows as ``parse_sparse_dataset`` gives them.
     """
     rng = np.random.default_rng(19)
     y = rng.integers(0, 2, 64)
     X = rng.integers(0, 5, (64, 24))
     for j in range(6):
         X[:, j] = np.where(rng.random(64) < 0.2 + 0.1 * j, X[:, j], 4 * y)
-    return Dataset(X, y), CostModel.modular_cardinality(0.01)
+    return Dataset(X.astype(np.int8), y), CostModel.modular_cardinality(0.01)
 
 
 def _wide():
