@@ -54,7 +54,10 @@ def modular_lower_bound(g: SetFunctionOracle, Y: Iterable[int],
     Y = g.ground.check_subset(Y)
     if not sigma.chain_contains(Y):
         raise ValueError(f"permutation chain {sigma.order} does not contain {sorted(Y)}")
-    return AffineModular(0.0, chain_gains(g, sigma.order))
+    weights = [0.0] * g.ground.n
+    for j, gain in zip(sigma.order, chain_gains(g, sigma.order)):
+        weights[j - 1] = gain
+    return AffineModular(0.0, np.array(weights))
 
 
 def modular_upper_bound(f: SetFunctionOracle, X: Iterable[int],

@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import AffineModular, whole
+from .core import AffineModular, element_set, whole
 
 _READS = {"none": (), "cardinality_le": ("k",), "cardinality_eq": ("k",),
           "partition_matroid": ("blocks", "quotas"), "spanning_tree": ("n_vertices", "edges"),
@@ -128,15 +128,16 @@ class Constraint:
     def is_feasible(self, X: Iterable[int]) -> bool:
         """Whether X is feasible.  Spanning tree and knapsack constraints know
         n and raise on an element outside 1..n, a partition matroid on one in
-        no block; the cardinality kinds and ``none`` know no ground set and
-        read only ``len(X)``."""
-        S = frozenset(X)
+        no block, and all three read elements as ``core.element_set`` does;
+        the cardinality kinds and ``none`` know no ground set and read only
+        ``len(X)``."""
         if self.kind == "none":
             return True
         if self.kind == "cardinality_le":
-            return len(S) <= self.k
+            return len(frozenset(X)) <= self.k
         if self.kind == "cardinality_eq":
-            return len(S) == self.k
+            return len(frozenset(X)) == self.k
+        S = element_set(X)
         if self.kind == "partition_matroid":
             if outside := S.difference(*self.blocks):
                 raise ValueError(f"element {min(outside)} lies in no partition block")

@@ -40,9 +40,9 @@ class GroundSet:
         return frozenset(self.elements())
 
     def check_subset(self, X: Iterable[int]) -> frozenset:
-        S = frozenset(int(j) for j in X)
+        S = element_set(X)
         for j in S:
-            if not 1 <= j <= self.n:
+            if type(j) is not int or not 1 <= j <= self.n:
                 raise ValueError(f"element {j} outside ground set 1..{self.n}")
         return S
 
@@ -58,6 +58,19 @@ def whole(x, what: str, low: int | None = None) -> int:
     if low is not None and x < low:
         raise ValueError(f"{what} must be >= {low}, got {x!r}")
     return x
+
+
+def element_set(X: Iterable[int]) -> frozenset:
+    """X as a frozenset whose whole numbers are ints: 2.0 and numpy integers count.
+    A fraction or NaN stays as it is, for the caller's range test to name; a bool
+    or a non-number raises ``ValueError`` naming it."""
+    return frozenset(j if type(j) is int else _element(j) for j in X)
+
+
+def _element(j):
+    if isinstance(j, bool) or not isinstance(j, numbers.Real):
+        raise ValueError(f"element must be an integer, got {j!r}")
+    return int(j) if math.isfinite(j) and j == int(j) else j
 
 
 def nonnegative(x, what: str) -> float:
@@ -200,22 +213,22 @@ class AffineModular:
 
 
 def chain_gains(f: SetFunctionOracle, order: Iterable[int],
-                base: frozenset = frozenset()) -> np.ndarray:
+                base: frozenset = frozenset()) -> list[float]:
     """Telescoped gains of a normalized f along the chain base, base + order[0], ...
 
-    Entry ``j - 1`` holds f(prefix ending at j) minus f(the prefix before
-    it), starting from f(base), which is 0 without a call at the empty set;
-    entries of elements not in ``order`` are 0.  Evaluates f once per prefix.
+    Entry i holds f(prefix ending at order[i]) minus f(the prefix before it),
+    starting from f(base), which is 0 without a call at the empty set.
+    Evaluates f once per prefix; callers scatter the gains onto elements.
     """
-    gains = [0.0] * f.ground.n
+    gains = []
     prev = f(base) if base else 0.0
     running = set(base)
     for j in order:
         running.add(j)
         cur = f(frozenset(running))
-        gains[j - 1] = cur - prev
+        gains.append(cur - prev)
         prev = cur
-    return np.array(gains)
+    return gains
 
 
 TABLE_MAX_N = 20

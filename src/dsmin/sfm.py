@@ -1,14 +1,14 @@
 """Exact minimization of f - w, f normalized submodular and w a weight vector.
 
-Single-element gains first narrow the minimizers to a lattice [A, B].  If
-A < B, the classic Fujishige-Wolfe minimizer runs over B - A: the greedy
+Single-element gains first narrow the minimizers to a lattice [A, B], from
+gains at the empty set and at V - j kept once per memo.  If A < B, the
+classic Fujishige-Wolfe minimizer runs over B - A: the greedy
 linear-optimization primitive over the base polytope (Edmonds) plus Wolfe's
 nearest-point algorithm find the minimum-norm point, whose negative and
 non-positive coordinates give the minimal and maximal minimizers.  A base
 vertex of f - w is f's chain gains minus w, so f - w is never summed over a
-set.  The corral's squared row norms are kept in a list instead of being
-summed again each major cycle, with the same bits.  Hitting the major-cycle
-cap raises a plain ``RuntimeError`` that reports the gap.
+set.  The corral's squared row norms are kept, not summed again each major
+cycle.  Hitting the major-cycle cap raises a plain ``RuntimeError`` with the gap.
 
 References:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11 (1976).
@@ -19,6 +19,8 @@ References:
 """
 
 from __future__ import annotations
+
+import weakref
 
 import numpy as np
 
@@ -40,7 +42,9 @@ def greedy_base_vertex(f: SetFunctionOracle, direction, w=None, base: frozenset 
     d = np.asarray(direction, dtype=float)
     if d.shape != E.shape:
         raise ValueError(f"direction must have length {len(E)}")
-    q = chain_gains(f, E[np.argsort(d, kind="stable")].tolist(), base)[E - 1]
+    by = np.argsort(d, kind="stable")
+    q = np.empty(len(E))
+    q[by] = chain_gains(f, E[by].tolist(), base)
     return q if w is None else q - w
 
 
@@ -62,7 +66,7 @@ def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mu, *_ = np.linalg.lstsq(A, b, rcond=None)
     coeffs = np.empty(m)
     coeffs[1:] = mu
-    coeffs[0] = 1.0 - mu.sum()
+    coeffs[0] = 1.0 - np.add.reduce(mu)
     return S[0] + D.T @ mu, coeffs
 
 
@@ -71,6 +75,18 @@ _GAP_TOL = 1e-10  # relative duality gap at which the point counts as optimal
 # x_j < -ROUND_TOL marks the minimal minimizer, x_j < ROUND_TOL the maximal one;
 # a gain beyond it puts an element inside or outside every minimizer
 ROUND_TOL = 1e-9
+_END_GAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _end_gains(f: MemoizedOracle) -> tuple[list[float], list[float]]:
+    """f({j}) - f(empty) and f(V) - f(V - j) over j = 1..n, kept under a weak
+    key per memo.  Evaluates f(empty), f(V), each {j}, then each V - j."""
+    gains = _END_GAINS.get(f)
+    if gains is None:
+        f0, fV = f(frozenset()), f(V := f.ground.full)
+        gains = _END_GAINS[f] = ([f(frozenset({j})) - f0 for j in f.ground.elements()],
+                                 [fV - f(V - {j}) for j in f.ground.elements()])
+    return gains
 
 
 def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, frozenset]:
@@ -79,19 +95,29 @@ def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, fr
     Each round moves the j in B - A with (f - w)(j | A) < -ROUND_TOL into A
     and those with (f - w)(j | B - j) > ROUND_TOL out of B, as gains only
     fall as the context grows.  Only a non-submodular f can send one j both
-    ways; then the lattice is all of 2^V.
+    ways; then the lattice is all of 2^V.  Round one reads ``_end_gains``; a
+    later round tests only a side that moved, as the other side's tests would
+    be memo hits that move nothing, and evaluates f(A), then f(B), before any
+    neighbour: B can be A + j, and the first set object to reach the memo
+    fixes the order of that set's sums.  A and B are copied every round, moved
+    or not, as a copy's iteration order can differ from the original's.
     """
+    lo, hi = _end_gains(f)
+    grow = {j for j, (g, wj) in enumerate(zip(lo, w), 1) if g - wj < -ROUND_TOL}
+    shrink = {j for j, (g, wj) in enumerate(zip(hi, w), 1) if g - wj > ROUND_TOL}
     A, B = frozenset(), f.ground.full
-    while True:
-        fA, fB = f(A), f(B)
-        free = sorted(B - A)
-        grow = {j for j in free if f(A | {j}) - fA - w[j - 1] < -ROUND_TOL}
-        shrink = {j for j in free if fB - f(B - {j}) - w[j - 1] > ROUND_TOL}
+    while grow or shrink:
         if grow & shrink:
             return frozenset(), f.ground.full
-        if not grow and not shrink:
-            return A, B
         A, B = A | grow, B - shrink
+        if grow:
+            fA = f(A)
+        if shrink:
+            fB = f(B)
+        free = sorted(B - A)
+        grow = grow and {j for j in free if f(A | {j}) - fA - w[j - 1] < -ROUND_TOL}
+        shrink = shrink and {j for j in free if fB - f(B - {j}) - w[j - 1] > ROUND_TOL}
+    return A, B
 
 
 def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, frozenset]:
@@ -109,8 +135,8 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     w = np.zeros(n) if w is None else np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise ValueError(f"weights must have length {n}")
-    if (bad := np.flatnonzero(~np.isfinite(w))).size:
-        raise ValueError(f"weights must be finite: w[{bad[0]}] is {w[bad[0]]!r}")
+    if not (finite := np.isfinite(w)).all():
+        raise ValueError(f"weights must be finite: w[{(j := np.argmin(finite))}] is {w[j]!r}")
     fm = f if isinstance(f, MemoizedOracle) else memoized(f)
     if not abs(f0 := fm(frozenset())) <= FLOAT_TOL:  # also rejects NaN
         raise ValueError(f"f must be normalized: value at empty set is {f0!r}")
@@ -124,37 +150,38 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     wE = w[E - 1]
     x = greedy_base_vertex(fm, np.zeros(m), wE, A, E)
     S = x.reshape(1, m).copy()
-    norms = [float(np.sum(x * x))]  # squared row norms of S
+    norms = [float(np.add.reduce(x * x))]  # squared row norms of S
     lam = np.ones(1)
 
     for _ in range(100 * m * m):
         q = greedy_base_vertex(fm, x, wE, A, E)
-        corr = max(1.0, float(x @ x), float(q @ q), max(norms))
-        gap = float(x @ x - x @ q)
+        xx = float(x @ x)
+        corr = max(1.0, xx, float(q @ q), max(norms))
+        gap = xx - float(x @ q)
         if gap <= _GAP_TOL * corr:
             break
-        if (np.abs(S - q).max(axis=1) <= _DROP_TOL * corr).any():
+        if np.minimum.reduce(np.maximum.reduce(np.abs(S - q), axis=1)) <= _DROP_TOL * corr:
             break  # vertex already active: numerically optimal
-        S = np.vstack([S, q])
-        norms.append(float(np.sum(q * q)))
-        lam = np.append(lam, 0.0)
+        S = np.concatenate((S, q.reshape(1, m)))
+        norms.append(float(np.add.reduce(q * q)))
+        lam = np.concatenate((lam, [0.0]))
 
         for _minor in range(10 * m + 100):
             y, coeffs = _affine_minimizer(S)
-            if coeffs.min() >= -_DROP_TOL:
+            if np.minimum.reduce(coeffs) >= -_DROP_TOL:
                 x, lam = y, np.maximum(coeffs, 0.0)
                 break
             # step toward y until the first coefficient hits zero
             neg = coeffs < -_DROP_TOL
-            theta = float(np.min(lam[neg] / (lam[neg] - coeffs[neg])))
+            theta = float(np.minimum.reduce(lam[neg] / (lam[neg] - coeffs[neg])))
             lam = (1.0 - theta) * lam + theta * coeffs
             keep = lam > _DROP_TOL
-            if not keep.any():
+            if not np.logical_or.reduce(keep):
                 keep[int(np.argmax(lam))] = True
             S = S[keep]
             norms = [r for r, k in zip(norms, keep.tolist()) if k]
             lam = lam[keep]
-            lam = lam / lam.sum()
+            lam = lam / np.add.reduce(lam)
             x = S.T @ lam
         else:
             break  # minor cycle stuck; x is the best affine point available

@@ -241,8 +241,8 @@ def _shuffled_chain(X: frozenset, n: int, rng: np.random.Generator,
 
     Shuffling 0 or 1 elements draws nothing from rng."""
     pin = set() if j is None else {j}
-    inside = [int(i) for i in rng.permutation(sorted(X - pin))]
-    outside = [int(i) for i in rng.permutation(sorted(set(range(1, n + 1)) - X - pin))]
+    inside = rng.permutation(sorted(X - pin)).tolist()
+    outside = rng.permutation(sorted(set(range(1, n + 1)) - X - pin)).tolist()
     return Permutation(tuple(inside + list(pin) + outside))
 
 

@@ -296,6 +296,27 @@ def test_partition_feasibility_reads_the_blocks_not_their_count():
         c.is_feasible({3})
 
 
+@pytest.mark.parametrize("c, X, feasible", [
+    (Constraint.knapsack([5, 1, 1], 1), {2.0}, True),
+    (Constraint.knapsack([5, 1, 1], 1), [np.int64(3), 2.0], False),
+    (TRIANGLE, {1.0, np.int64(2)}, True),
+    (TRIANGLE, [1.0, 2.0, 3.0], False),
+    (BLOCKS, {2.0, np.float64(3.0)}, True),
+    (BLOCKS, [1.0, np.int64(2)], False),
+], ids=["knapsack", "knapsack_over", "tree", "tree_cycle", "partition", "partition_over"])
+def test_feasibility_reads_whole_elements_as_ints(c, X, feasible):
+    assert c.is_feasible(X) is feasible
+
+
+@pytest.mark.parametrize("c", [Constraint.knapsack([5, 1, 1], 9), TRIANGLE, BLOCKS],
+                         ids=["knapsack", "tree", "partition"])
+@pytest.mark.parametrize("j", [True, "2"])
+def test_feasibility_rejects_elements_that_are_not_numbers(c, j):
+    # True == 1 would otherwise count as element 1
+    with pytest.raises(ValueError, match="element must be an integer"):
+        c.is_feasible({j})
+
+
 @pytest.mark.parametrize("c", [Constraint.none(), Constraint.cardinality_le(2),
                                Constraint.cardinality_eq(2)])
 def test_kinds_without_n_read_only_the_size(c):

@@ -37,6 +37,22 @@ class TestGroundSet:
         with pytest.raises(ValueError, match="ground set size must be an integer"):
             GroundSet(n)
 
+    @pytest.mark.parametrize("j", [2.0, np.int64(2), np.float64(2.0), Fraction(4, 2)])
+    def test_whole_elements_are_read_as_ints(self, j):
+        S = GroundSet(3).check_subset([j, 3])
+        assert S == frozenset({2, 3}) and all(type(i) is int for i in S)
+
+    @pytest.mark.parametrize("j, message", [
+        (1.5, "element 1.5 outside"), (math.nan, "element nan outside"),
+        (Fraction(3, 2), "element 3/2 outside"), (True, "got True"),
+        (np.True_, "got np.True_"), ("2", "got '2'"), (None, "got None")])
+    def test_elements_that_are_not_whole_numbers_are_rejected(self, j, message):
+        # int() would have read 1.5 as 1 and True as 1, so f([1.5]) was f({1})
+        with pytest.raises(ValueError, match=message):
+            GroundSet(3).check_subset([j])
+        with pytest.raises(ValueError, match=message):
+            SetFunctionOracle(GroundSet(3), len)([2, j])
+
 
 def test_subset_key_orders_by_cardinality_then_lex():
     sets = [frozenset({2}), frozenset({1, 2}), frozenset({1}), frozenset()]

@@ -105,6 +105,31 @@ def test_non_finite_specs_rejected(bad):
         build_function(bad)
 
 
+@pytest.mark.parametrize("bad, array", [
+    ({"kind": "modular", "weights": ["1.5", True]}, "'weights'"),
+    ({"kind": "modular", "weights": [1.5, True]}, "'weights'"),
+    ({"kind": "modular", "weights": np.array([True, False])}, "'weights'"),
+    ({"kind": "concave_of_modular", "shape": "sqrt", "weights": [1.0, "2"]}, "'weights'"),
+    ({"kind": "facility_location", "benefits": [["2", True]]}, "'benefits'"),
+    ({"kind": "facility_location", "benefits": [[2.0, 1.0], [1.0, False]]}, "'benefits'"),
+    ({"kind": "facility_location", "benefits": [[2.0, 1.0], [1.0]]}, "'benefits'"),
+    ({"kind": "explicit_table", "n": 1, "values": [0.0, "1"]}, "'values'"),
+    ({"kind": "explicit_table", "n": 1, "values": [0.0, True]}, "'values'"),
+    ({"kind": "explicit_table", "n": 1, "values": [0.0, None]}, "'values'"),
+])
+def test_spec_arrays_hold_real_numbers_only(bad, array):
+    # float() would read "1.5" as 1.5 and True as 1.0
+    with pytest.raises(ValueError, match=f"{array} must hold real numbers"):
+        build_function(bad)
+
+
+def test_spec_arrays_read_ints_and_numpy_numbers_as_floats():
+    f = build_function({"kind": "modular", "weights": [1, np.float64(0.5), np.int64(2)]})
+    assert f({1, 2, 3}) == 3.5
+    f = build_function({"kind": "facility_location", "benefits": np.array([[2, 1], [0, 3]])})
+    assert f({1}) == 2.0 and f({1, 2}) == 5.0
+
+
 @pytest.mark.parametrize("bad", [
     {"kind": "graph_cut", "n": 3.2, "edges": [[1, 2, 1.0]]},
     {"kind": "graph_cut", "n": "3"},

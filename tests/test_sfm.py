@@ -1,12 +1,15 @@
+import gc
+import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, build_function, memoized, min_norm_point
-from dsmin.core import brute_force_minimize, evaluate_table, set_of
+from dsmin.core import MemoizedOracle, brute_force_minimize, evaluate_table, mask_of, set_of
 from dsmin.functions import modular_spec
-from dsmin.sfm import _minimizer_lattice, greedy_base_vertex
+from dsmin.sfm import ROUND_TOL, _minimizer_lattice, greedy_base_vertex
 
 import helpers
 
@@ -203,3 +206,105 @@ class TestMinimizerLattice:
             assert (X, Y) == (best_X, best_Y)
             assert val == pytest.approx(best, abs=1e-9)
         assert 0 < pinned < 24  # both the pinned and the Wolfe path run
+
+
+def _pinned_run(seed: int = 85) -> tuple[int, str]:
+    """Nine SFMs on one memo of a seeded cut, then nine on a facility location,
+    both at n = 12: how many sets they evaluate, and a digest of each memo's
+    keys (as bitmasks, in insertion order) and of each result's sets, in their
+    iteration order, and value bits."""
+    rng = np.random.default_rng(seed)
+    digest, count = hashlib.sha256(), 0
+    for family in ("cut", "facility"):
+        f = helpers.FAMILY_BUILDERS[family](rng, 12)
+        memo = memoized(f)
+        for trial in range(9):
+            X, val, Y = min_norm_point(memo, _lattice_weights(rng, f, trial % 3))
+            digest.update(repr((tuple(X), val.hex(), tuple(Y))).encode())
+        digest.update(np.array(list(map(mask_of, memo._cache)), dtype="<i8").tobytes())
+        count += len(memo._cache)
+    return count, digest.hexdigest()
+
+
+def _reference_lattice(f, w):
+    """``_minimizer_lattice`` as it was before the first round's gains were kept
+    per memo: every round evaluates f(A), f(B) and both sides' neighbours."""
+    A, B = frozenset(), f.ground.full
+    while True:
+        fA, fB = f(A), f(B)
+        free = sorted(B - A)
+        grow = {j for j in free if f(A | {j}) - fA - w[j - 1] < -ROUND_TOL}
+        shrink = {j for j in free if fB - f(B - {j}) - w[j - 1] > ROUND_TOL}
+        if grow & shrink:
+            return frozenset(), f.ground.full
+        if not grow and not shrink:
+            return A, B
+        A, B = A | grow, B - shrink
+
+
+class TestPerMemoWork:
+    """What ``min_norm_point`` keeps per memo must change neither its results
+    nor the order in which it first evaluates sets."""
+
+    def test_a_second_sfm_reads_no_singleton_or_co_singleton(self, monkeypatch):
+        rng = np.random.default_rng(81)
+        n = 8
+        f = helpers.random_cut(rng, n)
+        memo = memoized(f)
+        min_norm_point(memo, rng.normal(0, 1, n))
+        seen = []
+        call = MemoizedOracle.__call__
+        monkeypatch.setattr(MemoizedOracle, "__call__",
+                            lambda self, X: seen.append(frozenset(X)) or call(self, X))
+        # weights far beyond every gain pin each element in the first round
+        w = np.where(np.arange(n) % 2 == 0, 100.0, -100.0)
+        X, val, Y = min_norm_point(memo, w)
+        assert X == Y == frozenset({1, 3, 5, 7})
+        assert seen and not [S for S in seen if len(S) in (1, n - 1)]
+        monkeypatch.undo()
+        assert min_norm_point(f, w) == (X, val, Y)
+
+    def test_end_gains_do_not_keep_their_memo_alive(self):
+        memo = memoized(helpers.triangle_cut())
+        min_norm_point(memo, [0.5, -0.5, 2.0])
+        gone = weakref.ref(memo)
+        del memo
+        gc.collect()
+        assert gone() is None
+
+    @pytest.mark.parametrize("family", ["cut", "facility"])
+    def test_a_memo_and_its_raw_oracle_give_the_same_bits(self, family):
+        rng = np.random.default_rng(83)
+        for _ in range(4):
+            n = int(rng.integers(4, 11))
+            f = helpers.FAMILY_BUILDERS[family](rng, n)
+            memo = memoized(f)
+            for trial in range(6):
+                w = _lattice_weights(rng, f, trial % 3)
+                X, val, Y = min_norm_point(memo, w)
+                X_raw, val_raw, Y_raw = min_norm_point(f, w)
+                assert (tuple(X), val.hex(), tuple(Y)) == (
+                    tuple(X_raw), val_raw.hex(), tuple(Y_raw))
+
+    @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
+    def test_the_lattice_makes_the_sets_its_reference_loop_makes(self, family):
+        # A set's iteration order depends on how it was made, and fixes the
+        # order of every sum over it; ground sets past 16 elements show it
+        rng = np.random.default_rng(87)
+        for _ in range(3):
+            f = helpers.FAMILY_BUILDERS[family](rng, 20)
+            memo, reference = memoized(f), memoized(f)
+            for trial in range(12):
+                w = _lattice_weights(rng, f, trial % 3).tolist()
+                for oracle in (memo, reference):
+                    oracle(frozenset())  # min_norm_point's normalization check
+                A, B = _minimizer_lattice(memo, w)
+                A_ref, B_ref = _reference_lattice(reference, w)
+                assert (tuple(A), tuple(B)) == (tuple(A_ref), tuple(B_ref))
+            assert list(map(tuple, memo._cache)) == list(map(tuple, reference._cache))
+
+    def test_the_order_of_first_evaluations_is_pinned(self):
+        # Recorded before the first lattice round's gains were kept per memo;
+        # evaluating f(B) after the sets next to A changes the memo's order
+        assert _pinned_run() == (
+            1192, "f4fee60e60a5915842b71816f5e7e88cbd0ecc5a935b882f1ccdc2f879d35952")
