@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains,
-                   evaluate_table, min_gain_drop)
+                   evaluate_table, memoized, min_gain_drop)
 
 
 @dataclass(frozen=True)
@@ -73,24 +73,18 @@ def modular_upper_bound(f: SetFunctionOracle, X: Iterable[int],
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     X = f.ground.check_subset(X)
+    f = memoized(f)  # a one-element change of X can be a context
     # gains of j in X are taken against `inside`, of j outside X against `outside`
     inside, outside = (X, frozenset()) if variant == 1 else (f.ground.full, X)
-    # f once per distinct set: a one-element change of X can be a context
-    known = {X: f(X)}
-    for S in (inside, outside):
-        if S not in known:
-            known[S] = f(S)
-    f_inside, f_outside = known[inside], known[outside]
+    offset = f(X)
+    f_inside, f_outside = f(inside), f(outside)
     weights = np.empty(f.ground.n)
-    offset = known[X]
     for j in f.ground.elements():
-        T = inside - {j} if j in X else outside | {j}
-        fT = known[T] if T in known else f(T)
         if j in X:
-            w = f_inside - fT
+            w = f_inside - f(inside - {j})
             offset -= w
         else:
-            w = fT - f_outside
+            w = f(outside | {j}) - f_outside
         weights[j - 1] = w
     return AffineModular(offset, weights)
 
@@ -177,6 +171,7 @@ def minima_lower_bounds(f: SetFunctionOracle, g: SetFunctionOracle,
     """
     if f.ground.n != g.ground.n:
         raise ValueError("f and g must share a ground set")
+    f, g = memoized(f), memoized(g)  # the bounds and the SFM share evaluations
     f_prime, f_shift = totally_normalize(f)
     g_prime, g_shift = totally_normalize(g)
     k = f_shift.weights - g_shift.weights

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 import numpy as np
@@ -125,12 +126,14 @@ def _parse_constraint(text: str | None) -> Constraint:
             return Constraint.from_dict(_read_json(text[1:], "constraint"))
         except TypeError as exc:
             raise UsageError(f"malformed constraint {text[1:]}: {exc!r}")
-    if "=" in text:
-        key, _, val = text.partition("=")
-        if key == "card_le":
-            return Constraint.cardinality_le(int(val))
-        if key == "card_eq":
-            return Constraint.cardinality_eq(int(val))
+    key, _, val = text.partition("=")
+    make = {"card_le": Constraint.cardinality_le, "card_eq": Constraint.cardinality_eq}.get(key)
+    for read in (int, float) if make else ():
+        try:
+            k = read(val)
+        except ValueError:
+            continue
+        return make(k)  # the constraint reads K, so 2.5 is reported as not whole
     raise UsageError(f"cannot parse constraint {text!r} "
                      "(use card_le=K, card_eq=K, or @file.json)")
 
@@ -208,11 +211,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         raise UsageError(f"cannot load function document {args.instance}: {exc}")
     alpha, beta, scale = ds_decompose(v, doc.get("alpha_lb"))
     f_spec, g_spec = decomposition_spec_pair(doc["v"], ground.n, scale)
-    out_doc = {"n": ground.n, "f": f_spec, "g": g_spec,
-               "alpha": alpha, "beta": beta, "scale": scale}
-    print(f"alpha: {alpha:.6f}")
-    print(f"beta: {beta:.6f}")
-    print(f"scale: {scale:.6f}")
+    constants = {"alpha": alpha, "beta": beta, "scale": scale}
+    out_doc = {"n": ground.n, "f": f_spec, "g": g_spec,  # JSON null: no value at this n
+               **{k: x if math.isfinite(x) else None for k, x in constants.items()}}
+    for k, x in constants.items():
+        print(f"{k}: {x:.6f}")
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(out_doc, fh, indent=2)
@@ -254,7 +257,11 @@ def cmd_featsel(args: argparse.Namespace) -> int:
             costs = [CostModel.partition_sqrt(lam=lam, **doc) for lam in lambdas]
         except TypeError as exc:
             raise UsageError(f"malformed blocks {args.blocks}: {exc}")
-    # every objective is built, and its cost checked against the data, before any output
+    # the options, the budget and every objective (its cost checked against the
+    # data) are built before any output
+    opts = _solver_options(args)
+    constraint = (Constraint.none() if args.budget is None
+                  else Constraint.cardinality_le(min(args.budget, ds.n_features)))
     objectives = [build_objective(ds, cost, args.alpha, "non_factored") for cost in costs]
     majority = float(np.max(np.bincount(
         np.unique(ds.labels, return_inverse=True)[1])) / ds.n_rows)
@@ -265,7 +272,10 @@ def cmd_featsel(args: argparse.Namespace) -> int:
     for cost, objective in zip(costs, objectives):
         lam = cost.lam
         for method in sorted(methods):
-            selected = _run_method(method, ds, cost, objective, args)
+            if method in ("grf", "grnf"):
+                selected, _ = greedy_select(ds, cost, method, args.budget, args.alpha)
+            else:
+                selected = SOLVERS[method](objective.instance, opts, constraint).final_set
             obj_val = objective.value(selected)
             cost_val = evaluate_cost(cost, selected)
             acc = (naive_bayes_cv(ds, selected, args.folds, args.alpha, args.seed)
@@ -288,16 +298,6 @@ def cmd_featsel(args: argparse.Namespace) -> int:
                 fh.write(f"{r['lambda']:g},{r['method']},{len(r['selected_features'])},"
                          f"{r['objective']!r},{r['cost']!r},{r['accuracy']!r},{sel}\n")
     return 0
-
-
-def _run_method(method: str, ds, cost, objective, args: argparse.Namespace) -> frozenset:
-    if method in ("grf", "grnf"):
-        selected, _ = greedy_select(ds, cost, method, args.budget, args.alpha)
-        return selected
-    constraint = (Constraint.none() if args.budget is None
-                  else Constraint.cardinality_le(min(args.budget, ds.n_features)))
-    opts = _solver_options(args)
-    return SOLVERS[method](objective.instance, opts, constraint).final_set
 
 
 def main(argv=None) -> int:

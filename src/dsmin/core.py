@@ -174,7 +174,8 @@ class MemoizedOracle(SetFunctionOracle):
 
 
 def memoized(oracle: SetFunctionOracle) -> MemoizedOracle:
-    return MemoizedOracle(oracle)
+    """``oracle`` itself if it caches already, else a caching view of it."""
+    return oracle if isinstance(oracle, MemoizedOracle) else MemoizedOracle(oracle)
 
 
 def set_sum(weights: list[float], S: Iterable[int]) -> float:

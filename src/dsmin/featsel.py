@@ -258,6 +258,8 @@ class CostModel:
         if self.kind == "partition_sqrt":
             if not self.blocks or self.weights is None:
                 raise ValueError("partition_sqrt needs blocks and per-feature weights")
+            object.__setattr__(self, "blocks", tuple(
+                frozenset(whole(i, "cost block element") for i in b) for b in self.blocks))
             seen: set[int] = set()
             for b in self.blocks:
                 if seen & b:
@@ -275,8 +277,7 @@ class CostModel:
 
     @staticmethod
     def partition_sqrt(blocks, weights, lam: float) -> "CostModel":
-        return CostModel("partition_sqrt", lam,
-                         tuple(frozenset(b) for b in blocks), tuple(weights))
+        return CostModel("partition_sqrt", lam, blocks, tuple(weights))
 
 
 def evaluate_cost(cm: CostModel, A: Iterable[int]) -> float:

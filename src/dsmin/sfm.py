@@ -137,7 +137,7 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
         raise ValueError(f"weights must have length {n}")
     if not (finite := np.isfinite(w)).all():
         raise ValueError(f"weights must be finite: w[{(j := np.argmin(finite))}] is {w[j]!r}")
-    fm = f if isinstance(f, MemoizedOracle) else memoized(f)
+    fm = memoized(f)
     if not abs(f0 := fm(frozenset())) <= FLOAT_TOL:  # also rejects NaN
         raise ValueError(f"f must be normalized: value at empty set is {f0!r}")
     weights = w.tolist()

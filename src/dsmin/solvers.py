@@ -48,8 +48,8 @@ import numpy as np
 from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
-from .core import (EQ_TOL, FLOAT_TOL, GroundSet, SetFunctionOracle, best_flip, flips,
-                   memoized, nonnegative, subset_key, whole)
+from .core import (EQ_TOL, FLOAT_TOL, GroundSet, MemoizedOracle, SetFunctionOracle, best_flip,
+                   flips, nonnegative, subset_key, whole)
 from .sfm import min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
@@ -256,8 +256,8 @@ class _Run:
         self.opts = opts
         self.constraint = constraint
         self.ground = inst.ground
-        self.f = memoized(inst.f)
-        self.g = memoized(inst.g)
+        # a fresh memo per solve, so a trace counts its own distinct calls
+        self.f, self.g = MemoizedOracle(inst.f), MemoizedOracle(inst.g)
         self.rng = np.random.default_rng(opts.seed)
         self.t0 = time.perf_counter()
 

@@ -108,6 +108,11 @@ class TestModularUpperBound:
         assert seen.count(frozenset(X)) == 1
         assert len(seen) == len(set(seen))
 
+    def test_raw_oracle_must_be_finite(self):
+        f = SetFunctionOracle(GroundSet(3), lambda S: math.nan if S == {1, 2} else len(S))
+        with pytest.raises(ValueError, match=r"not finite at \[1, 2\]"):
+            modular_upper_bound(f, {1}, 2)
+
     def test_majorizes_and_one_element_identities(self):
         rng = np.random.default_rng(6)
         for _ in range(25):
@@ -315,6 +320,23 @@ class TestMinimaLowerBounds:
         assert inside == [0]
         assert b2 <= b1 + 1e-9
         assert b1 == pytest.approx(minima_lower_bounds(f, g, sfm_brute_force)[0], abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_evaluates_each_set_once(self, seed):
+        # totally_normalize's bounds and the SFM's end gains share f(V - j)
+        cut = helpers.random_cut(np.random.default_rng(seed), 12)
+        seen = {"f": [], "g": []}
+
+        def recorded(fn, name):
+            return SetFunctionOracle(cut.ground, lambda S: seen[name].append(S) or fn(S), name)
+
+        bounds = minima_lower_bounds(recorded(cut, "f"),
+                                     recorded(lambda S: 3.0 * math.sqrt(len(S)), "g"),
+                                     min_norm_point)
+        for sets in seen.values():
+            assert len(sets) == len(set(sets))
+        assert len(seen["g"]) == 12 + 1
+        assert bounds == minima_lower_bounds(cut, helpers.sqrt_card(12, 3.0), min_norm_point)
 
     def test_bounds_below_brute_force(self):
         rng = np.random.default_rng(17)

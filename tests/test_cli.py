@@ -6,7 +6,7 @@ import pytest
 
 from dsmin import GroundSet, build_function, instance_from_dict
 from dsmin.cli import main
-from dsmin.functions import sqrt_cardinality_spec
+from dsmin.functions import modular_spec, sqrt_cardinality_spec
 
 from helpers import graph_cut_spec, table_spec
 
@@ -150,6 +150,18 @@ class TestOptimize:
                      "--constraint", f"@{path}"]) == 1
         assert "must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text,message", [
+        ("card_le=2.5", "cardinality bound must be an integer, got 2.5"),
+        ("card_eq=nan", "cardinality bound must be an integer, got nan"),
+        ("card_le=x", "cannot parse constraint 'card_le=x'"),
+        ("card_le", "cannot parse constraint 'card_le'")])
+    def test_constraint_flag_bound_is_read_by_the_constraint(self, instance, capsys, text,
+                                                             message):
+        assert main(["optimize", "--instance", instance, "--constraint", text]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}")
+
     def test_infinite_constraint_bound_exits_1_naming_it(self, instance, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text('{"kind": "cardinality_le", "k": 1e999}')
@@ -291,6 +303,20 @@ class TestDecompose:
         assert set(pair) == {"n", "f", "g", "alpha", "beta", "scale"}
         assert _rebuilds(pair, v_spec, [frozenset(), {1}, {2}, {1, 2}])
 
+    def test_constants_without_value_are_json_null(self, tmp_path, capsys):
+        # at n = 1 no pair of elements exists: alpha and beta have no value
+        doc = tmp_path / "v.json"
+        doc.write_text(json.dumps({"n": 1, "v": modular_spec([2.0])}))
+        out = tmp_path / "fg.json"
+        assert main(["decompose", "--instance", str(doc), "--out", str(out)]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        pair = json.loads(out.read_text(), parse_constant=reject)
+        assert (pair["alpha"], pair["beta"], pair["scale"]) == (None, None, 0.0)
+        assert _rebuilds(pair, modular_spec([2.0]), [frozenset(), {1}])
+
     def test_bad_document_exits_1(self, tmp_path):
         doc = tmp_path / "v.json"
         doc.write_text(json.dumps({"n": 2}))
@@ -354,7 +380,9 @@ class TestFeatsel:
 
     @pytest.mark.parametrize("extra,message", [
         (["--folds", "1"], "folds must be >= 2"), (["--folds", "0"], "folds must be >= 2"),
-        (["--budget", "-1", "--methods", "grnf"], "budget must be >= 0")])
+        (["--budget", "-1", "--methods", "grnf"], "budget must be >= 0"),
+        (["--seed", "-1", "--methods", "grf"], "seed must be >= 0"),
+        (["--max-iters", "0", "--methods", "grf,modmod"], "max_iters must be >= 1")])
     def test_bad_folds_or_budget_exit_1_before_output(self, dataset, capsys, extra, message):
         assert main(["featsel", "--data", dataset] + extra) == 1
         out, err = capsys.readouterr()

@@ -222,6 +222,11 @@ def test_call_count_tracks_every_evaluation():
     assert m.call_count == 3  # distinct evaluations only
 
 
+def test_memoized_passes_a_memo_through():
+    m = memoized(helpers.sqrt_card(3))
+    assert memoized(m) is m
+
+
 def test_memoized_matches_inner():
     rng = np.random.default_rng(7)
     f = helpers.random_submodular(rng, 5)

@@ -359,6 +359,18 @@ class TestCostModel:
         with pytest.raises(ValueError, match="weights must be finite and non-negative"):
             CostModel.partition_sqrt([[1, 2]], [1.0, w], 1.0)
 
+    @pytest.mark.parametrize("element", [True, 1.5, "1", math.nan])
+    def test_rejects_block_elements_that_are_not_whole(self, element):
+        with pytest.raises(ValueError, match="cost block element must be an integer"):
+            CostModel.partition_sqrt([[element, 2]], [1.0, 1.0], 1.0)
+        with pytest.raises(ValueError, match="cost block element must be an integer"):
+            CostModel("partition_sqrt", 1.0, ([element, 2],), (1.0, 1.0))
+
+    def test_block_elements_are_stored_as_ints(self):
+        cm = CostModel.partition_sqrt([[1.0, np.int64(2)], [3]], [1.0] * 3, 1.0)
+        assert cm.blocks == (frozenset({1, 2}), frozenset({3}))
+        assert all(type(i) is int for b in cm.blocks for i in b)
+
     def test_hand_built_weights_are_checked_and_stored_as_floats(self):
         with pytest.raises(ValueError, match="weights must be finite and non-negative"):
             CostModel("partition_sqrt", 1.0, (frozenset({1, 2}),), (1.0, True))

@@ -7,7 +7,7 @@ import pytest
 import dsmin.sfm
 import dsmin.solvers
 from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
-                   SolverError, SolverOptions, min_norm_point, minima_lower_bounds,
+                   SolverError, SolverOptions, memoized, min_norm_point, minima_lower_bounds,
                    mod_mod, modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
 from dsmin.core import best_flip, brute_force_minimize
 from dsmin.functions import build_function, modular_spec
@@ -415,6 +415,18 @@ class TestTraceMachinery:
             tr = solver(inst, SolverOptions(seed=0))
             assert tr.to_json_dict()["final"]["oracle_calls"] == tr.oracle_calls == calls[0]
             assert tr.elapsed >= tr.iterates[-1].elapsed
+
+    @pytest.mark.parametrize("algo", sorted(SOLVERS))
+    def test_memoized_parts_count_like_raw_ones(self, algo):
+        # each solve keeps a memo of its own, also over parts that cache already
+        cut = helpers.random_cut(np.random.default_rng(12), 12)
+        g = helpers.sqrt_card(12, 3.0)
+        raw = SOLVERS[algo](DSInstance(cut, g), SolverOptions(seed=0))
+        memos = DSInstance(memoized(cut), memoized(g))
+        for _ in range(2):  # a run on the parts' own memos would find them full the second time
+            tr = SOLVERS[algo](memos, SolverOptions(seed=0))
+            assert tr.oracle_calls == raw.oracle_calls
+            assert tr.to_json_dict() == raw.to_json_dict()  # every iterate's count too
 
     def test_csv_schema(self, tmp_path):
         tr = mod_mod(helpers.tri_instance(), SolverOptions(seed=1))
