@@ -240,12 +240,11 @@ def cmd_featsel(args: argparse.Namespace) -> int:
     for m in methods:
         if m not in FEATSEL_METHODS:
             raise UsageError(f"unknown method {m!r}")
-    if args.folds < 2:
-        raise UsageError(f"folds must be >= 2, got {args.folds}")
-    if args.budget is not None and args.budget < 0:
-        raise UsageError(f"budget must be >= 0, got {args.budget}")
-    if args.budget is not None and "subsup" in methods:
-        raise UsageError("--budget cannot constrain subsup; leave subsup out of --methods")
+    whole(args.folds, "folds", 2)
+    if args.budget is not None:
+        whole(args.budget, "budget", 0)
+        if "subsup" in methods:
+            raise UsageError("--budget cannot constrain subsup; leave subsup out of --methods")
     if args.cost == "modular":
         costs = [CostModel.modular_cardinality(lam) for lam in lambdas]
     elif not args.blocks:

@@ -131,7 +131,9 @@ class SetFunctionOracle:
     """A real-valued set function with an evaluation counter.
 
     The wrapped callable must be deterministic.  ``call_count`` increments
-    once per evaluation; memoizing variants only count distinct evaluations.
+    once per evaluation through this oracle; memoizing variants only count
+    distinct evaluations, and an evaluation through a memo over this oracle
+    leaves this count where it is.
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[frozenset], float], name: str = "f"):
@@ -152,8 +154,9 @@ class SetFunctionOracle:
 class MemoizedOracle(SetFunctionOracle):
     """Caching view of another oracle; ``call_count`` counts cache misses only.
 
-    Every value it computes must be finite; a NaN or an infinity raises
-    ``ValueError`` naming the set.
+    A miss calls the viewed oracle's function directly, so the viewed
+    oracle's own ``call_count`` does not move.  Every value it computes must
+    be finite; a NaN or an infinity raises ``ValueError`` naming the set.
     """
 
     def __init__(self, inner: SetFunctionOracle):

@@ -31,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (EQ_TOL, GroundSet, SetFunctionOracle, best_flip, memoized, nonnegative,
-                   set_sum, whole)
+from .core import (EQ_TOL, GroundSet, SetFunctionOracle, best_flip, element_set, memoized,
+                   nonnegative, set_sum, whole)
 from .solvers import DSInstance, OptimizationTrace, TracePoint
 
 
@@ -45,8 +45,8 @@ class Dataset:
     not whole or not below 2^63 - 1 (so that the arity fits int64) are
     rejected, and float or uint64 rows are stored as int64.  ``rows`` is a
     private column-major copy (each feature contiguous in ``rows.T``) and
-    ``labels`` a private copy.  Entropy queries are memoized on the dataset,
-    and the first one packs the rows into ``_packing`` when they fit 63 bits.
+    ``labels`` a private copy.  The first entropy query packs the rows into
+    ``_packing`` when they fit 63 bits.
     """
 
     rows: np.ndarray
@@ -56,7 +56,6 @@ class Dataset:
     arity: np.ndarray = field(init=False)
     classes: np.ndarray = field(init=False)
     _class_rows: list[np.ndarray] = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows)
@@ -215,12 +214,7 @@ def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> floa
     A = ds.ground.check_subset(A)
     if not A:
         return 0.0
-    key = ("joint", A, alpha)
-    hit = ds._cache.get(key)
-    if hit is None:
-        hit = ds._cache[key] = _entropy_from_counts(
-            _run_lengths(_row_codes(ds, A)), alpha, ds.n_rows)
-    return hit
+    return _entropy_from_counts(_run_lengths(_row_codes(ds, A)), alpha, ds.n_rows)
 
 
 def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
@@ -229,16 +223,11 @@ def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> fl
     A = ds.ground.check_subset(A)
     if not A:
         return 0.0
-    key = ("cond", A, alpha)
-    hit = ds._cache.get(key)
-    if hit is not None:
-        return hit
     code = _row_codes(ds, A)
     m = ds.n_rows
     total = 0.0
     for idx in ds._class_rows:
         total += (len(idx) / m) * _entropy_from_counts(_run_lengths(code[idx]), alpha, len(idx))
-    ds._cache[key] = total
     return total
 
 
@@ -281,10 +270,14 @@ class CostModel:
 
 
 def evaluate_cost(cm: CostModel, A: Iterable[int]) -> float:
-    """Cost of the feature set A, already scaled by the trade-off rate."""
-    A = frozenset(A)
+    """Cost of the feature set A, already scaled by the trade-off rate.
+
+    ``modular_cardinality`` reads only ``len(A)``, as the cardinality
+    constraints do.  ``partition_sqrt`` reads A as ``core.element_set`` does
+    and raises on an element that lies in no cost block."""
     if cm.kind == "modular_cardinality":
-        return cm.lam * len(A)
+        return cm.lam * len(frozenset(A))
+    A = element_set(A)
     total = 0.0
     covered = 0
     for b in cm.blocks:

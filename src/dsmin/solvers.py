@@ -410,18 +410,22 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
     """Descend on v = f - g by approximately maximizing g minus an upper bound of f.
 
     Supports no constraint or a cardinality cap.  The inner maximizer is
-    double greedy (a cardinality greedy when capped) polished by local
-    search over feasible moves; a candidate is taken only if v does not
-    increase.  On a stall both upper-bound variants are retried and then
-    the full one-element neighborhood is scanned, realizing the
-    local-optimality conditions the two bound variants certify on single
-    deletions and additions.  Unless double greedy draws from the rng, the
-    retry reuses the sets primary has just found at the same set and variant.
+    double greedy (a cardinality greedy when capped, so a cap refuses
+    ``dg_mode="randomized"``) polished by local search over feasible moves;
+    a candidate is taken only if v does not increase.  On a stall both
+    upper-bound variants are retried and then the full one-element
+    neighborhood is scanned, realizing the local-optimality conditions the
+    two bound variants certify on single deletions and additions.  Unless
+    double greedy draws from the rng, the retry reuses the sets primary has
+    just found at the same set and variant.
     """
     opts = opts or SolverOptions()
     if constraint.kind not in ("none", "cardinality_le"):
         raise ValueError(f"sup_sub supports none or cardinality_le constraints, "
                          f"got {constraint.kind!r}")
+    if constraint.kind == "cardinality_le" and opts.dg_mode == "randomized":
+        raise ValueError("sup_sub under a cardinality_le cap reads no dg_mode: "
+                         "its capped step is a greedy, not double greedy")
     constraint.validate(inst.ground.n)
     run = _Run("supsub", inst, opts, constraint)
     ground = run.ground
@@ -435,7 +439,7 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
         seed = int(run.rng.integers(2 ** 31)) if opts.dg_mode == "randomized" else None
         return local_search_max(sur, double_greedy(sur, opts.dg_mode, seed))
 
-    if constraint.kind == "cardinality_le" or opts.dg_mode == "deterministic":
+    if opts.dg_mode == "deterministic":
         maximize = functools.lru_cache(maxsize=2)(maximize)  # no rng draw to keep
 
     def primary(X, t):

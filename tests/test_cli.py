@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from dsmin import GroundSet, build_function, instance_from_dict
-from dsmin.cli import main
+from dsmin.cli import FEATSEL_METHODS, main
 from dsmin.functions import modular_spec, sqrt_cardinality_spec
 
 from helpers import graph_cut_spec, table_spec
@@ -179,6 +179,13 @@ class TestOptimize:
     def test_flags_the_algorithm_reads_are_accepted(self, instance, capsys, algo, flags):
         assert main(["optimize", "--instance", instance, "--algo", algo] + flags) == 0
         assert _lines(capsys)["final set"] == "[1, 2, 3]"
+
+    def test_supsub_cap_refuses_randomized_dg_mode(self, instance, capsys):
+        assert main(["optimize", "--instance", instance, "--algo", "supsub",
+                     "--dg-mode", "randomized", "--constraint", "card_le=2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and "dg_mode" in err
 
     def test_card_eq(self, instance, capsys):
         assert main(["optimize", "--instance", instance, "--constraint", "card_eq=2"]) == 0
@@ -361,6 +368,29 @@ class TestFeatsel:
         results = json.loads((tmp_path / "fs.json").read_text())["results"]
         assert len(results) == 4
         assert all(len(r["selected_features"]) <= 1 for r in results)
+
+    def test_rows_do_not_depend_on_the_other_runs(self, tmp_path):
+        # each method and lambda run alone gives the row it gives among all of them
+        rng = np.random.default_rng(97)
+        y = rng.integers(0, 2, 64)
+        on = np.where(y[:, None] == 1, [0.9, 0.8, 0.7, 0.6, 0.5, 0.5],
+                      [0.1, 0.3, 0.3, 0.4, 0.5, 0.5])
+        X = rng.random((64, 6)) < on
+        data = tmp_path / "d.libsvm"
+        data.write_text("".join(
+            f"{label} " + " ".join(f"{j + 1}:1" for j in np.flatnonzero(row)) + "\n"
+            for label, row in zip(y, X)))
+
+        def rows(methods, lambdas):
+            out = str(tmp_path / "fs")
+            assert main(["featsel", "--data", str(data), "--folds", "3", "--methods", methods,
+                         "--lambdas", lambdas, "--out", out]) == 0
+            return json.loads((tmp_path / "fs.json").read_text())["results"]
+
+        together = rows("all", "0.01,0.5")
+        alone = [r for lam in ("0.01", "0.5") for m in FEATSEL_METHODS for r in rows(m, lam)]
+        assert len(together) == 10
+        assert sorted(alone, key=lambda r: (r["lambda"], r["method"])) == together
 
     def test_budget_with_subsup_exits_1(self, dataset, capsys):
         assert main(["featsel", "--data", dataset, "--budget", "1"]) == 1

@@ -220,6 +220,7 @@ def test_call_count_tracks_every_evaluation():
     for S in (frozenset({1}), frozenset({1, 2}), frozenset({1}), frozenset()):
         m(S)
     assert m.call_count == 3  # distinct evaluations only
+    assert f.call_count == 4  # a memo's misses call f's function, not f
 
 
 def test_memoized_passes_a_memo_through():

@@ -152,7 +152,7 @@ class TestDataset:
         y = rng.integers(0, 2, 30)
         ds = Dataset(X, y)
         reference = Dataset(X.copy(), y.copy())
-        assert empirical_entropy(ds, {1}, 0.0) > 0  # cached before the change
+        assert empirical_entropy(ds, {1}, 0.0) > 0  # rows packed before the change
         X[:, 0] = 0
         X[:, 1] = X[:, 2]
         y[:] = 1 - y
@@ -327,6 +327,15 @@ class TestCostModel:
             cm = CostModel.partition_sqrt(blocks, w, 1.0)
             oracle = SetFunctionOracle(GroundSet(n), lambda S, c=cm: evaluate_cost(c, S))
             assert check_submodular(oracle)
+
+    def test_partition_sqrt_reads_elements_as_element_set(self):
+        cm = CostModel.partition_sqrt([[1, 2], [3]], [4.0, 1.0, 9.0], 1.0)
+        assert evaluate_cost(cm, [1.0]) == evaluate_cost(cm, [np.int64(1)]) == 2.0
+        for element in (True, "1"):
+            with pytest.raises(ValueError, match="element must be an integer"):
+                evaluate_cost(cm, [element])
+        with pytest.raises(ValueError, match="outside all cost blocks"):
+            evaluate_cost(cm, [1.5])
 
     def test_features_outside_the_blocks_have_no_cost(self):
         cm = CostModel.partition_sqrt([[1, 2]], [1.0, 1.0, 1.0], 1.0)

@@ -201,6 +201,12 @@ class TestSupSub:
             sup_sub(helpers.tri_instance(), SolverOptions(),
                     Constraint.cardinality_eq(2))
 
+    def test_cap_refuses_randomized_double_greedy(self):
+        # the capped step is a greedy, so a randomized dg_mode would be ignored
+        inst = helpers.random_ds_instance(np.random.default_rng(67), 9)
+        with pytest.raises(ValueError, match="dg_mode"):
+            sup_sub(inst, SolverOptions(dg_mode="randomized"), Constraint.cardinality_le(3))
+
     def test_alternate_strategy_still_descends(self):
         rng = np.random.default_rng(61)
         for _ in range(5):
