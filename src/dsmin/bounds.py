@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains,
+from .core import (EQ_TOL, PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains,
                    evaluate_table, memoized, min_gain_drop)
 
 
@@ -138,7 +138,7 @@ def ds_decompose(v: SetFunctionOracle,
     if n <= PAIRWISE_MAX_N:
         alpha = min_gain_drop(evaluate_table(v), n)
         if alpha_lb is not None:
-            if alpha_lb > alpha + 1e-12:
+            if alpha_lb > alpha + EQ_TOL:
                 raise ValueError(
                     f"alpha_lb={alpha_lb} exceeds true alpha={alpha}; "
                     "the resulting first part would not be submodular")

@@ -284,7 +284,6 @@ def cmd_featsel(args: argparse.Namespace) -> int:
                          "objective": obj_val, "cost": cost_val, "accuracy": acc})
             print(f"lambda={lam:g} method={method} k={len(selected)} "
                   f"objective={obj_val:.6f} cost={cost_val:.6f} accuracy={acc:.4f}")
-    rows.sort(key=lambda r: (r["lambda"], r["method"]))
     if args.out:
         with open(args.out + ".json", "w") as fh:
             json.dump({"seed": args.seed, "alpha": args.alpha, "folds": args.folds,

@@ -192,6 +192,7 @@ def _knapsack_min(weights: np.ndarray, costs, budget: int) -> frozenset:
     if not items:
         return frozenset()
     m = len(items)
+    budget = min(budget, sum(costs[i - 1] for i in items))  # a larger one does not bind
     dp = np.zeros((m + 1, budget + 1))
     for r, i in enumerate(items, start=1):
         c, w = costs[i - 1], weights[i - 1]

@@ -133,7 +133,8 @@ class SetFunctionOracle:
     The wrapped callable must be deterministic.  ``call_count`` increments
     once per evaluation through this oracle; memoizing variants only count
     distinct evaluations, and an evaluation through a memo over this oracle
-    leaves this count where it is.
+    leaves this count where it is.  A frozenset is trusted to be a subset of
+    the ground set, unchecked; any other iterable is checked.
     """
 
     def __init__(self, ground: GroundSet, fn: Callable[[frozenset], float], name: str = "f"):
@@ -156,12 +157,15 @@ class MemoizedOracle(SetFunctionOracle):
 
     A miss calls the viewed oracle's function directly, so the viewed
     oracle's own ``call_count`` does not move.  Every value it computes must
-    be finite; a NaN or an infinity raises ``ValueError`` naming the set.
+    be finite; a NaN or an infinity raises ``ValueError`` naming the set.  A
+    frozenset is trusted to be a subset of the ground set, unchecked, as in
+    ``SetFunctionOracle``: a check would run on every miss.
     """
 
     def __init__(self, inner: SetFunctionOracle):
         super().__init__(inner.ground, inner._fn, inner.name)
         self._cache: dict[frozenset, float] = {}
+        self._end_gains: tuple[list[float], list[float]] | None = None
 
     def __call__(self, X: Iterable[int]) -> float:
         S = X if isinstance(X, frozenset) else self.ground.check_subset(X)
@@ -174,6 +178,15 @@ class MemoizedOracle(SetFunctionOracle):
             raise ValueError(f"{self.name} is not finite at {sorted(S)}: {val!r}")
         self._cache[S] = val
         return val
+
+    def end_gains(self) -> tuple[list[float], list[float]]:
+        """f({j}) - f(empty) and f(V) - f(V - j) over j = 1..n, computed once per
+        memo.  Evaluates f(empty), f(V), each {j}, then each V - j."""
+        if self._end_gains is None:
+            f0, fV = self(frozenset()), self(V := self.ground.full)
+            self._end_gains = ([self(frozenset({j})) - f0 for j in self.ground.elements()],
+                               [fV - self(V - {j}) for j in self.ground.elements()])
+        return self._end_gains
 
 
 def memoized(oracle: SetFunctionOracle) -> MemoizedOracle:

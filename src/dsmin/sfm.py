@@ -1,8 +1,8 @@
 """Exact minimization of f - w, f normalized submodular and w a weight vector.
 
 Single-element gains first narrow the minimizers to a lattice [A, B], from
-gains at the empty set and at V - j kept once per memo.  If A < B, the
-classic Fujishige-Wolfe minimizer runs over B - A: the greedy
+gains at the empty set and at V - j that the memo keeps (``end_gains``).  If
+A < B, the classic Fujishige-Wolfe minimizer runs over B - A: the greedy
 linear-optimization primitive over the base polytope (Edmonds) plus Wolfe's
 nearest-point algorithm find the minimum-norm point, whose negative and
 non-positive coordinates give the minimal and maximal minimizers.  A base
@@ -19,8 +19,6 @@ References:
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -75,18 +73,6 @@ _GAP_TOL = 1e-10  # relative duality gap at which the point counts as optimal
 # x_j < -ROUND_TOL marks the minimal minimizer, x_j < ROUND_TOL the maximal one;
 # a gain beyond it puts an element inside or outside every minimizer
 ROUND_TOL = 1e-9
-_END_GAINS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _end_gains(f: MemoizedOracle) -> tuple[list[float], list[float]]:
-    """f({j}) - f(empty) and f(V) - f(V - j) over j = 1..n, kept under a weak
-    key per memo.  Evaluates f(empty), f(V), each {j}, then each V - j."""
-    gains = _END_GAINS.get(f)
-    if gains is None:
-        f0, fV = f(frozenset()), f(V := f.ground.full)
-        gains = _END_GAINS[f] = ([f(frozenset({j})) - f0 for j in f.ground.elements()],
-                                 [fV - f(V - {j}) for j in f.ground.elements()])
-    return gains
 
 
 def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, frozenset]:
@@ -95,14 +81,14 @@ def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, fr
     Each round moves the j in B - A with (f - w)(j | A) < -ROUND_TOL into A
     and those with (f - w)(j | B - j) > ROUND_TOL out of B, as gains only
     fall as the context grows.  Only a non-submodular f can send one j both
-    ways; then the lattice is all of 2^V.  Round one reads ``_end_gains``; a
-    later round tests only a side that moved, as the other side's tests would
+    ways; then the lattice is all of 2^V.  Round one reads ``f.end_gains()``;
+    a later round tests only a side that moved, as the other side's tests would
     be memo hits that move nothing, and evaluates f(A), then f(B), before any
     neighbour: B can be A + j, and the first set object to reach the memo
     fixes the order of that set's sums.  A and B are copied every round, moved
     or not, as a copy's iteration order can differ from the original's.
     """
-    lo, hi = _end_gains(f)
+    lo, hi = f.end_gains()
     grow = {j for j, (g, wj) in enumerate(zip(lo, w), 1) if g - wj < -ROUND_TOL}
     shrink = {j for j, (g, wj) in enumerate(zip(hi, w), 1) if g - wj > ROUND_TOL}
     A, B = frozenset(), f.ground.full

@@ -13,13 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from .core import SetFunctionOracle, best_flip
+from .core import GroundSet, best_flip
 
 DG_MODES = ("deterministic", "randomized")
 
 
-def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
-                  seed: int | None = None) -> frozenset:
+def double_greedy(f: Callable[[frozenset], float], ground: GroundSet,
+                  mode: str = "deterministic", seed: int | None = None) -> frozenset:
     """One bi-directional pass over the elements in index order.
 
     Grows a lower set from empty and shrinks an upper set from full; for
@@ -32,7 +32,6 @@ def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
     if mode not in DG_MODES:
         raise ValueError(f"mode must be one of {DG_MODES}, got {mode!r}")
     rng = np.random.default_rng(seed) if mode == "randomized" else None
-    ground = f.ground
     A: set[int] = set()
     B: set[int] = set(ground.elements())
     for j in ground.elements():
@@ -50,26 +49,26 @@ def double_greedy(f: SetFunctionOracle, mode: str = "deterministic",
     return frozenset(A)
 
 
-def greedy_cardinality_max(f: SetFunctionOracle, k: int) -> frozenset:
+def greedy_cardinality_max(f: Callable[[frozenset], float], ground: GroundSet, k: int) -> frozenset:
     """Up to k greedy additions of the best strictly-positive-gain element."""
-    n = f.ground.n
+    n = ground.n
     if not 0 <= k <= n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     S = frozenset()
-    while len(S) < k and (T := best_flip(lambda X: -f(X), S, f.ground,
+    while len(S) < k and (T := best_flip(lambda X: -f(X), S, ground,
                                          feasible=lambda T: len(T) > len(S))) is not None:
         S = T
     return S
 
 
-def local_search_max(f: SetFunctionOracle, start,
+def local_search_max(f: Callable[[frozenset], float], start, ground: GroundSet,
                      feasible: Callable[[frozenset], bool] | None = None) -> frozenset:
     """Hill-climb by single adds/deletes until no move strictly improves f.
 
     With ``feasible`` given, only moves to sets it accepts are considered.
     Every step strictly raises f, so no set repeats and the climb ends.
     """
-    S = f.ground.check_subset(start)
-    while (T := best_flip(lambda X: -f(X), S, f.ground, feasible=feasible)) is not None:
+    S = ground.check_subset(start)
+    while (T := best_flip(lambda X: -f(X), S, ground, feasible=feasible)) is not None:
         S = T
     return S

@@ -213,8 +213,8 @@ def local_optimality_check(v: Callable[[frozenset], float], X: Iterable[int],
     return best_flip(v, frozenset(X), ground, FLOAT_TOL) is None
 
 
-def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: SetFunctionOracle,
-                       rng: np.random.Generator) -> Permutation:
+def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: Callable[[frozenset], float],
+                       ground: GroundSet, rng: np.random.Generator) -> Permutation:
     """Permutation whose chain contains X_t, ordered per the heuristic.
 
     Gain heuristics place the members of X_t first, sorted by decreasing
@@ -224,7 +224,6 @@ def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: SetFunctionOr
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"heuristic must be one of {HEURISTICS}")
-    ground = scorer.ground
     X = ground.check_subset(X_t)
     if heuristic == "random":
         return _shuffled_chain(X, ground.n, rng)
@@ -273,10 +272,8 @@ class _Run:
 
     def chain(self, X: frozenset, heuristic: str | None = None) -> Permutation:
         heuristic = heuristic or self.opts.heuristic
-        scorer = self.g
-        if heuristic == "v_gain":  # not kept on self: the cycle would hold the memos
-            scorer = SetFunctionOracle(self.ground, self.value, name="v")
-        return choose_permutation(heuristic, X, scorer, self.rng)
+        scorer = self.value if heuristic == "v_gain" else self.g
+        return choose_permutation(heuristic, X, scorer, self.ground, self.rng)
 
     def pinned_chains(self, X: frozenset) -> Iterator[Permutation]:
         return (_shuffled_chain(X, self.ground.n, self.rng, j) for j in self.ground.elements())
@@ -432,12 +429,13 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
 
     def maximize(X: frozenset, variant: int) -> frozenset:
         m = modular_upper_bound(run.f, X, variant)
-        sur = SetFunctionOracle(ground, lambda S: run.g(S) - m.value(S), "g_minus_m")
+        def sur(S: frozenset) -> float:
+            return run.g(S) - m.value(S)
         if constraint.kind == "cardinality_le":
-            return local_search_max(sur, greedy_cardinality_max(sur, constraint.k),
-                                    constraint.is_feasible)
+            return local_search_max(sur, greedy_cardinality_max(sur, ground, constraint.k),
+                                    ground, constraint.is_feasible)
         seed = int(run.rng.integers(2 ** 31)) if opts.dg_mode == "randomized" else None
-        return local_search_max(sur, double_greedy(sur, opts.dg_mode, seed))
+        return local_search_max(sur, double_greedy(sur, ground, opts.dg_mode, seed), ground)
 
     if opts.dg_mode == "deterministic":
         maximize = functools.lru_cache(maxsize=2)(maximize)  # no rng draw to keep

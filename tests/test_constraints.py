@@ -181,6 +181,17 @@ class TestKnapsack:
             assert sum(w[j - 1] for j in got) == pytest.approx(best, abs=1e-9)
             assert c.is_feasible(got)
 
+    def test_a_budget_past_the_total_cost_selects_as_the_total(self):
+        # the table is as wide as the candidates' total cost, not as the budget
+        rng = np.random.default_rng(44)
+        for _ in range(25):
+            n = int(rng.integers(1, 9))
+            costs = [int(c) for c in rng.integers(0, 6, n)]
+            m = weights(*rng.uniform(-2.0, 1.0, n))
+            at_total = modular_minimize_constrained(m, Constraint.knapsack(costs, sum(costs)))
+            huge = modular_minimize_constrained(m, Constraint.knapsack(costs, 10**12))
+            assert tuple(huge) == tuple(at_total)
+
     def test_non_integer_costs_rejected(self):
         with pytest.raises(ValueError):
             Constraint.knapsack([1.5, 2], 3)

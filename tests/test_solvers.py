@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import dsmin.solvers
 from dsmin import (Constraint, DSInstance, GroundSet, SetFunctionOracle,
                    SolverError, SolverOptions, memoized, min_norm_point, minima_lower_bounds,
                    mod_mod, modular_lower_bound, modular_upper_bound, sub_sup, sup_sub)
-from dsmin.core import best_flip, brute_force_minimize
+from dsmin.core import MemoizedOracle, best_flip, brute_force_minimize
 from dsmin.functions import build_function, modular_spec
 from dsmin.solvers import (SOLVERS, TUNING_READ, accept_step, choose_permutation,
                            local_optimality_check)
@@ -73,25 +74,27 @@ class TestChoosePermutation:
     def test_gain_ordering_example(self):
         g = GroundSet(3)
         scorer = SetFunctionOracle(g, lambda S: sum([3.0, 1.0, 2.0][j - 1] for j in S))
-        sigma = choose_permutation("g_gain", {2, 3}, scorer, np.random.default_rng(0))
+        sigma = choose_permutation("g_gain", {2, 3}, scorer, g, np.random.default_rng(0))
         assert sigma.order == (3, 2, 1)
 
     def test_random_is_reproducible(self):
         scorer = helpers.sqrt_card(5)
-        a = choose_permutation("random", frozenset(), scorer, np.random.default_rng(7))
-        b = choose_permutation("random", frozenset(), scorer, np.random.default_rng(7))
+        a = choose_permutation("random", frozenset(), scorer, scorer.ground,
+                               np.random.default_rng(7))
+        b = choose_permutation("random", frozenset(), scorer, scorer.ground,
+                               np.random.default_rng(7))
         assert a.order == b.order
 
     def test_full_set_orders_by_within_gain(self):
         g = GroundSet(3)
         scorer = SetFunctionOracle(g, lambda S: sum([1.0, 5.0, 3.0][j - 1] for j in S))
-        sigma = choose_permutation("g_gain", {1, 2, 3}, scorer, np.random.default_rng(0))
+        sigma = choose_permutation("g_gain", {1, 2, 3}, scorer, g, np.random.default_rng(0))
         assert sigma.order == (2, 3, 1)
         assert sigma.chain_contains({1, 2, 3})
 
     def test_unknown_heuristic_rejected(self):
         with pytest.raises(ValueError, match="heuristic must be one of"):
-            choose_permutation("nope", frozenset(), helpers.sqrt_card(3),
+            choose_permutation("nope", frozenset(), helpers.sqrt_card(3), GroundSet(3),
                                np.random.default_rng(0))
 
     def test_chain_contains_base(self):
@@ -99,7 +102,7 @@ class TestChoosePermutation:
         scorer = helpers.random_submodular(rng, 6)
         for heur in ("random", "g_gain", "v_gain"):
             X = frozenset({2, 5})
-            sigma = choose_permutation(heur, X, scorer, rng)
+            sigma = choose_permutation(heur, X, scorer, scorer.ground, rng)
             assert sigma.chain_contains(X)
 
 
@@ -307,7 +310,7 @@ class TestBoundReuse:
 
     def test_randomized_sup_sub_keeps_its_sweep_draws(self, monkeypatch):
         upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
-        seeds = self._log(monkeypatch, "double_greedy", lambda f, mode, seed: seed)
+        seeds = self._log(monkeypatch, "double_greedy", lambda f, ground, mode, seed: seed)
         tr = sup_sub(self._instance(), SolverOptions(dg_mode="randomized", seed=4))
         assert tr.n_accepted >= 1
         # the final stall retries both variants primary has just drawn at the same set
@@ -541,6 +544,36 @@ class TestCollectorPause:
             solver(self._recording_instance(seen, explode_at=2), SolverOptions(seed=0))
         assert seen and not seen[-1]
         assert gc.isenabled()
+
+    @pytest.mark.parametrize("solver, opts", [
+        (sub_sup, SolverOptions(heuristic="random")), (sub_sup, SolverOptions(heuristic="g_gain")),
+        (sub_sup, SolverOptions(heuristic="v_gain")), (sup_sub, SolverOptions()),
+        (sup_sub, SolverOptions(dg_mode="randomized")),
+        (mod_mod, SolverOptions(heuristic="v_gain"))],
+        ids=["subsup_random", "subsup_g_gain", "subsup_v_gain", "supsub_deterministic",
+             "supsub_randomized", "modmod_v_gain"])
+    def test_a_solve_frees_its_memos_without_the_collector(self, monkeypatch, solver, opts):
+        # a reference cycle through a run's memos would keep every set the
+        # solve evaluated alive until the next collection
+        made = []
+
+        class Recorded(MemoizedOracle):
+            def __init__(self, inner):
+                super().__init__(inner)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(dsmin.solvers, "MemoizedOracle", Recorded)
+        inst = TestBoundReuse._instance()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trace = solver(inst, opts)
+            alive = [r for r in made if r() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert trace.n_accepted >= 1
+        assert len(made) == 2 and not alive
 
 
 @pytest.mark.parametrize("algo", sorted(SOLVERS))
