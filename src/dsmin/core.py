@@ -89,6 +89,17 @@ def nonnegative(x, what: str) -> float:
     raise ValueError(f"{what} must be finite and >= 0, got {x!r}")
 
 
+def real_array(x, what: str) -> np.ndarray:
+    """x as a float array; ValueError naming ``what`` if an entry is a string, a
+    bool or any other object that is not a real number."""
+    a = np.asarray(x, dtype=object)
+    if not set(map(type, a.flat)) <= {float, int}:  # JSON numbers pass at once
+        for v in a.flat:
+            if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                raise ValueError(f"{what!r} must hold real numbers, got {v!r}")
+    return a.astype(float)
+
+
 def subset_key(X: Iterable[int]) -> tuple:
     """Canonical sort key: cardinality first, then sorted indices."""
     t = tuple(sorted(X))

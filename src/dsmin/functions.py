@@ -25,11 +25,11 @@ A problem instance document is ``{"n": n, "f": spec, "g": spec}``.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .core import TABLE_MAX_N, GroundSet, SetFunctionOracle, mask_of, nonnegative, set_sum, whole
+from .core import (TABLE_MAX_N, GroundSet, SetFunctionOracle, mask_of, nonnegative, real_array,
+                   set_sum, whole)
 
 CONCAVE_SHAPES = ("sqrt", "log1p", "power", "cap")
 
@@ -67,19 +67,8 @@ def _require(cond: bool, msg: str) -> None:
         raise ValueError(msg)
 
 
-def _real_array(x, what: str) -> np.ndarray:
-    """x as a float array; ValueError naming ``what`` if an entry is a string, a
-    bool or any other object that is not a real number."""
-    a = np.asarray(x, dtype=object)
-    if not set(map(type, a.flat)) <= {float, int}:  # JSON numbers pass at once
-        for v in a.flat:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{what!r} must hold real numbers, got {v!r}")
-    return a.astype(float)
-
-
 def _weights_array(weights) -> np.ndarray:
-    w = _real_array(weights, "weights")
+    w = real_array(weights, "weights")
     _require(w.ndim == 1 and len(w) >= 1, "'weights' must be a non-empty vector")
     _require(np.all(np.isfinite(w)), "'weights' must be finite")
     return w
@@ -132,7 +121,7 @@ def _build_graph_cut(*, n, edges=()):
 
 
 def _build_facility_location(*, benefits):
-    B = _real_array(benefits, "benefits")
+    B = real_array(benefits, "benefits")
     _require(B.ndim == 2 and B.shape[1] >= 1, "'benefits' must be a 2-D matrix")
     _require(np.all(np.isfinite(B) & (B >= 0.0)),
              "facility benefits must be finite and non-negative")
@@ -149,7 +138,7 @@ def _build_facility_location(*, benefits):
 def _build_explicit_table(*, n, values):
     n = whole(n, "explicit_table 'n'")
     _require(1 <= n <= TABLE_MAX_N, f"explicit_table limited to 1 <= n <= {TABLE_MAX_N}")
-    vals = _real_array(values, "values")
+    vals = real_array(values, "values")
     _require(vals.shape == (1 << n,), f"table needs exactly 2^{n} values")
     _require(np.all(np.isfinite(vals)), "table values must be finite")
     vals = vals - vals[0]  # normalize at construction

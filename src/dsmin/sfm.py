@@ -8,12 +8,26 @@ nearest-point algorithm find the minimum-norm point, whose negative and
 non-positive coordinates give the minimal and maximal minimizers.  A base
 vertex of f - w is f's chain gains minus w, so f - w is never summed over a
 set.  The corral's squared row norms are kept, not summed again each major
-cycle.  Hitting the major-cycle cap raises a plain ``RuntimeError`` with the gap.
+cycle.
+
+Wolfe's loop stops at the first of: Edmonds' duality certificate, the
+relative gap, a vertex already in the corral, a stuck minor cycle, and the
+major-cycle cap, which raises a plain ``RuntimeError`` with the gap.  The
+certificate: any x in the base polytope B(F) has x^-(E) = sum of min(x_j, 0)
+<= x(M) <= F(M) for every set M, so x^-(E) <= min F (Edmonds' min-max
+theorem).  The next greedy vertex sorts E by ascending x, so both rounded
+sets are prefixes of its chain and its coordinates sum to F on them.  Once
+both values lie within ``ROUND_TOL`` of x^-(E), both sets are minimizers,
+and every minimizer M has x(M) = x^-(E), so {x < 0} <= M <= {x <= 0}: they
+are the minimal and the maximal minimizer, with no further oracle call.
 
 References:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11 (1976).
+  Edmonds, "Submodular functions, matroids, and certain polyhedra" (1970).
   Fujishige & Isotani, "A submodular function minimization algorithm based
   on the minimum-norm base", Pacific J. Optim. 7 (2011).
+  Chakrabarty, Jain & Kothari, "Provable submodular minimization using
+  Wolfe's algorithm", NeurIPS 2014.
   Iyer, Jegelka & Bilmes, "Fast semidifferential-based submodular function
   optimization", ICML 2013.
 """
@@ -22,7 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, memoized, set_sum
+from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, memoized,
+                   real_array, set_sum)
 
 
 def greedy_base_vertex(f: SetFunctionOracle, direction, w=None, base: frozenset = frozenset(),
@@ -107,18 +122,29 @@ def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, fr
 
 
 def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, frozenset]:
-    """Minimize f - w exactly; f must be 0 at the empty set and w defaults to 0.
+    """Minimize f - w exactly; f must be submodular and 0 at the empty set, and
+    w defaults to 0.
 
     Narrows the minimizers to a lattice [A, B] (``_minimizer_lattice``), then
-    runs Wolfe's major/minor cycle on S -> f(A | S) - f(A) - w(S) over B - A
-    for at most 100 m^2 major cycles, m = |B - A|; none if A = B.  With x the
-    (approximate) minimum-norm point, returns ``(X, f(X) - w(X), Y)`` where
-    X = A | {j : x_j < -ROUND_TOL} is the minimal and Y = A | {j : x_j <
-    ROUND_TOL} the maximal minimizer, and w(X) is ``set_sum`` in X's order.
-    ``ValueError`` if w is not finite or |f(empty)| > ``FLOAT_TOL``.
+    runs Wolfe's major/minor cycle on F: S -> f(A | S) - f(A) - w(S) over
+    E = B - A, m = |E|; none if A = B.  Each major cycle makes the greedy
+    vertex q at the iterate x and stops, in this order: if q sums to at most
+    x^-(E) + ``ROUND_TOL`` on both {x < -ROUND_TOL} and {x < ROUND_TOL}
+    (prefixes of q's chain, so q sums to F there, while x^-(E) <= min F as x
+    lies in F's base polytope, which needs f submodular); if the gap x.x -
+    x.q is within a relative 1e-10; if q is already in the corral; if a
+    minor cycle is stuck; ``RuntimeError`` after 100 m^2 major cycles.
+    Returns ``(X, f(X) - w(X), Y)`` where X = A | {j : x_j < -ROUND_TOL} is
+    the minimal and Y = A | {j : x_j < ROUND_TOL} the maximal minimizer,
+    and w(X) is ``set_sum`` in X's order.  ``ValueError`` if w holds a
+    string, a bool or a value that is not finite, or if |f(empty)| >
+    ``FLOAT_TOL``.
     """
     n = f.ground.n
-    w = np.zeros(n) if w is None else np.asarray(w, dtype=float)
+    if w is None:
+        w = np.zeros(n)
+    elif not (isinstance(w, np.ndarray) and w.dtype == np.float64):  # as the bounds give
+        w = real_array(w, "weights")  # rejects strings and bools
     if w.shape != (n,):
         raise ValueError(f"weights must have length {n}")
     if not (finite := np.isfinite(w)).all():
@@ -141,6 +167,10 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
 
     for _ in range(100 * m * m):
         q = greedy_base_vertex(fm, x, wE, A, E)
+        # both roundings of x are prefixes of q's chain, so q sums to F on them
+        low = float(np.add.reduce(np.minimum(x, 0.0))) + ROUND_TOL  # x^-(E) <= min F
+        if np.add.reduce(q[x < -ROUND_TOL]) <= low and np.add.reduce(q[x < ROUND_TOL]) <= low:
+            break  # both are minimizers: the duality certificate
         xx = float(x @ x)
         corr = max(1.0, xx, float(q @ q), max(norms))
         gap = xx - float(x @ q)

@@ -1,13 +1,16 @@
 import gc
 import hashlib
 import math
+import re
 import weakref
 
 import numpy as np
 import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, build_function, memoized, min_norm_point
-from dsmin.core import MemoizedOracle, brute_force_minimize, evaluate_table, mask_of, set_of
+from dsmin import sfm
+from dsmin.core import (MemoizedOracle, brute_force_minimize, evaluate_table, mask_of, set_of,
+                        set_sum)
 from dsmin.functions import modular_spec
 from dsmin.sfm import ROUND_TOL, _minimizer_lattice, greedy_base_vertex
 
@@ -131,6 +134,22 @@ class TestMinNormPoint:
     def test_weights_of_the_wrong_length_are_rejected(self):
         with pytest.raises(ValueError, match="length"):
             min_norm_point(helpers.triangle_cut(), np.zeros(4))
+
+    @pytest.mark.parametrize("w, entry", [
+        (["0.5", "-0.5", "2"], "'0.5'"), ([True, False, True], "True"),
+        ([0.5, np.bool_(False), 2.0], repr(np.bool_(False))),
+        (np.array([1, 0, 1], dtype=bool), "True")])
+    def test_string_and_bool_weights_are_rejected(self, w, entry):
+        # float() would read "0.5" as 0.5 and True as 1.0
+        with pytest.raises(ValueError, match=re.escape(f"must hold real numbers, got {entry}")):
+            min_norm_point(helpers.triangle_cut(), w)
+
+    def test_int_and_numpy_weights_read_as_floats(self):
+        f = helpers.triangle_cut()
+        expected = min_norm_point(f, np.array([0.5, -0.5, 2.0]))
+        for w in ([0.5, -0.5, 2], [np.float64(0.5), np.float32(-0.5), np.int64(2)],
+                  np.array([0.5, -0.5, 2.0], dtype=np.float32)):
+            assert min_norm_point(f, w) == expected
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_are_rejected(self, bad):
@@ -304,7 +323,92 @@ class TestPerMemoWork:
             assert list(map(tuple, memo._cache)) == list(map(tuple, reference._cache))
 
     def test_the_order_of_first_evaluations_is_pinned(self):
-        # Recorded before the first lattice round's gains were kept per memo;
-        # evaluating f(B) after the sets next to A changes the memo's order
+        # Recorded when Wolfe's loop first stopped at the duality certificate
+        # (1192 sets before, when only the gap stopped it); evaluating f(B) after
+        # the sets next to A, or one vertex more or less, changes the memo's order
         assert _pinned_run() == (
-            1192, "f4fee60e60a5915842b71816f5e7e88cbd0ecc5a935b882f1ccdc2f879d35952")
+            1107, "2769bec4b59a432ca4e9cb92643cef141113ea764e58fe97cc8da5ee679b66a0")
+
+
+def _reference_min_norm_point(f, w):
+    """``min_norm_point`` as it was before the duality certificate: Wolfe's loop
+    stops only at the gap, an active vertex, a stuck minor cycle or the cap.
+    Its vertices come through ``sfm.greedy_base_vertex``, so a test can count them."""
+    fm = memoized(f)
+    fm(frozenset())
+    weights = w.tolist()
+    A, B = _minimizer_lattice(fm, weights)
+    if A == B:
+        return A, fm(A) - set_sum(weights, A), A
+    E = np.array(sorted(B - A))
+    m = len(E)
+    wE = w[E - 1]
+    x = sfm.greedy_base_vertex(fm, np.zeros(m), wE, A, E)
+    S = x.reshape(1, m).copy()
+    norms = [float(np.add.reduce(x * x))]
+    lam = np.ones(1)
+    for _ in range(100 * m * m):
+        q = sfm.greedy_base_vertex(fm, x, wE, A, E)
+        xx = float(x @ x)
+        corr = max(1.0, xx, float(q @ q), max(norms))
+        if xx - float(x @ q) <= sfm._GAP_TOL * corr:
+            break
+        if np.minimum.reduce(np.maximum.reduce(np.abs(S - q), axis=1)) <= sfm._DROP_TOL * corr:
+            break
+        S = np.concatenate((S, q.reshape(1, m)))
+        norms.append(float(np.add.reduce(q * q)))
+        lam = np.concatenate((lam, [0.0]))
+        for _minor in range(10 * m + 100):
+            y, coeffs = sfm._affine_minimizer(S)
+            if np.minimum.reduce(coeffs) >= -sfm._DROP_TOL:
+                x, lam = y, np.maximum(coeffs, 0.0)
+                break
+            neg = coeffs < -sfm._DROP_TOL
+            theta = float(np.minimum.reduce(lam[neg] / (lam[neg] - coeffs[neg])))
+            lam = (1.0 - theta) * lam + theta * coeffs
+            keep = lam > sfm._DROP_TOL
+            if not np.logical_or.reduce(keep):
+                keep[int(np.argmax(lam))] = True
+            S = S[keep]
+            norms = [r for r, k in zip(norms, keep.tolist()) if k]
+            lam = lam[keep]
+            lam = lam / np.add.reduce(lam)
+            x = S.T @ lam
+        else:
+            break
+    else:
+        raise RuntimeError("min-norm point did not converge")
+    X = A | frozenset(E[x < -ROUND_TOL].tolist())
+    return X, fm(X) - set_sum(weights, X), A | frozenset(E[x < ROUND_TOL].tolist())
+
+
+class TestDualityCertificate:
+    """Wolfe's loop may stop at the first vertex that certifies the rounded
+    minimizers; it must return what the full loop returns, from fewer vertices."""
+
+    @pytest.mark.parametrize("family", ["cut", "facility", "concave", "table"])
+    def test_the_certified_loop_returns_the_full_loops_minimizers(self, family, monkeypatch):
+        rng = np.random.default_rng(93)
+        vertices = []
+        vertex = sfm.greedy_base_vertex
+        monkeypatch.setattr(sfm, "greedy_base_vertex",
+                            lambda *args: vertices.append(1) or vertex(*args))
+        full = certified = 0
+        for trial in range(12):
+            # a table costs 2^n evaluations to build: up to 12 elements there
+            n = int(rng.integers(8, 13 if family == "table" else 17))
+            f = helpers.FAMILY_BUILDERS[family](rng, n)
+            w = _lattice_weights(rng, f, trial % 3)
+            vertices.clear()
+            X_full, val_full, Y_full = _reference_min_norm_point(f, w)
+            full += len(vertices)
+            vertices.clear()
+            X, val, Y = min_norm_point(f, w)
+            certified += len(vertices)
+            assert (X, Y) == (X_full, Y_full)
+            assert val == pytest.approx(val_full, abs=1e-9)
+            if n <= 12:  # the minimal and the maximal minimizer
+                best_X, best, best_Y = helpers.sfm_brute_force(f, w)
+                assert (X, Y) == (best_X, best_Y)
+                assert val == pytest.approx(best, abs=1e-9)
+        assert 0 < certified < full
