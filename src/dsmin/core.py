@@ -10,7 +10,6 @@ the full value table, so like every table it refuses n > 20.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -112,16 +111,21 @@ def flips(X: frozenset, ground: GroundSet) -> list[frozenset]:
 
 
 def best_flip(v: Callable[[frozenset], float], X: frozenset, ground: GroundSet,
-              tol: float = 0.0,
-              feasible: Callable[[frozenset], bool] | None = None) -> frozenset | None:
-    """The lowest flip of X below v(X) - tol, ties to the lower element, or None.
+              tol: float = 0.0, feasible: Callable[[frozenset], bool] | None = None,
+              w: list[float] | None = None) -> frozenset | None:
+    """The flip of X lowest under v + w below v(X) - tol, ties to the lower
+    element, or None; w is a weight list indexed by ``j - 1``, no w is zero.
 
-    Flips that ``feasible`` rejects are skipped before v is evaluated."""
+    A flip X + j scores v(X + j) + w_j and X - j scores v(X - j) - w_j, so w is
+    never summed over a set.  Flips that ``feasible`` rejects are skipped
+    before v is evaluated."""
     best_val, best = v(X) - tol, None
-    for T in flips(X, ground):
+    for j, T in zip(ground.elements(), flips(X, ground)):
         if feasible is not None and not feasible(T):
             continue
         val = v(T)
+        if w is not None:
+            val = val - w[j - 1] if j in X else val + w[j - 1]
         if val < best_val:
             best_val, best = val, T
     return best
@@ -218,7 +222,7 @@ class AffineModular:
     """Constant offset plus per-element weights.
 
     ``value(Y) = offset + set_sum(weights, Y)`` over a list copy of the
-    weights made on the first ``value`` call (most bounds never make one).
+    weights; the solvers read the weights and never call ``value``.
     Plain floats added in Y's order are the IEEE additions of ``sum()`` over
     the float64 entries, bit for bit; ``sum()`` over floats (compensated on
     Python >= 3.12) and numpy reductions (reordered) differ in the last bits.
@@ -229,12 +233,8 @@ class AffineModular:
     offset: float
     weights: np.ndarray
 
-    @functools.cached_property
-    def _weight_list(self) -> list[float]:
-        return self.weights.tolist()
-
     def value(self, Y: Iterable[int]) -> float:
-        return float(self.offset + set_sum(self._weight_list, Y))
+        return float(self.offset + set_sum(self.weights.tolist(), Y))
 
     def __sub__(self, other: "AffineModular") -> "AffineModular":
         return AffineModular(self.offset - other.offset, self.weights - other.weights)

@@ -1,10 +1,13 @@
-"""Approximate maximization of (possibly non-monotone) submodular functions.
+"""Approximate maximization of f - w, f (possibly non-monotone) submodular.
 
-Double greedy is the linear-time bi-directional pass of Buchbinder, Feldman,
-Naor and Schwartz; its deterministic form guarantees a third of the optimum
-and the randomized form half in expectation, for non-negative functions.
-A plain cardinality-constrained greedy and a single-swap local search round
-out the toolbox.
+Each maximizer takes a callable f and a weight list w indexed by ``j - 1``
+(None means zero), as ``sfm.min_norm_point`` minimizes f - w: a step
+compares f's change with one weight, so w is never summed over a set.
+Double greedy is the linear-time bi-directional pass of Buchbinder,
+Feldman, Naor and Schwartz; its deterministic form guarantees a third of
+the optimum and the randomized form half in expectation, for non-negative
+functions.  A plain cardinality-constrained greedy and a single-swap local
+search round out the toolbox.
 """
 
 from __future__ import annotations
@@ -13,30 +16,37 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GroundSet, best_flip
+from .core import GroundSet, best_flip, whole
 
 DG_MODES = ("deterministic", "randomized")
 
 
-def double_greedy(f: Callable[[frozenset], float], ground: GroundSet,
+def double_greedy(f: Callable[[frozenset], float], w: list[float] | None, ground: GroundSet,
                   mode: str = "deterministic", seed: int | None = None) -> frozenset:
-    """One bi-directional pass over the elements in index order.
+    """One bi-directional pass of f - w over the elements in index order.
 
-    Grows a lower set from empty and shrinks an upper set from full; for
-    each element the add-gain against the lower set competes with the
-    remove-gain against the upper set.  Deterministic mode takes the larger
-    (ties add); randomized mode samples proportionally to the clipped
-    gains, adding outright when both clip to zero.  Makes exactly 4n
-    oracle calls.
+    Grows a lower set A from empty and shrinks an upper set B from full; for
+    each element j the add-gain f(A + j) - f(A) - w_j competes with the
+    remove-gain f(B - j) - f(B) + w_j.  Deterministic mode takes the larger
+    (ties add) and refuses a seed, which it would not read; randomized mode
+    samples proportionally to the clipped gains, adding outright when both
+    clip to zero.  f(A) and f(B) are carried from step to step, so f is
+    called exactly 2n + 2 times.
     """
     if mode not in DG_MODES:
         raise ValueError(f"mode must be one of {DG_MODES}, got {mode!r}")
+    if mode == "deterministic" and seed is not None:
+        raise ValueError(f"deterministic double greedy draws nothing: seed must be None, "
+                         f"got {seed!r}")
     rng = np.random.default_rng(seed) if mode == "randomized" else None
+    w = [0.0] * ground.n if w is None else w
     A: set[int] = set()
     B: set[int] = set(ground.elements())
+    fA, fB = f(frozenset(A)), f(frozenset(B))
     for j in ground.elements():
-        a = f(frozenset(A | {j})) - f(frozenset(A))
-        b = f(frozenset(B - {j})) - f(frozenset(B))
+        fA_j, fB_j = f(frozenset(A | {j})), f(frozenset(B - {j}))
+        a = fA_j - fA - w[j - 1]
+        b = fB_j - fB + w[j - 1]
         if rng is None:
             take = a >= b
         else:
@@ -44,31 +54,37 @@ def double_greedy(f: Callable[[frozenset], float], ground: GroundSet,
             take = True if ac + bc == 0.0 else rng.random() < ac / (ac + bc)
         if take:
             A.add(j)
+            fA = fA_j
         else:
             B.remove(j)
+            fB = fB_j
     return frozenset(A)
 
 
-def greedy_cardinality_max(f: Callable[[frozenset], float], ground: GroundSet, k: int) -> frozenset:
-    """Up to k greedy additions of the best strictly-positive-gain element."""
+def greedy_cardinality_max(f: Callable[[frozenset], float], w: list[float] | None,
+                           ground: GroundSet, k: int) -> frozenset:
+    """Up to k greedy additions to f - w of the best strictly-positive-gain
+    element; k is a whole number in 0..n."""
     n = ground.n
-    if not 0 <= k <= n:
+    k = whole(k, "k", 0)
+    if k > n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
     S = frozenset()
     while len(S) < k and (T := best_flip(lambda X: -f(X), S, ground,
-                                         feasible=lambda T: len(T) > len(S))) is not None:
+                                         feasible=lambda T: len(T) > len(S), w=w)) is not None:
         S = T
     return S
 
 
-def local_search_max(f: Callable[[frozenset], float], start, ground: GroundSet,
+def local_search_max(f: Callable[[frozenset], float], w: list[float] | None, start,
+                     ground: GroundSet,
                      feasible: Callable[[frozenset], bool] | None = None) -> frozenset:
-    """Hill-climb by single adds/deletes until no move strictly improves f.
+    """Hill-climb on f - w by single adds/deletes until no move strictly improves it.
 
     With ``feasible`` given, only moves to sets it accepts are considered.
-    Every step strictly raises f, so no set repeats and the climb ends.
+    Every step strictly raises f - w, so no set repeats and the climb ends.
     """
     S = ground.check_subset(start)
-    while (T := best_flip(lambda X: -f(X), S, ground, feasible=feasible)) is not None:
+    while (T := best_flip(lambda X: -f(X), S, ground, feasible=feasible, w=w)) is not None:
         S = T
     return S

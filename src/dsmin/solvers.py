@@ -406,8 +406,11 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
             constraint: Constraint = Constraint.none()) -> OptimizationTrace:
     """Descend on v = f - g by approximately maximizing g minus an upper bound of f.
 
-    Supports no constraint or a cardinality cap.  The inner maximizer is
-    double greedy (a cardinality greedy when capped, so a cap refuses
+    Supports no constraint or a cardinality cap.  Each step maximizes
+    g - m, m the tight modular upper bound of f at the current set: the
+    ``sfmax`` maximizers get the run's memo of g and m's weights, so m is
+    never summed over a set.  The inner maximizer is double greedy (2n + 2
+    calls of g; a cardinality greedy when capped, so a cap refuses
     ``dg_mode="randomized"``) polished by local search over feasible moves;
     a candidate is taken only if v does not increase.  On a stall both
     upper-bound variants are retried and then the full one-element
@@ -428,14 +431,13 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
     ground = run.ground
 
     def maximize(X: frozenset, variant: int) -> frozenset:
-        m = modular_upper_bound(run.f, X, variant)
-        def sur(S: frozenset) -> float:
-            return run.g(S) - m.value(S)
+        w = modular_upper_bound(run.f, X, variant).weights.tolist()
         if constraint.kind == "cardinality_le":
-            return local_search_max(sur, greedy_cardinality_max(sur, ground, constraint.k),
-                                    ground, constraint.is_feasible)
+            start = greedy_cardinality_max(run.g, w, ground, constraint.k)
+            return local_search_max(run.g, w, start, ground, constraint.is_feasible)
         seed = int(run.rng.integers(2 ** 31)) if opts.dg_mode == "randomized" else None
-        return local_search_max(sur, double_greedy(sur, ground, opts.dg_mode, seed), ground)
+        return local_search_max(run.g, w, double_greedy(run.g, w, ground, opts.dg_mode, seed),
+                                ground)
 
     if opts.dg_mode == "deterministic":
         maximize = functools.lru_cache(maxsize=2)(maximize)  # no rng draw to keep

@@ -155,6 +155,29 @@ class TestBestFlip:
         assert best is None
         assert seen == [frozenset({1}), frozenset()]
 
+    def test_weights_match_a_brute_force_flip_scan(self):
+        # integer values and weights: each flip's score is exact, ties included
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            n = int(rng.integers(1, 7))
+            table = rng.integers(-4, 5, 1 << n).astype(float)
+            v = SetFunctionOracle(GroundSet(n), lambda S, t=table: t[mask_of(S)])
+            w = rng.integers(-3, 4, n).astype(float).tolist()
+            X = set_of(int(rng.integers(1 << n)), n)
+            tol = float(rng.integers(0, 2))
+            cap = int(rng.integers(0, n + 1))
+            feasible = None if rng.random() < 0.5 else lambda T, c=cap: len(T) <= c
+
+            def score(S):
+                return v(S) + sum(w[j - 1] for j in S)
+
+            want, bar = None, score(X) - tol
+            for j in range(1, n + 1):
+                T = X ^ {j}
+                if (feasible is None or feasible(T)) and score(T) < bar:
+                    want, bar = T, score(T)
+            assert best_flip(v, X, v.ground, tol, feasible, w) == want
+
 
 class TestCheckSubmodular:
     def test_sqrt_cardinality(self):

@@ -308,9 +308,23 @@ class TestBoundReuse:
         made = np.diff(made + [len(vertices)])  # the vertices each SFM made
         assert (made == 0).any() and (made > 0).any()  # the lattice settles some alone
 
+    @pytest.mark.parametrize("constraint, dg_mode", [
+        (Constraint.none(), "deterministic"), (Constraint.none(), "randomized"),
+        (Constraint.cardinality_le(3), "deterministic")],
+        ids=["free-deterministic", "free-randomized", "capped"])
+    def test_sup_sub_reads_the_upper_bound_weights(self, monkeypatch, constraint, dg_mode):
+        sums = []
+        real_value = dsmin.core.AffineModular.value
+        monkeypatch.setattr(dsmin.core.AffineModular, "value",
+                            lambda m, Y: sums.append(Y) or real_value(m, Y))
+        upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
+        tr = sup_sub(self._instance(), SolverOptions(seed=3, dg_mode=dg_mode), constraint)
+        assert tr.n_accepted >= 1 and upper
+        assert sums == []  # g - m is never summed over a set
+
     def test_randomized_sup_sub_keeps_its_sweep_draws(self, monkeypatch):
         upper = self._log(monkeypatch, "modular_upper_bound", lambda f, X, v: (X, v))
-        seeds = self._log(monkeypatch, "double_greedy", lambda f, ground, mode, seed: seed)
+        seeds = self._log(monkeypatch, "double_greedy", lambda f, w, ground, mode, seed: seed)
         tr = sup_sub(self._instance(), SolverOptions(dg_mode="randomized", seed=4))
         assert tr.n_accepted >= 1
         # the final stall retries both variants primary has just drawn at the same set
