@@ -20,16 +20,22 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .core import (EQ_TOL, PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains,
-                   evaluate_table, memoized, min_gain_drop)
+                   evaluate_table, memoized, min_gain_drop, whole)
 
 
 @dataclass(frozen=True)
 class Permutation:
-    """An ordering of 1..n with its chain of prefix sets."""
+    """An ordering of 1..n with its chain of prefix sets.
+
+    Entries are read as ``core.whole`` reads them: 2.0 and numpy integers
+    become ints, and a bool or a fraction is rejected."""
 
     order: tuple[int, ...]
 
     def __post_init__(self):
+        if set(map(type, self.order)) != {int}:  # solver-built chains: a type scan only
+            object.__setattr__(self, "order", tuple(whole(j, "permutation entry")
+                                                    for j in self.order))
         n = len(self.order)
         if sorted(self.order) != list(range(1, n + 1)):
             raise ValueError(f"order must be a permutation of 1..{n}, got {self.order}")

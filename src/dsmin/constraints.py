@@ -215,7 +215,10 @@ def _lightest(w: np.ndarray, items: Iterable[int], k: int | None) -> list[int]:
     """Without k, items as a list in their given order; with k, the k lightest
     of them by (w, i).  The minimizers build each frozenset from this list,
     whose order fixes the frozenset's iteration order and so its set sums."""
-    return list(items) if k is None else sorted(items, key=lambda i: (w[i - 1], i))[:k]
+    if k is None:
+        return list(items)
+    wl = w.tolist()  # floats compare faster than numpy scalars, in the same order
+    return sorted(items, key=lambda i: (wl[i - 1], i))[:k]
 
 
 def modular_minimize_constrained(m: AffineModular, constraint: Constraint) -> frozenset:
@@ -226,7 +229,7 @@ def modular_minimize_constrained(m: AffineModular, constraint: Constraint) -> fr
     w, kind = m.weights, constraint.kind
     constraint.validate(len(w))
     if kind in ("none", "cardinality_le"):
-        negative = (np.flatnonzero(w < 0.0) + 1).tolist()
+        negative = ((w < 0.0).nonzero()[0] + 1).tolist()
         return frozenset(_lightest(w, negative, None if kind == "none" else constraint.k))
     if kind == "cardinality_eq":
         return frozenset(_lightest(w, range(1, len(w) + 1), constraint.k))
@@ -248,5 +251,5 @@ def modular_maximal_minimizer(m: AffineModular, constraint: Constraint) -> froze
     w, kind = m.weights, constraint.kind
     if kind not in ("none", "cardinality_le"):
         return None
-    nonpositive = (np.flatnonzero(w <= 0.0) + 1).tolist()
+    nonpositive = ((w <= 0.0).nonzero()[0] + 1).tolist()
     return frozenset(_lightest(w, nonpositive, None if kind == "none" else constraint.k))

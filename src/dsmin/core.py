@@ -188,8 +188,10 @@ class MemoizedOracle(SetFunctionOracle):
         if hit is not None:
             return hit
         self.call_count += 1
-        val = float(self._fn(S))
-        if not math.isfinite(val):
+        val = self._fn(S)
+        if type(val) is not float:  # the built families return floats already
+            val = float(val)
+        if val - val != 0.0:  # NaN for a NaN or an infinity
             raise ValueError(f"{self.name} is not finite at {sorted(S)}: {val!r}")
         self._cache[S] = val
         return val
@@ -210,10 +212,15 @@ def memoized(oracle: SetFunctionOracle) -> MemoizedOracle:
 
 
 def set_sum(weights: list[float], S: Iterable[int]) -> float:
-    """The sum of ``weights[j - 1]`` over S, added one by one from 0.0 in S's order."""
+    """The sum of ``weights[j]`` over S, added one by one from 0.0 in S's order.
+
+    ``weights`` is element-indexed: entry 0 is unused, so the loop does no
+    ``j - 1``.  Each caller pads its list once where it builds it.  Lists read
+    one element at a time stay indexed by ``j - 1``, as numpy arrays are: the
+    weights of ``best_flip`` and the ``sfmax`` maximizers, and the SFM lattice's."""
     t = 0.0
     for j in S:
-        t += weights[j - 1]
+        t += weights[j]
     return t
 
 
@@ -221,8 +228,9 @@ def set_sum(weights: list[float], S: Iterable[int]) -> float:
 class AffineModular:
     """Constant offset plus per-element weights.
 
-    ``value(Y) = offset + set_sum(weights, Y)`` over a list copy of the
-    weights; the solvers read the weights and never call ``value``.
+    ``weights[j - 1]`` is element j's weight, as in every numpy array here.
+    ``value(Y) = offset + set_sum(w, Y)`` where w is the element-indexed list
+    ``[0.0, *weights]``; the solvers read the weights and never call ``value``.
     Plain floats added in Y's order are the IEEE additions of ``sum()`` over
     the float64 entries, bit for bit; ``sum()`` over floats (compensated on
     Python >= 3.12) and numpy reductions (reordered) differ in the last bits.
@@ -234,7 +242,7 @@ class AffineModular:
     weights: np.ndarray
 
     def value(self, Y: Iterable[int]) -> float:
-        return float(self.offset + set_sum(self.weights.tolist(), Y))
+        return float(self.offset + set_sum([0.0, *self.weights.tolist()], Y))
 
     def __sub__(self, other: "AffineModular") -> "AffineModular":
         return AffineModular(self.offset - other.offset, self.weights - other.weights)

@@ -239,6 +239,9 @@ class CostModel:
     lam: float
     blocks: tuple[frozenset, ...] | None = None
     weights: tuple[float, ...] | None = None
+    # the weights element-indexed for ``core.set_sum``: entry 0 unused
+    _by_element: tuple[float, ...] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.kind not in ("modular_cardinality", "partition_sqrt"):
@@ -259,6 +262,7 @@ class CostModel:
             except ValueError:
                 raise ValueError("cost weights must be finite and non-negative") from None
             object.__setattr__(self, "weights", weights)
+            object.__setattr__(self, "_by_element", (0.0, *weights))
 
     @staticmethod
     def modular_cardinality(lam: float) -> "CostModel":
@@ -284,7 +288,7 @@ def evaluate_cost(cm: CostModel, A: Iterable[int]) -> float:
         hit = A & b
         covered += len(hit)
         if hit:
-            total += math.sqrt(set_sum(cm.weights, hit))
+            total += math.sqrt(set_sum(cm._by_element, hit))
     if covered != len(A):
         raise ValueError("feature set contains elements outside all cost blocks")
     return cm.lam * total
@@ -322,8 +326,8 @@ def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
         def f_fn(S):
             return conditional_entropy(ds, S, alpha) + evaluate_cost(cost, S)
     else:
-        per_feature = [conditional_entropy(ds, frozenset({j}), alpha)
-                       for j in ground.elements()]
+        per_feature = [0.0] + [conditional_entropy(ds, frozenset({j}), alpha)
+                               for j in ground.elements()]  # element-indexed
 
         def f_fn(S):
             return set_sum(per_feature, S) + evaluate_cost(cost, S)

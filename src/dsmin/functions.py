@@ -5,7 +5,8 @@ construction (validated parameter ranges); explicit tables can encode any
 set function and are only checkable exhaustively.  All built oracles are
 normalized so the empty set evaluates to 0.  Weights are summed over a set
 by ``core.set_sum``: plain floats in the set's order, faster than numpy scalars
-and with the same bits.
+and with the same bits.  The builders hand it element-indexed lists, padded
+once at build time with an unused entry 0, so element j's weight is ``w[j]``.
 
 A function spec is a plain dict, read from and written to JSON as it is.
 :func:`build_function` passes its keys to the builder of its kind as keyword
@@ -76,7 +77,7 @@ def _weights_array(weights) -> np.ndarray:
 
 def _build_modular(*, weights):
     w = _weights_array(weights)
-    return len(w), lambda S, w=w.tolist(): set_sum(w, S), "modular"
+    return len(w), lambda S, w=[0.0, *w.tolist()]: set_sum(w, S), "modular"
 
 
 def _concave_fn(shape: str, exponent: float, cap: float):
@@ -96,8 +97,8 @@ def _build_concave_of_modular(*, weights, shape="sqrt", exponent=0.5, cap=1.0):
     _require(shape in CONCAVE_SHAPES, f"unknown concave shape {shape!r}")
     w = _weights_array(weights)
     _require(np.all(w >= 0.0), "concave-of-modular weights must be non-negative")
-    phi = _concave_fn(shape, exponent, cap)
-    return len(w), lambda S, w=w.tolist(): float(phi(set_sum(w, S))), f"{shape}_of_modular"
+    phi = _concave_fn(shape, exponent, cap)  # maps a float to a float, so no float()
+    return len(w), lambda S, w=[0.0, *w.tolist()]: phi(set_sum(w, S)), f"{shape}_of_modular"
 
 
 def _build_graph_cut(*, n, edges=()):
@@ -156,10 +157,15 @@ def _build_scaled_sum(*, terms):
     _require(all(o.ground.n == n for _, o in oracles),
              "scaled_sum children must share one ground set size")
 
+    terms = [(c, o._fn) for c, o in oracles]
+    if len(terms) == 1:
+        (c, fn), = terms
+        return n, lambda S: 0.0 + c * fn(S), "scaled_sum"  # the loop below, unrolled
+
     def total(S):
         t = 0.0
-        for c, o in oracles:
-            t += c * o._fn(S)
+        for c, fn in terms:
+            t += c * fn(S)
         return t
 
     return n, total, "scaled_sum"

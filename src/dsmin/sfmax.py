@@ -1,8 +1,8 @@
 """Approximate maximization of f - w, f (possibly non-monotone) submodular.
 
-Each maximizer takes a callable f and a weight list w indexed by ``j - 1``
-(None means zero), as ``sfm.min_norm_point`` minimizes f - w: a step
-compares f's change with one weight, so w is never summed over a set.
+Each maximizer takes a callable f and a weight list w of length n indexed
+by ``j - 1`` (None means zero), as ``sfm.min_norm_point`` minimizes f - w:
+a step compares f's change with one weight, so w is never summed over a set.
 Double greedy is the linear-time bi-directional pass of Buchbinder,
 Feldman, Naor and Schwartz; its deterministic form guarantees a third of
 the optimum and the randomized form half in expectation, for non-negative
@@ -19,6 +19,11 @@ import numpy as np
 from .core import GroundSet, best_flip, whole
 
 DG_MODES = ("deterministic", "randomized")
+
+
+def _check_weights(w: list[float] | None, ground: GroundSet) -> None:
+    if w is not None and len(w) != ground.n:
+        raise ValueError(f"weights must have length {ground.n}, got {len(w)}")
 
 
 def double_greedy(f: Callable[[frozenset], float], w: list[float] | None, ground: GroundSet,
@@ -38,6 +43,7 @@ def double_greedy(f: Callable[[frozenset], float], w: list[float] | None, ground
     if mode == "deterministic" and seed is not None:
         raise ValueError(f"deterministic double greedy draws nothing: seed must be None, "
                          f"got {seed!r}")
+    _check_weights(w, ground)
     rng = np.random.default_rng(seed) if mode == "randomized" else None
     w = [0.0] * ground.n if w is None else w
     A: set[int] = set()
@@ -66,6 +72,7 @@ def greedy_cardinality_max(f: Callable[[frozenset], float], w: list[float] | Non
     """Up to k greedy additions to f - w of the best strictly-positive-gain
     element; k is a whole number in 0..n."""
     n = ground.n
+    _check_weights(w, ground)
     k = whole(k, "k", 0)
     if k > n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
@@ -84,6 +91,7 @@ def local_search_max(f: Callable[[frozenset], float], w: list[float] | None, sta
     With ``feasible`` given, only moves to sets it accepts are considered.
     Every step strictly raises f - w, so no set repeats and the climb ends.
     """
+    _check_weights(w, ground)
     S = ground.check_subset(start)
     while (T := best_flip(lambda X: -f(X), S, ground, feasible=feasible, w=w)) is not None:
         S = T

@@ -238,10 +238,13 @@ def _shuffled_chain(X: frozenset, n: int, rng: np.random.Generator,
                     j: int | None = None) -> Permutation:
     """Uniformly shuffled X, then j if given, then the shuffled rest of 1..n.
 
-    Shuffling 0 or 1 elements draws nothing from rng."""
+    Each sorted list is shuffled in place, with the draws of
+    ``rng.permutation`` on it; shuffling 0 or 1 elements draws nothing."""
     pin = set() if j is None else {j}
-    inside = rng.permutation(sorted(X - pin)).tolist()
-    outside = rng.permutation(sorted(set(range(1, n + 1)) - X - pin)).tolist()
+    inside = sorted(X - pin)
+    outside = sorted(set(range(1, n + 1)) - X - pin)
+    rng.shuffle(inside)
+    rng.shuffle(outside)
     return Permutation(tuple(inside + list(pin) + outside))
 
 

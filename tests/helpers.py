@@ -142,7 +142,7 @@ def sfm_brute_force(f, w=None):
     minimal and the maximal minimizer.
     """
     if w is not None:
-        weights = np.asarray(w, float).tolist()
+        weights = [0.0, *np.asarray(w, float).tolist()]  # element-indexed for set_sum
         f = SetFunctionOracle(f.ground, lambda S, f=f: f(S) - set_sum(weights, S))
     table = evaluate_table(f)
     best = float(table.min())

@@ -30,6 +30,23 @@ class TestPermutation:
         with pytest.raises(ValueError):
             Permutation((1, 1, 3))
 
+    @pytest.mark.parametrize("order", [(1.0, 2, 3), (np.int64(1), 2, 3), [3.0, 1, 2]])
+    def test_whole_entries_are_read_as_ints(self, order):
+        p = Permutation(order)
+        assert all(type(j) is int for j in p.order)
+        assert p.order == tuple(int(j) for j in order)
+        h = modular_lower_bound(helpers.sqrt_card(3), {p.order[0]}, p)  # indexes by entry
+        assert h.weights[p.order[0] - 1] == 1.0
+
+    @pytest.mark.parametrize("order", [(True, 2, 3), (1.5, 2, 3), (1, "2", 3), (math.nan, 2, 3)])
+    def test_entries_that_are_not_whole_numbers_are_rejected(self, order):
+        with pytest.raises(ValueError, match="permutation entry must be an integer, got"):
+            Permutation(order)
+
+    def test_an_int_order_is_kept_as_given(self):
+        order = (3, 1, 2)
+        assert Permutation(order).order is order
+
 
 class TestModularLowerBound:
     def test_sqrt_example(self):

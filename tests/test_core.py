@@ -246,6 +246,26 @@ def test_call_count_tracks_every_evaluation():
     assert f.call_count == 4  # a memo's misses call f's function, not f
 
 
+@pytest.mark.parametrize("value", [np.float64(0.1), 3, np.int64(-2), Fraction(1, 3)],
+                         ids=["float64", "int", "int64", "fraction"])
+def test_memo_miss_stores_an_exact_float(value):
+    m = memoized(SetFunctionOracle(GroundSet(2), lambda S: value, "h"))
+    for _ in range(2):  # the miss, then the hit
+        got = m(frozenset({1}))
+        assert type(got) is float and got == float(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.inf),
+                                 np.float64(math.nan)],
+                         ids=["nan", "inf", "-inf", "float64_inf", "float64_nan"])
+def test_memo_miss_rejects_a_value_that_is_not_finite(bad):
+    m = memoized(SetFunctionOracle(GroundSet(3), lambda S: bad if S == {1, 3} else 0.5, "h"))
+    assert m(frozenset({1})) == 0.5
+    with pytest.raises(ValueError, match=r"h is not finite at \[1, 3\]: "):
+        m(frozenset({3, 1}))
+    assert m.call_count == 2 and frozenset({1, 3}) not in m._cache
+
+
 def test_memoized_passes_a_memo_through():
     m = memoized(helpers.sqrt_card(3))
     assert memoized(m) is m

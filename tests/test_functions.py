@@ -6,7 +6,7 @@ import pytest
 
 from dsmin import GroundSet, build_function, instance_from_dict
 from dsmin.core import AffineModular, check_submodular
-from dsmin.functions import modular_spec, sqrt_cardinality_spec
+from dsmin.functions import modular_spec, scaled_sum_spec, sqrt_cardinality_spec
 
 import helpers
 from helpers import float64_generator_sum, graph_cut_spec, table_spec
@@ -257,6 +257,17 @@ def test_set_sums_match_the_float64_generator_sum_bit_for_bit(n):
     concave = [(build_function({"kind": "concave_of_modular", "weights": w_pos.tolist(),
                                 **params}), phi) for params, phi in CONCAVE_REFERENCE]
     offsets = [0.0, -0.0, float(rng.standard_normal() * 1e3), np.float64(rng.standard_normal())]
+    # scaled sums of a modular and a sqrt child, one, two and three terms; a zero coefficient
+    # on a negative modular value makes -0.0, which the leading 0.0 turns into 0.0
+    children = [(modular_spec(w), lambda S: float64_generator_sum(w, S)),
+                ({"kind": "concave_of_modular", "shape": "sqrt", "weights": w_pos.tolist()},
+                 lambda S: math.sqrt(float64_generator_sum(w_pos, S)))]
+    coeffs = [0.0, 1.0, float(rng.uniform(0.1, 10.0))]
+    term_lists = [[(c, child)] for c in coeffs for child in children]
+    term_lists += [[(c0, children[0]), (c1, children[1])] for c0 in coeffs for c1 in coeffs]
+    term_lists.append([(coeffs[2], children[0]), (1.0, children[1]), (1.0, children[0])])
+    scaled = [(build_function(scaled_sum_spec([(c, spec) for c, (spec, _) in terms])), terms)
+              for terms in term_lists]
     orders_differ = False
     for same in _orders_of_equal_sets(rng, n):
         orders_differ |= len({tuple(S) for S in same}) > 1
@@ -268,4 +279,9 @@ def test_set_sums_match_the_float64_generator_sum_bit_for_bit(n):
             for offset in offsets:
                 got = AffineModular(offset, w).value(S)
                 assert _bits(got) == _bits(offset + ref)
+            for f, terms in scaled:
+                expected = 0.0
+                for c, (_, child_ref) in terms:
+                    expected += c * child_ref(S)
+                assert _bits(f(S)) == _bits(expected)
     assert orders_differ or n < 9  # below 9, every small-int set iterates in sorted order

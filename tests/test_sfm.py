@@ -339,7 +339,7 @@ def _reference_min_norm_point(f, w):
     weights = w.tolist()
     A, B = _minimizer_lattice(fm, weights)
     if A == B:
-        return A, fm(A) - set_sum(weights, A), A
+        return A, fm(A) - set_sum([0.0, *weights], A), A
     E = np.array(sorted(B - A))
     m = len(E)
     wE = w[E - 1]
@@ -379,7 +379,7 @@ def _reference_min_norm_point(f, w):
     else:
         raise RuntimeError("min-norm point did not converge")
     X = A | frozenset(E[x < -ROUND_TOL].tolist())
-    return X, fm(X) - set_sum(weights, X), A | frozenset(E[x < ROUND_TOL].tolist())
+    return X, fm(X) - set_sum([0.0, *weights], X), A | frozenset(E[x < ROUND_TOL].tolist())
 
 
 class TestDualityCertificate:

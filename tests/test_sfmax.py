@@ -164,3 +164,22 @@ class TestWeights:
                     continue
                 assert (local_search_max(f, w, start, f.ground, feasible)
                         == local_search_max(plain, None, start, f.ground, feasible))
+
+
+class TestWeightLength:
+    @pytest.mark.parametrize("length", [2, 4, 5])
+    def test_each_maximizer_rejects_a_list_not_of_length_n(self, length):
+        f, ground = helpers.sqrt_card(3), GroundSet(3)
+        w = [0.5] * length
+        calls = [lambda: double_greedy(f, w, ground),
+                 lambda: double_greedy(f, w, ground, "randomized", 1),
+                 lambda: greedy_cardinality_max(f, w, ground, 2),
+                 lambda: local_search_max(f, w, frozenset(), ground)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"weights must have length 3, got {length}"):
+                call()
+
+    def test_a_list_of_length_n_is_read(self):
+        f, ground = helpers.sqrt_card(3), GroundSet(3)
+        assert double_greedy(f, [0.5] * 3, ground) == frozenset({1})  # sqrt|S| - |S|/2
+        assert double_greedy(f, [1.5] * 3, ground) == frozenset()

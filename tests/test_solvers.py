@@ -127,14 +127,18 @@ class TestShuffledChain:
     @pytest.mark.parametrize("X", [frozenset(), frozenset({3}), frozenset({2, 5, 6}),
                                    frozenset(range(1, 7))])
     def test_pins_j_at_the_boundary_and_draws_as_before(self, X):
-        for seed in range(5):
-            new, old = np.random.default_rng(seed), np.random.default_rng(seed)
-            for j in (None, *range(1, 7)):
-                sigma = dsmin.solvers._shuffled_chain(X, 6, new, j)
-                assert sigma.order == self._old_chain(X, 6, old, j)
-                assert sigma.chain_contains(X)
-                if j is not None:
-                    assert sigma.order[len(X - {j})] == j
+        # X's part in 1..n, and its complement, which is large at n = 64 and 128
+        for n in (1, 2, 6, 64, 128):
+            inside = frozenset(j for j in X if j <= n)
+            for Y in (inside, frozenset(range(1, n + 1)) - inside):
+                for seed in range(5):
+                    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+                    for j in (None, *range(1, n + 1)):
+                        sigma = dsmin.solvers._shuffled_chain(Y, n, new, j)
+                        assert sigma.order == self._old_chain(Y, n, old, j)
+                        assert sigma.chain_contains(Y)
+                        if j is not None:
+                            assert sigma.order[len(Y - {j})] == j
 
 
 class TestSubSup:

@@ -1,5 +1,6 @@
 """The package's public surface and the attributes the benchmark tracer patches."""
 
+import inspect
 from pathlib import Path
 
 import dsmin
@@ -29,3 +30,7 @@ def test_traced_attributes_exist(monkeypatch):
 
     attrs = spans.current_attributes()
     assert len(attrs) == len(spans.SPANNED) + 1
+    assert all(map(callable, attrs.values()))
+    # the tracer's memo wrapper calls the memo as fn(oracle, X)
+    memo_call = attrs[(dsmin.core.MemoizedOracle, "__call__")]
+    assert list(inspect.signature(memo_call).parameters) == ["self", "X"]
