@@ -28,12 +28,13 @@ class Permutation:
     """An ordering of 1..n with its chain of prefix sets.
 
     Entries are read as ``core.whole`` reads them: 2.0 and numpy integers
-    become ints, and a bool or a fraction is rejected."""
+    become ints, and a bool or a fraction is rejected.  An order that is not
+    a tuple of ints is stored as one."""
 
     order: tuple[int, ...]
 
     def __post_init__(self):
-        if set(map(type, self.order)) != {int}:  # solver-built chains: a type scan only
+        if type(self.order) is not tuple or set(map(type, self.order)) != {int}:
             object.__setattr__(self, "order", tuple(whole(j, "permutation entry")
                                                     for j in self.order))
         n = len(self.order)

@@ -211,13 +211,18 @@ def memoized(oracle: SetFunctionOracle) -> MemoizedOracle:
     return oracle if isinstance(oracle, MemoizedOracle) else MemoizedOracle(oracle)
 
 
+def element_indexed(weights: Iterable[float]) -> list[float]:
+    """``[0.0, *weights]``: element j's weight, given at ``j - 1``, at index j."""
+    return [0.0, *weights]
+
+
 def set_sum(weights: list[float], S: Iterable[int]) -> float:
     """The sum of ``weights[j]`` over S, added one by one from 0.0 in S's order.
 
-    ``weights`` is element-indexed: entry 0 is unused, so the loop does no
-    ``j - 1``.  Each caller pads its list once where it builds it.  Lists read
-    one element at a time stay indexed by ``j - 1``, as numpy arrays are: the
-    weights of ``best_flip`` and the ``sfmax`` maximizers, and the SFM lattice's."""
+    ``weights`` is element-indexed, as :func:`element_indexed` builds it:
+    entry 0 is unused, so the loop does no ``j - 1``.  Lists read one element
+    at a time stay indexed by ``j - 1``, as numpy arrays are: the weights of
+    ``best_flip`` and the ``sfmax`` maximizers, and the SFM lattice's."""
     t = 0.0
     for j in S:
         t += weights[j]
@@ -229,8 +234,8 @@ class AffineModular:
     """Constant offset plus per-element weights.
 
     ``weights[j - 1]`` is element j's weight, as in every numpy array here.
-    ``value(Y) = offset + set_sum(w, Y)`` where w is the element-indexed list
-    ``[0.0, *weights]``; the solvers read the weights and never call ``value``.
+    ``value(Y) = offset + set_sum(element_indexed(weights), Y)``; the solvers
+    read the weights and never call ``value``.
     Plain floats added in Y's order are the IEEE additions of ``sum()`` over
     the float64 entries, bit for bit; ``sum()`` over floats (compensated on
     Python >= 3.12) and numpy reductions (reordered) differ in the last bits.
@@ -242,7 +247,7 @@ class AffineModular:
     weights: np.ndarray
 
     def value(self, Y: Iterable[int]) -> float:
-        return float(self.offset + set_sum([0.0, *self.weights.tolist()], Y))
+        return float(self.offset + set_sum(element_indexed(self.weights.tolist()), Y))
 
     def __sub__(self, other: "AffineModular") -> "AffineModular":
         return AffineModular(self.offset - other.offset, self.weights - other.weights)

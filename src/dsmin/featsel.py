@@ -31,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import (EQ_TOL, GroundSet, SetFunctionOracle, best_flip, element_set, memoized,
-                   nonnegative, set_sum, whole)
+from .core import (EQ_TOL, GroundSet, SetFunctionOracle, best_flip, element_indexed,
+                   element_set, memoized, nonnegative, set_sum, whole)
 from .solvers import DSInstance, OptimizationTrace, TracePoint
 
 
@@ -239,9 +239,6 @@ class CostModel:
     lam: float
     blocks: tuple[frozenset, ...] | None = None
     weights: tuple[float, ...] | None = None
-    # the weights element-indexed for ``core.set_sum``: entry 0 unused
-    _by_element: tuple[float, ...] | None = field(default=None, init=False, repr=False,
-                                                  compare=False)
 
     def __post_init__(self):
         if self.kind not in ("modular_cardinality", "partition_sqrt"):
@@ -262,7 +259,6 @@ class CostModel:
             except ValueError:
                 raise ValueError("cost weights must be finite and non-negative") from None
             object.__setattr__(self, "weights", weights)
-            object.__setattr__(self, "_by_element", (0.0, *weights))
 
     @staticmethod
     def modular_cardinality(lam: float) -> "CostModel":
@@ -282,13 +278,14 @@ def evaluate_cost(cm: CostModel, A: Iterable[int]) -> float:
     if cm.kind == "modular_cardinality":
         return cm.lam * len(frozenset(A))
     A = element_set(A)
+    w = element_indexed(cm.weights)
     total = 0.0
     covered = 0
     for b in cm.blocks:
         hit = A & b
         covered += len(hit)
         if hit:
-            total += math.sqrt(set_sum(cm._by_element, hit))
+            total += math.sqrt(set_sum(w, hit))
     if covered != len(A):
         raise ValueError("feature set contains elements outside all cost blocks")
     return cm.lam * total
@@ -326,8 +323,8 @@ def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
         def f_fn(S):
             return conditional_entropy(ds, S, alpha) + evaluate_cost(cost, S)
     else:
-        per_feature = [0.0] + [conditional_entropy(ds, frozenset({j}), alpha)
-                               for j in ground.elements()]  # element-indexed
+        per_feature = element_indexed(conditional_entropy(ds, frozenset({j}), alpha)
+                                      for j in ground.elements())
 
         def f_fn(S):
             return set_sum(per_feature, S) + evaluate_cost(cost, S)

@@ -5,8 +5,8 @@ construction (validated parameter ranges); explicit tables can encode any
 set function and are only checkable exhaustively.  All built oracles are
 normalized so the empty set evaluates to 0.  Weights are summed over a set
 by ``core.set_sum``: plain floats in the set's order, faster than numpy scalars
-and with the same bits.  The builders hand it element-indexed lists, padded
-once at build time with an unused entry 0, so element j's weight is ``w[j]``.
+and with the same bits.  The builders pad their lists once at build time
+with ``core.element_indexed``, so element j's weight is ``w[j]``.
 
 A function spec is a plain dict, read from and written to JSON as it is.
 :func:`build_function` passes its keys to the builder of its kind as keyword
@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .core import (TABLE_MAX_N, GroundSet, SetFunctionOracle, mask_of, nonnegative, real_array,
-                   set_sum, whole)
+                   element_indexed, set_sum, whole)
 
 CONCAVE_SHAPES = ("sqrt", "log1p", "power", "cap")
 
@@ -77,7 +77,7 @@ def _weights_array(weights) -> np.ndarray:
 
 def _build_modular(*, weights):
     w = _weights_array(weights)
-    return len(w), lambda S, w=[0.0, *w.tolist()]: set_sum(w, S), "modular"
+    return len(w), lambda S, w=element_indexed(w.tolist()): set_sum(w, S), "modular"
 
 
 def _concave_fn(shape: str, exponent: float, cap: float):
@@ -98,7 +98,7 @@ def _build_concave_of_modular(*, weights, shape="sqrt", exponent=0.5, cap=1.0):
     w = _weights_array(weights)
     _require(np.all(w >= 0.0), "concave-of-modular weights must be non-negative")
     phi = _concave_fn(shape, exponent, cap)  # maps a float to a float, so no float()
-    return len(w), lambda S, w=[0.0, *w.tolist()]: phi(set_sum(w, S)), f"{shape}_of_modular"
+    return len(w), lambda S, w=element_indexed(w.tolist()): phi(set_sum(w, S)), f"{shape}_of_modular"
 
 
 def _build_graph_cut(*, n, edges=()):
@@ -158,9 +158,6 @@ def _build_scaled_sum(*, terms):
              "scaled_sum children must share one ground set size")
 
     terms = [(c, o._fn) for c, o in oracles]
-    if len(terms) == 1:
-        (c, fn), = terms
-        return n, lambda S: 0.0 + c * fn(S), "scaled_sum"  # the loop below, unrolled
 
     def total(S):
         t = 0.0

@@ -36,8 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, memoized,
-                   real_array, set_sum)
+from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, element_indexed,
+                   memoized, real_array, set_sum)
 
 
 def greedy_base_vertex(f: SetFunctionOracle, direction, w=None, base: frozenset = frozenset(),
@@ -136,8 +136,8 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     minor cycle is stuck; ``RuntimeError`` after 100 m^2 major cycles.
     Returns ``(X, f(X) - w(X), Y)`` where X = A | {j : x_j < -ROUND_TOL} is
     the minimal and Y = A | {j : x_j < ROUND_TOL} the maximal minimizer,
-    and w(X) is ``set_sum`` in X's order over w padded with a leading 0.0;
-    the lattice reads the unpadded list by ``j - 1``.  ``ValueError`` if w
+    and w(X) is ``set_sum`` in X's order over ``element_indexed(w)``; the
+    lattice reads the unpadded list by ``j - 1``.  ``ValueError`` if w
     holds a string, a bool or a value that is not finite, or if
     |f(empty)| > ``FLOAT_TOL``.
     """
@@ -156,7 +156,7 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     weights = w.tolist()
     A, B = _minimizer_lattice(fm, weights)
     if A == B:
-        return A, fm(A) - set_sum([0.0, *weights], A), A
+        return A, fm(A) - set_sum(element_indexed(weights), A), A
 
     E = np.array(sorted(B - A))
     m = len(E)
@@ -206,4 +206,4 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
         raise RuntimeError(f"min-norm point did not converge (gap={gap:.3e})")
 
     X = A | frozenset(E[x < -ROUND_TOL].tolist())
-    return X, fm(X) - set_sum([0.0, *weights], X), A | frozenset(E[x < ROUND_TOL].tolist())
+    return X, fm(X) - set_sum(element_indexed(weights), X), A | frozenset(E[x < ROUND_TOL].tolist())

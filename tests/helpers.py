@@ -9,7 +9,7 @@ import numpy as np
 from dsmin import DSInstance, GroundSet, SetFunctionOracle, build_function
 from dsmin.bounds import totally_normalize
 from dsmin.core import (FLOAT_TOL, PAIRWISE_MAX_N, AffineModular, evaluate_table,
-                        set_of, set_sum)
+                        element_indexed, set_of, set_sum)
 from dsmin.featsel import _entropy_from_counts, conditional_entropy, empirical_entropy
 from dsmin.functions import modular_spec
 
@@ -142,7 +142,7 @@ def sfm_brute_force(f, w=None):
     minimal and the maximal minimizer.
     """
     if w is not None:
-        weights = [0.0, *np.asarray(w, float).tolist()]  # element-indexed for set_sum
+        weights = element_indexed(np.asarray(w, float).tolist())
         f = SetFunctionOracle(f.ground, lambda S, f=f: f(S) - set_sum(weights, S))
     table = evaluate_table(f)
     best = float(table.min())

@@ -47,6 +47,11 @@ class TestPermutation:
         order = (3, 1, 2)
         assert Permutation(order).order is order
 
+    def test_a_list_order_becomes_a_tuple(self):
+        p = Permutation([3, 1, 2])
+        assert type(p.order) is tuple and p.order == (3, 1, 2)
+        assert hash(p) == hash(Permutation((3, 1, 2)))
+
 
 class TestModularLowerBound:
     def test_sqrt_example(self):

@@ -6,8 +6,8 @@ import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, ds_decompose, memoized
 from dsmin.core import (FLOAT_TOL, AffineModular, best_flip, brute_force_minimize,
-                        check_submodular, evaluate_table, mask_of, nonnegative, set_of,
-                        subset_key, whole)
+                        check_submodular, element_indexed, evaluate_table, mask_of, nonnegative,
+                        set_of, set_sum, subset_key, whole)
 
 from dsmin.functions import build_function, modular_spec
 
@@ -292,6 +292,12 @@ class TestAffineModular:
         d = a - b
         assert d.offset == 1.0
         assert d.value({1, 2}) == pytest.approx(3.0)
+
+
+def test_set_sum_reads_element_j_at_index_j():
+    w = element_indexed(x for x in (0.5, 2.0, 8.0))
+    assert w == [0.0, 0.5, 2.0, 8.0]
+    assert set_sum(w, [3, 1]) == 8.5 and set_sum(w, ()) == 0.0
 
 
 def test_evaluate_table_matches_pointwise():

@@ -9,8 +9,8 @@ import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, build_function, memoized, min_norm_point
 from dsmin import sfm
-from dsmin.core import (MemoizedOracle, brute_force_minimize, evaluate_table, mask_of, set_of,
-                        set_sum)
+from dsmin.core import (MemoizedOracle, brute_force_minimize, element_indexed, evaluate_table,
+                        mask_of, set_of, set_sum)
 from dsmin.functions import modular_spec
 from dsmin.sfm import ROUND_TOL, _minimizer_lattice, greedy_base_vertex
 
@@ -339,7 +339,7 @@ def _reference_min_norm_point(f, w):
     weights = w.tolist()
     A, B = _minimizer_lattice(fm, weights)
     if A == B:
-        return A, fm(A) - set_sum([0.0, *weights], A), A
+        return A, fm(A) - set_sum(element_indexed(weights), A), A
     E = np.array(sorted(B - A))
     m = len(E)
     wE = w[E - 1]
@@ -379,7 +379,7 @@ def _reference_min_norm_point(f, w):
     else:
         raise RuntimeError("min-norm point did not converge")
     X = A | frozenset(E[x < -ROUND_TOL].tolist())
-    return X, fm(X) - set_sum([0.0, *weights], X), A | frozenset(E[x < ROUND_TOL].tolist())
+    return X, fm(X) - set_sum(element_indexed(weights), X), A | frozenset(E[x < ROUND_TOL].tolist())
 
 
 class TestDualityCertificate:
