@@ -161,7 +161,8 @@ class SetFunctionOracle:
     def __call__(self, X: Iterable[int]) -> float:
         S = X if isinstance(X, frozenset) else self.ground.check_subset(X)
         self.call_count += 1
-        return float(self._fn(S))
+        val = self._fn(S)
+        return val if type(val) is float else float(val)
 
     def __repr__(self):
         return f"SetFunctionOracle({self.name}, n={self.ground.n}, calls={self.call_count})"

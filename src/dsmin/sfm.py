@@ -10,6 +10,16 @@ vertex of f - w is f's chain gains minus w, so f - w is never summed over a
 set.  The corral's squared row norms are kept, not summed again each major
 cycle.
 
+Wolfe's loop runs on plain Python floats: the iterate, the vertices, the
+affine weights and the corral are lists.  Its corrals hold a few vertices of
+a few coordinates each, where numpy's fixed cost per call outweighs the
+arithmetic.  The normal equations of the corral's differences to its first
+vertex are kept from one minor cycle to the next: an added vertex appends
+its row and column, a dropped vertex deletes its own, and they are rebuilt
+only when the first vertex leaves.  ``_solve`` solves them by Gaussian
+elimination with partial pivoting.  numpy is left in reading the weights and
+in ``np.linalg.lstsq``, called only on a zero pivot.
+
 Wolfe's loop stops at the first of: Edmonds' duality certificate, the
 relative gap, a vertex already in the corral, a stuck minor cycle, and the
 major-cycle cap, which raises a plain ``RuntimeError`` with the gap.  The
@@ -34,6 +44,8 @@ References:
 
 from __future__ import annotations
 
+from operator import mul, sub
+
 import numpy as np
 
 from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, element_indexed,
@@ -41,46 +53,112 @@ from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, el
 
 
 def greedy_base_vertex(f: SetFunctionOracle, direction, w=None, base: frozenset = frozenset(),
-                       elements=None) -> np.ndarray:
+                       elements=None) -> list[float]:
     """Linear optimization over the base polytope of a normalized submodular f - w.
 
-    Returns the coordinate vector of the argmin over the base polytope of
-    the inner product with ``direction``: elements are sorted by ascending
-    direction value (ties by index) and the vertex coordinates are f's
-    telescoped gains along that order, minus the weights ``w`` if given.
-    Given ``elements`` E, an ascending array of elements outside ``base`` A,
-    the same for S -> f(A | S) - f(A) - w(S) over E, indexed by E's order.
+    Returns the coordinate list of the argmin over the base polytope of the
+    inner product with the sequence ``direction``: elements are sorted by
+    ascending direction value (ties by position) and the vertex coordinates
+    are f's telescoped gains along that order, minus the weights ``w`` if
+    given.  Given ``elements`` E, an ascending list of elements outside
+    ``base`` A, the same for S -> f(A | S) - f(A) - w(S) over E, indexed by
+    E's order.
     """
-    E = np.arange(1, f.ground.n + 1) if elements is None else elements
-    d = np.asarray(direction, dtype=float)
-    if d.shape != E.shape:
+    E = range(1, f.ground.n + 1) if elements is None else elements
+    if len(direction) != len(E):
         raise ValueError(f"direction must have length {len(E)}")
-    by = np.argsort(d, kind="stable")
-    q = np.empty(len(E))
-    q[by] = chain_gains(f, E[by].tolist(), base)
-    return q if w is None else q - w
+    by = sorted(range(len(E)), key=direction.__getitem__)
+    q = [0.0] * len(E)
+    for i, gain in zip(by, chain_gains(f, [E[i] for i in by], base)):
+        q[i] = gain
+    return q if w is None else list(map(sub, q, w))
 
 
-def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Point of minimum norm in the affine hull of the rows of S.
+def _dot(a: list[float], b: list[float]) -> float:
+    return sum(map(mul, a, b))
 
-    Solves the normal equations on the vertex differences; returns the
-    point and its affine coefficients.
+
+def _kept(seq: list, keep: list[bool]) -> list:
+    return [v for v, k in zip(seq, keep) if k]
+
+
+def _combination(coeffs: list[float], rows: list[list[float]]) -> list[float]:
+    """sum_i coeffs[i] * rows[i], added row by row; at least one row."""
+    c, r = coeffs[0], rows[0]
+    out = [c * v for v in r]
+    for c, r in zip(coeffs[1:], rows[1:]):
+        out = [o + c * v for o, v in zip(out, r)]
+    return out
+
+
+def _extend(system: tuple[list, list, list], s0: list[float], q: list[float]) -> None:
+    """Add d = q - s0 to the differences D of ``system`` = (D, G, r), with its
+    row and column of the normal equations G mu = r: G = D D^T, r = -D s0."""
+    D, G, r = system
+    d = list(map(sub, q, s0))
+    row = [_dot(d, e) for e in D]
+    for g, v in zip(G, row):
+        g.append(v)
+    row.append(_dot(d, d))
+    G.append(row)
+    D.append(d)
+    r.append(-_dot(d, s0))
+
+
+def _normal_equations(S: list[list[float]]) -> tuple[list, list, list]:
+    """(D, G, r) of the corral S, its vertices added one by one (``_extend``)."""
+    system = ([], [], [])
+    for q in S[1:]:
+        _extend(system, S[0], q)
+    return system
+
+
+def _solve(G: list[list[float]], r: list[float]) -> list[float]:
+    """mu with G mu = r, by Gaussian elimination with partial pivoting.
+
+    The LU is left-looking: column j is brought up to date by dot products
+    with the columns before it, pivoted on its largest entry and scaled by
+    the pivot's reciprocal; the two triangular solves then run column by
+    column.  A pivot of exactly zero, as a singular G gives when a vertex is
+    an affine combination of others, hands the system to
+    ``np.linalg.lstsq`` instead.
     """
-    m = S.shape[0]
-    if m == 1:
-        return S[0].copy(), np.ones(1)
-    D = S[1:] - S[0]
-    A = D @ D.T
-    b = -D @ S[0]
-    try:
-        mu = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        mu, *_ = np.linalg.lstsq(A, b, rcond=None)
-    coeffs = np.empty(m)
-    coeffs[1:] = mu
-    coeffs[0] = 1.0 - np.add.reduce(mu)
-    return S[0] + D.T @ mu, coeffs
+    k = len(r)
+    M = [row[:] for row in G]  # becomes L below the diagonal and U on and above it
+    b = r[:]  # becomes L^-1 P r, then mu
+    for j in range(k):
+        u = [M[0][j]]  # column j of U above the diagonal, top down
+        for i in range(1, j):
+            row = M[i]
+            row[j] -= _dot(row[:i], u)
+            u.append(row[j])
+        if j:
+            for row in M[j:]:
+                row[j] -= _dot(row[:j], u)
+        col = [abs(row[j]) for row in M[j:]]
+        p = j + col.index(max(col))
+        M[j], M[p], b[j], b[p] = M[p], M[j], b[p], b[j]
+        piv = M[j][j]
+        if piv == 0.0:
+            return np.linalg.lstsq(np.array(G), np.array(r), rcond=None)[0].tolist()
+        inv, bj = 1.0 / piv, b[j]
+        for row in M[j + 1:]:
+            row[j] *= inv
+        b[j + 1:] = [v - bj * row[j] for v, row in zip(b[j + 1:], M[j + 1:])]
+    for j in range(k - 1, -1, -1):
+        b[j] /= M[j][j]
+        bj = b[j]
+        b[:j] = [v - bj * row[j] for v, row in zip(b[:j], M)]
+    return b
+
+
+def _affine_minimizer(s0: list[float], system: tuple[list, list, list]
+                      ) -> tuple[list[float], list[float]]:
+    """Point of minimum norm in the affine hull of s0 and s0 + D[i], and its
+    affine coefficients, s0's first, from ``system`` = (D, G, r) (``_extend``)."""
+    D, G, r = system
+    mu = _solve(G, r)
+    return _combination([1.0, *mu], [s0, *D]), [1.0 - sum(mu), *mu]
 
 
 _DROP_TOL = 1e-12
@@ -127,13 +205,14 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
 
     Narrows the minimizers to a lattice [A, B] (``_minimizer_lattice``), then
     runs Wolfe's major/minor cycle on F: S -> f(A | S) - f(A) - w(S) over
-    E = B - A, m = |E|; none if A = B.  Each major cycle makes the greedy
-    vertex q at the iterate x and stops, in this order: if q sums to at most
-    x^-(E) + ``ROUND_TOL`` on both {x < -ROUND_TOL} and {x < ROUND_TOL}
-    (prefixes of q's chain, so q sums to F there, while x^-(E) <= min F as x
-    lies in F's base polytope, which needs f submodular); if the gap x.x -
-    x.q is within a relative 1e-10; if q is already in the corral; if a
-    minor cycle is stuck; ``RuntimeError`` after 100 m^2 major cycles.
+    E = B - A, m = |E|, on float lists (module docstring); none if A = B.
+    Each major cycle makes the greedy vertex q at the iterate x and stops,
+    in this order: if q sums to at most x^-(E) + ``ROUND_TOL`` on both
+    {x < -ROUND_TOL} and {x < ROUND_TOL} (prefixes of q's chain, so q sums
+    to F there, while x^-(E) <= min F as x lies in F's base polytope, which
+    needs f submodular); if the gap x.x - x.q is within a relative 1e-10; if
+    q is already in the corral; if a minor cycle is stuck; ``RuntimeError``
+    after 100 m^2 major cycles.
     Returns ``(X, f(X) - w(X), Y)`` where X = A | {j : x_j < -ROUND_TOL} is
     the minimal and Y = A | {j : x_j < ROUND_TOL} the maximal minimizer,
     and w(X) is ``set_sum`` in X's order over ``element_indexed(w)``; the
@@ -158,52 +237,65 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     if A == B:
         return A, fm(A) - set_sum(element_indexed(weights), A), A
 
-    E = np.array(sorted(B - A))
+    E = sorted(B - A)
     m = len(E)
-    wE = w[E - 1]
-    x = greedy_base_vertex(fm, np.zeros(m), wE, A, E)
-    S = x.reshape(1, m).copy()
-    norms = [float(np.add.reduce(x * x))]  # squared row norms of S
-    lam = np.ones(1)
+    wE = [weights[j - 1] for j in E]
+    x = greedy_base_vertex(fm, [0.0] * m, wE, A, E)
+    S, norms, lam = [x], [_dot(x, x)], [1.0]  # the corral, its squared norms, x's weights
+    system = _normal_equations(S)  # of S's differences to S[0]
 
     for _ in range(100 * m * m):
         q = greedy_base_vertex(fm, x, wE, A, E)
         # both roundings of x are prefixes of q's chain, so q sums to F on them
-        low = float(np.add.reduce(np.minimum(x, 0.0))) + ROUND_TOL  # x^-(E) <= min F
-        if np.add.reduce(q[x < -ROUND_TOL]) <= low and np.add.reduce(q[x < ROUND_TOL]) <= low:
+        neg = q_lo = q_hi = 0.0
+        for xj, qj in zip(x, q):
+            if xj < ROUND_TOL:
+                q_hi += qj
+                if xj < 0.0:
+                    neg += xj
+                    if xj < -ROUND_TOL:
+                        q_lo += qj
+        low = neg + ROUND_TOL  # x^-(E) <= min F
+        if q_lo <= low and q_hi <= low:
             break  # both are minimizers: the duality certificate
-        xx = float(x @ x)
-        corr = max(1.0, xx, float(q @ q), max(norms))
-        gap = xx - float(x @ q)
+        xx, qq = _dot(x, x), _dot(q, q)
+        corr = max(1.0, xx, qq, max(norms))
+        gap = xx - _dot(x, q)
         if gap <= _GAP_TOL * corr:
             break
-        if np.minimum.reduce(np.maximum.reduce(np.abs(S - q), axis=1)) <= _DROP_TOL * corr:
+        tol = _DROP_TOL * corr
+        if any(max(map(abs, map(sub, s, q))) <= tol for s in S):
             break  # vertex already active: numerically optimal
-        S = np.concatenate((S, q.reshape(1, m)))
-        norms.append(float(np.add.reduce(q * q)))
-        lam = np.concatenate((lam, [0.0]))
+        S.append(q)
+        norms.append(qq)
+        lam.append(0.0)
+        _extend(system, S[0], q)
 
         for _minor in range(10 * m + 100):
-            y, coeffs = _affine_minimizer(S)
-            if np.minimum.reduce(coeffs) >= -_DROP_TOL:
-                x, lam = y, np.maximum(coeffs, 0.0)
+            y, coeffs = _affine_minimizer(S[0], system)
+            if min(coeffs) >= -_DROP_TOL:
+                x, lam = y, [max(c, 0.0) for c in coeffs]
                 break
             # step toward y until the first coefficient hits zero
-            neg = coeffs < -_DROP_TOL
-            theta = float(np.minimum.reduce(lam[neg] / (lam[neg] - coeffs[neg])))
-            lam = (1.0 - theta) * lam + theta * coeffs
-            keep = lam > _DROP_TOL
-            if not np.logical_or.reduce(keep):
-                keep[int(np.argmax(lam))] = True
-            S = S[keep]
-            norms = [r for r, k in zip(norms, keep.tolist()) if k]
-            lam = lam[keep]
-            lam = lam / np.add.reduce(lam)
-            x = S.T @ lam
+            theta = min(a / (a - c) for a, c in zip(lam, coeffs) if c < -_DROP_TOL)
+            lam = [(1.0 - theta) * a + theta * c for a, c in zip(lam, coeffs)]
+            keep = [a > _DROP_TOL for a in lam]
+            if not any(keep):
+                keep[lam.index(max(lam))] = True
+            S, norms, lam = _kept(S, keep), _kept(norms, keep), _kept(lam, keep)
+            if keep[0]:  # each leaving vertex takes its row and column along
+                D, G, r = (_kept(part, keep[1:]) for part in system)
+                system = (D, [_kept(g, keep[1:]) for g in G], r)
+            else:  # S[0] left: rebuild on the new first vertex
+                system = _normal_equations(S)
+            total = sum(lam)
+            lam = [a / total for a in lam]
+            x = _combination(lam, S)
         else:
             break  # minor cycle stuck; x is the best affine point available
     else:
         raise RuntimeError(f"min-norm point did not converge (gap={gap:.3e})")
 
-    X = A | frozenset(E[x < -ROUND_TOL].tolist())
-    return X, fm(X) - set_sum(element_indexed(weights), X), A | frozenset(E[x < ROUND_TOL].tolist())
+    X = A | frozenset([j for j, v in zip(E, x) if v < -ROUND_TOL])
+    Y = A | frozenset([j for j, v in zip(E, x) if v < ROUND_TOL])
+    return X, fm(X) - set_sum(element_indexed(weights), X), Y

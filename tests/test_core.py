@@ -255,6 +255,14 @@ def test_memo_miss_stores_an_exact_float(value):
         assert type(got) is float and got == float(value)
 
 
+@pytest.mark.parametrize("value", [0.1, np.float64(0.1), 3, np.int64(-2), Fraction(1, 3)],
+                         ids=["float", "float64", "int", "int64", "fraction"])
+def test_an_oracle_call_returns_an_exact_float(value):
+    f = SetFunctionOracle(GroundSet(2), lambda S: value, "h")
+    got = f(frozenset({1}))
+    assert type(got) is float and got == float(value) and f.call_count == 1
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.inf),
                                  np.float64(math.nan)],
                          ids=["nan", "inf", "-inf", "float64_inf", "float64_nan"])

@@ -55,7 +55,7 @@ class TestGreedyBaseVertex:
             f = helpers.random_submodular(rng, n)
             d = rng.normal(0, 1, n)
             x = greedy_base_vertex(f, d)
-            assert x.sum() == pytest.approx(f(f.ground.full), abs=1e-9)
+            assert sum(x) == pytest.approx(f(f.ground.full), abs=1e-9)
             for S in helpers.all_subsets(n):
                 assert sum(x[j - 1] for j in S) <= f(S) + 1e-9
             # chain condition: exact on every prefix of the generating order
@@ -199,7 +199,7 @@ def _lattice_weights(rng, f, kind):
     n = f.ground.n
     if kind == 0:
         return greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
-    w = greedy_base_vertex(f, rng.normal(0, 1, n))
+    w = np.asarray(greedy_base_vertex(f, rng.normal(0, 1, n)))
     return w if kind == 1 else w + np.where(rng.random(n) < 0.5, rng.normal(0, 0.5, n), 0.0)
 
 
@@ -323,11 +323,33 @@ class TestPerMemoWork:
             assert list(map(tuple, memo._cache)) == list(map(tuple, reference._cache))
 
     def test_the_order_of_first_evaluations_is_pinned(self):
-        # Recorded when Wolfe's loop first stopped at the duality certificate
-        # (1192 sets before, when only the gap stopped it); evaluating f(B) after
-        # the sets next to A, or one vertex more or less, changes the memo's order
+        # Recorded when Wolfe's loop moved to plain floats (1107 sets on numpy,
+        # 1192 before the duality certificate): the kind 1 weights tie f - w on
+        # a whole chain, and rounding at the last bit of x reorders near-tied
+        # coordinates of the next vertex.  Evaluating f(B) after the sets next
+        # to A, or one vertex more or less, changes the memo's order
         assert _pinned_run() == (
-            1107, "2769bec4b59a432ca4e9cb92643cef141113ea764e58fe97cc8da5ee679b66a0")
+            1117, "7c4275e9d209d08ec33dd5b0ae907b8de22ad87d0864cf2c201b90b0a1c88954")
+
+
+def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Point of minimum norm in the affine hull of the rows of S, and its affine
+    coefficients, from numpy's solve of the normal equations on the vertex
+    differences (least squares where they are singular)."""
+    m = S.shape[0]
+    if m == 1:
+        return S[0].copy(), np.ones(1)
+    D = S[1:] - S[0]
+    A = D @ D.T
+    b = -D @ S[0]
+    try:
+        mu = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        mu, *_ = np.linalg.lstsq(A, b, rcond=None)
+    coeffs = np.empty(m)
+    coeffs[1:] = mu
+    coeffs[0] = 1.0 - np.add.reduce(mu)
+    return S[0] + D.T @ mu, coeffs
 
 
 def _reference_min_norm_point(f, w):
@@ -343,12 +365,12 @@ def _reference_min_norm_point(f, w):
     E = np.array(sorted(B - A))
     m = len(E)
     wE = w[E - 1]
-    x = sfm.greedy_base_vertex(fm, np.zeros(m), wE, A, E)
+    x = np.asarray(sfm.greedy_base_vertex(fm, np.zeros(m), wE, A, E.tolist()))
     S = x.reshape(1, m).copy()
     norms = [float(np.add.reduce(x * x))]
     lam = np.ones(1)
     for _ in range(100 * m * m):
-        q = sfm.greedy_base_vertex(fm, x, wE, A, E)
+        q = np.asarray(sfm.greedy_base_vertex(fm, x, wE, A, E.tolist()))
         xx = float(x @ x)
         corr = max(1.0, xx, float(q @ q), max(norms))
         if xx - float(x @ q) <= sfm._GAP_TOL * corr:
@@ -359,7 +381,7 @@ def _reference_min_norm_point(f, w):
         norms.append(float(np.add.reduce(q * q)))
         lam = np.concatenate((lam, [0.0]))
         for _minor in range(10 * m + 100):
-            y, coeffs = sfm._affine_minimizer(S)
+            y, coeffs = _affine_minimizer(S)
             if np.minimum.reduce(coeffs) >= -sfm._DROP_TOL:
                 x, lam = y, np.maximum(coeffs, 0.0)
                 break
@@ -412,3 +434,76 @@ class TestDualityCertificate:
                 assert (X, Y) == (best_X, best_Y)
                 assert val == pytest.approx(best, abs=1e-9)
         assert 0 < certified < full
+
+
+class TestPlainFloatLoop:
+    """Wolfe's loop on float lists must find what the numpy reference finds,
+    also on ground sets past the 16 elements of the tests above, and its kept
+    system must solve degenerate corrals as least squares does."""
+
+    @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
+    def test_larger_ground_sets_match_the_numpy_reference(self, family):
+        rng = np.random.default_rng(97)
+        for kind in range(3):
+            n = int(rng.integers(20, 41))
+            f = helpers.FAMILY_BUILDERS[family](rng, n)
+            w = _lattice_weights(rng, f, kind)
+            X, val, Y = min_norm_point(f, w)
+            X_ref, val_ref, Y_ref = _reference_min_norm_point(f, w)
+            assert (X, Y) == (X_ref, Y_ref)
+            assert val == pytest.approx(val_ref, abs=1e-9)
+
+    def test_one_free_element(self, monkeypatch):
+        # element 2 has gain 0 in every context, so the lattice leaves it alone
+        f = build_function(modular_spec([-1.0, 0.0, 2.0]))
+        A, B = _minimizer_lattice(memoized(f), [0.0, 0.0, 0.0])
+        assert (A, B) == (frozenset({1}), frozenset({1, 2}))
+        vertices = []
+        vertex = sfm.greedy_base_vertex
+        monkeypatch.setattr(sfm, "greedy_base_vertex",
+                            lambda *args: vertices.append(args) or vertex(*args))
+        X, val, Y = min_norm_point(f)
+        assert vertices and all(args[4] == [2] for args in vertices)  # Wolfe ran on m = 1
+        assert (X, val, Y) == (frozenset({1}), -1.0, frozenset({1, 2}))
+        assert (X, Y) == helpers.sfm_brute_force(f)[::2]
+
+    def test_the_kept_system_solves_as_numpy_does(self):
+        rng = np.random.default_rng(99)
+        for k in range(1, 14):
+            S = rng.normal(0, 1, (k + 1, 17))
+            y, coeffs = sfm._affine_minimizer(S[0].tolist(), sfm._normal_equations(S.tolist()))
+            y_ref, coeffs_ref = _affine_minimizer(S)
+            np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(coeffs, coeffs_ref, rtol=0, atol=1e-9)
+
+    def test_dropping_a_vertex_keeps_the_system_of_the_rest(self):
+        rng = np.random.default_rng(101)
+        S = rng.normal(0, 1, (5, 9)).tolist()
+        D, G, r = sfm._normal_equations(S)
+        del D[1], G[1], r[1]  # vertex 2 leaves, as the minor cycle drops it
+        for g in G:
+            del g[1]
+        assert (D, G, r) == sfm._normal_equations(S[:2] + S[3:])
+
+    # Each corral below is exact in binary, so its singular system meets a
+    # pivot of exactly zero, in this elimination as in LAPACK's
+    @pytest.mark.parametrize("S", [
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
+        [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
+        [[1.0, 2.0, 0.0, -1.0], [2.0, 3.0, 1.0, 0.0], [3.0, 4.0, 2.0, 1.0]],
+        [[1.0, 2.0, 0.0, -1.0], [-1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 0.0],
+         [1.0, 1.0, 1.0, 1.0]]],
+        ids=["repeated", "repeated-first", "on-a-line", "mid-point-and-one-more"])
+    def test_a_dependent_vertex_gives_the_least_squares_point(self, S, monkeypatch):
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        D, G, r = system = sfm._normal_equations(S)
+        y, coeffs = sfm._affine_minimizer(S[0], system)
+        assert calls  # the zero pivot sent the system to least squares
+        mu = lstsq(np.array(G), np.array(r), rcond=None)[0]
+        y_ref = np.array(S[0]) + np.array(D).T @ mu
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(y, _affine_minimizer(np.array(S))[0], rtol=0, atol=1e-12)
+        assert sum(coeffs) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(np.array(coeffs) @ np.array(S), y, rtol=0, atol=1e-12)
