@@ -476,15 +476,6 @@ class TestPlainFloatLoop:
             np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-9)
             np.testing.assert_allclose(coeffs, coeffs_ref, rtol=0, atol=1e-9)
 
-    def test_dropping_a_vertex_keeps_the_system_of_the_rest(self):
-        rng = np.random.default_rng(101)
-        S = rng.normal(0, 1, (5, 9)).tolist()
-        D, G, r = sfm._normal_equations(S)
-        del D[1], G[1], r[1]  # vertex 2 leaves, as the minor cycle drops it
-        for g in G:
-            del g[1]
-        assert (D, G, r) == sfm._normal_equations(S[:2] + S[3:])
-
     # Each corral below is exact in binary, so its singular system meets a
     # pivot of exactly zero, in this elimination as in LAPACK's
     @pytest.mark.parametrize("S", [
