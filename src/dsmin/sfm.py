@@ -13,25 +13,30 @@ cycle.
 Wolfe's loop runs on plain Python floats: the iterate, the vertices, the
 affine weights and the corral are lists.  Its corrals hold a few vertices of
 a few coordinates each, where numpy's fixed cost per call outweighs the
-arithmetic.  The normal equations of the corral's differences to its first
-vertex are kept from one minor cycle to the next: an added vertex appends
-its row and column, and a drop rebuilds them from the vertices that stay.
-``_solve`` solves them by Gaussian elimination with partial pivoting.  Sums
-are added one by one from 0.0, not by ``sum()``, which is compensated on
-Python >= 3.12: the last bit of the iterate can reorder the next vertex's
-chain.  numpy is left in reading the weights and in ``np.linalg.lstsq``,
-called only on a zero pivot.
+arithmetic.  As in Wolfe's paper, the corral S of k vertices is kept as an
+upper-triangular R with R^T R = 1 1^T + S S^T, and z with R^T z = 1.  An
+added vertex gains a column from one forward solve (``_append``), a minor
+cycle solves R lambda = z (``_affine_weights``), and a drop deletes a column
+and makes R triangular again with Givens rotations (``_drop``): O(k^2) each,
+and O(k m) for an added vertex's products with the corral.  Sums are added
+one by one from 0.0, not by ``sum()``, which is compensated on Python >=
+3.12: the last bit of the iterate can reorder the next vertex's chain.
+numpy is left only in reading the weights.
 
 Wolfe's loop stops at the first of: Edmonds' duality certificate, the
-relative gap, a vertex already in the corral, a stuck minor cycle, and the
-major-cycle cap, which raises a plain ``RuntimeError`` with the gap.  The
-certificate: any x in the base polytope B(F) has x^-(E) = sum of min(x_j, 0)
-<= x(M) <= F(M) for every set M, so x^-(E) <= min F (Edmonds' min-max
-theorem).  The next greedy vertex sorts E by ascending x, so both rounded
-sets are prefixes of its chain and its coordinates sum to F on them.  Once
-both values lie within ``ROUND_TOL`` of x^-(E), both sets are minimizers,
-and every minimizer M has x(M) = x^-(E), so {x < 0} <= M <= {x <= 0}: they
-are the minimal and the maximal minimizer, with no further oracle call.
+relative gap, a vertex already in the corral, a vertex in its affine hull, a
+stuck minor cycle, and the major-cycle cap, which raises a plain
+``RuntimeError`` with the gap.  The certificate: any x in the base polytope
+B(F) has x^-(E) = sum of min(x_j, 0) <= x(M) <= F(M) for every set M, so
+x^-(E) <= min F (Edmonds' min-max theorem).  The next greedy vertex sorts E
+by ascending x, so both rounded sets are prefixes of its chain and its
+coordinates sum to F on them.  Once both values lie within ``ROUND_TOL`` of
+x^-(E), both sets are minimizers, and every minimizer M has
+x(M) = x^-(E), so {x < 0} <= M <= {x <= 0}: they are the minimal and the
+maximal minimizer, with no further oracle call.  A vertex in the affine hull:
+x is the point of minimum norm in aff(S), so x.p = x.x for every p there and
+such a vertex has gap 0.  It passes the gap test only at rounding level, and
+then the factor has no room for it (``_append``) and ends the loop instead.
 
 References:
   Wolfe, "Finding the nearest point in a polytope", Math. Prog. 11 (1976).
@@ -46,6 +51,7 @@ References:
 
 from __future__ import annotations
 
+import math
 from operator import sub
 
 import numpy as np
@@ -98,78 +104,64 @@ def _combination(coeffs: list[float], rows: list[list[float]]) -> list[float]:
     return out
 
 
-def _extend(system: tuple[list, list, list], s0: list[float], q: list[float]) -> None:
-    """Add d = q - s0 to the differences D of ``system`` = (D, G, r), with its
-    row and column of the normal equations G mu = r: G = D D^T, r = -D s0."""
-    D, G, r = system
-    d = list(map(sub, q, s0))
-    row = [_dot(d, e) for e in D]
-    for g, v in zip(G, row):
-        g.append(v)
-    row.append(_dot(d, d))
-    G.append(row)
-    D.append(d)
-    r.append(-_dot(d, s0))
+def _append(R: list[list[float]], z: list[float], S: list[list[float]], q: list[float],
+            qq: float) -> bool:
+    """Extend the factor of the corral S by a vertex q with q.q = ``qq``.
 
-
-def _normal_equations(S: list[list[float]]) -> tuple[list, list, list]:
-    """(D, G, r) of the corral S, its vertices added one by one (``_extend``)."""
-    system = ([], [], [])
-    for q in S[1:]:
-        _extend(system, S[0], q)
-    return system
-
-
-def _solve(G: list[list[float]], r: list[float]) -> list[float]:
-    """mu with G mu = r, by Gaussian elimination with partial pivoting.
-
-    The LU is left-looking: column j is brought up to date by dot products
-    with the columns before it, pivoted on its largest entry and scaled by
-    the pivot's reciprocal; the two triangular solves then run column by
-    column.  A pivot of exactly zero, as a singular G gives when a vertex is
-    an affine combination of others, hands the system to
-    ``np.linalg.lstsq`` instead.  Each call eliminates from scratch, O(k^3)
-    interpreted operations for k rows (``min_norm_point`` names the cost).
+    R is upper triangular with R^T R = 1 1^T + S S^T, kept by columns (column
+    i holds rows 0..i), and R^T z = 1.  q's column is r, from one forward
+    solve R^T r = (1 + s_i.q)_i, over the diagonal rho = sqrt(1 + q.q - r.r),
+    and z gains (1 - r.z) / rho.  False, R and z unchanged, if rho^2 <= 0:
+    q lies in the affine hull of S, up to rounding.
     """
-    k = len(r)
-    M = [row[:] for row in G]  # becomes L below the diagonal and U on and above it
-    b = r[:]  # becomes L^-1 P r, then mu
-    for j in range(k):
-        u = [M[0][j]]  # column j of U above the diagonal, top down
-        for i in range(1, j):
-            row = M[i]
-            row[j] -= _dot(row[:i], u)
-            u.append(row[j])
-        if j:
-            for row in M[j:]:
-                row[j] -= _dot(row[:j], u)
-        col = [abs(row[j]) for row in M[j:]]
-        p = j + col.index(max(col))
-        M[j], M[p], b[j], b[p] = M[p], M[j], b[p], b[j]
-        piv = M[j][j]
-        if piv == 0.0:
-            return np.linalg.lstsq(np.array(G), np.array(r), rcond=None)[0].tolist()
-        inv, bj = 1.0 / piv, b[j]
-        for row in M[j + 1:]:
-            row[j] *= inv
-        b[j + 1:] = [v - bj * row[j] for v, row in zip(b[j + 1:], M[j + 1:])]
-    for j in range(k - 1, -1, -1):
-        b[j] /= M[j][j]
-        bj = b[j]
-        b[:j] = [v - bj * row[j] for v, row in zip(b[:j], M)]
-    return b
+    r = []
+    for col, s in zip(R, S):
+        r.append((1.0 + _dot(s, q) - _dot(col, r)) / col[-1])  # col's first i rows
+    rho2 = 1.0 + qq - _dot(r, r)
+    if rho2 <= 0.0:
+        return False
+    rho = math.sqrt(rho2)
+    z.append((1.0 - _dot(r, z)) / rho)
+    r.append(rho)
+    R.append(r)
+    return True
 
 
-def _affine_minimizer(s0: list[float], system: tuple[list, list, list]
-                      ) -> tuple[list[float], list[float]]:
-    """Point of minimum norm in the affine hull of s0 and s0 + D[i], and its
-    affine coefficients, s0's first, from ``system`` = (D, G, r) (``_extend``)."""
-    D, G, r = system
-    mu = _solve(G, r)
+def _affine_weights(R: list[list[float]], z: list[float]) -> list[float]:
+    """Affine coefficients lambda of the point y = S^T lambda of minimum norm
+    in the affine hull of the corral whose factor is R (``_append``).  Every
+    s_i.y is the same there, so (1 1^T + S S^T) lambda is a multiple of 1:
+    R lambda = z, solved row by row from the last, then scaled to sum 1."""
+    k = len(R)
+    lam = [0.0] * k
+    for i in range(k - 1, -1, -1):
+        t = z[i]
+        for j in range(k - 1, i, -1):
+            t -= R[j][i] * lam[j]
+        lam[i] = t / R[i][i]
     total = 0.0
-    for v in mu:
+    for v in lam:
         total += v
-    return _combination([1.0, *mu], [s0, *D]), [1.0 - total, *mu]
+    return [v / total for v in lam]
+
+
+def _drop(R: list[list[float]], z: list[float], i: int) -> None:
+    """Make R and z (``_append``) those of the corral without its vertex i:
+    delete column i, then a Givens rotation of rows (c, c + 1), for c = i,
+    i + 1, ..., zeroes the entry below column c's diagonal, a former diagonal
+    entry, so the new diagonal stays positive.  The rotations carry
+    R^T z = 1 over; z's last entry, past the new R, goes."""
+    del R[i]
+    for c in range(i, len(R)):
+        col = R[c]
+        a, b = col[c], col.pop()
+        h = math.hypot(a, b)
+        cs, sn = a / h, b / h
+        col[c] = h
+        for later in (*R[c + 1:], z):
+            u, v = later[c], later[c + 1]
+            later[c], later[c + 1] = cs * u + sn * v, cs * v - sn * u
+    z.pop()
 
 
 _DROP_TOL = 1e-12
@@ -177,6 +169,23 @@ _GAP_TOL = 1e-10  # relative duality gap at which the point counts as optimal
 # x_j < -ROUND_TOL marks the minimal minimizer, x_j < ROUND_TOL the maximal one;
 # a gain beyond it puts an element inside or outside every minimizer
 ROUND_TOL = 1e-9
+
+
+def _certified(x: list[float], q: list[float]) -> bool:
+    """Whether the greedy vertex q at x certifies both roundings of x as the
+    minimal and the maximal minimizer (module docstring): both are prefixes of
+    q's chain, so q sums to F on them, and both sums are within ``ROUND_TOL``
+    of x^-(E) <= min F."""
+    neg = q_lo = q_hi = 0.0
+    for xj, qj in zip(x, q):
+        if xj < ROUND_TOL:
+            q_hi += qj
+            if xj < 0.0:
+                neg += xj
+                if xj < -ROUND_TOL:
+                    q_lo += qj
+    low = neg + ROUND_TOL
+    return q_lo <= low and q_hi <= low
 
 
 def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, frozenset]:
@@ -222,13 +231,9 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     {x < -ROUND_TOL} and {x < ROUND_TOL} (prefixes of q's chain, so q sums
     to F there, while x^-(E) <= min F as x lies in F's base polytope, which
     needs f submodular); if the gap x.x - x.q is within a relative 1e-10; if
-    q is already in the corral; if a minor cycle is stuck; ``RuntimeError``
-    after 100 m^2 major cycles.
-    Every minor cycle solves the corral's k x k system afresh in Python
-    (``_solve``), O(k^3), and a drop rebuilds the system, O(k^2 m): quick
-    for the corrals of at most a dozen vertices that SFMs at n <= 128
-    mostly keep, but a degenerate f - w whose corral stays at 20-25
-    vertices runs over ten times slower than on numpy.
+    q is already in the corral; if q lies in the corral's affine hull, where
+    its gap is 0 but for rounding (module docstring); if a minor cycle is
+    stuck; ``RuntimeError`` after 100 m^2 major cycles.
     Returns ``(X, f(X) - w(X), Y)`` where X = A | {j : x_j < -ROUND_TOL} is
     the minimal and Y = A | {j : x_j < ROUND_TOL} the maximal minimizer,
     and w(X) is ``set_sum`` in X's order over ``element_indexed(w)``; the
@@ -257,55 +262,50 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     m = len(E)
     wE = [weights[j - 1] for j in E]
     x = greedy_base_vertex(fm, [0.0] * m, wE, A, E)
-    S, norms, lam = [x], [_dot(x, x)], [1.0]  # the corral, its squared norms, x's weights
-    system = _normal_equations(S)  # of S's differences to S[0]
+    xx = _dot(x, x)
+    # the corral, its squared norms, x's weights and the corral's factor (``_append``)
+    S, norms, lam, R, z = [x], [xx], [1.0], [], []
+    _append(R, z, [], x, xx)
 
     for _ in range(100 * m * m):
         q = greedy_base_vertex(fm, x, wE, A, E)
-        # both roundings of x are prefixes of q's chain, so q sums to F on them
-        neg = q_lo = q_hi = 0.0
-        for xj, qj in zip(x, q):
-            if xj < ROUND_TOL:
-                q_hi += qj
-                if xj < 0.0:
-                    neg += xj
-                    if xj < -ROUND_TOL:
-                        q_lo += qj
-        low = neg + ROUND_TOL  # x^-(E) <= min F
-        if q_lo <= low and q_hi <= low:
-            break  # both are minimizers: the duality certificate
+        if _certified(x, q):
+            break
         xx, qq = _dot(x, x), _dot(q, q)
         corr = max(1.0, xx, qq, max(norms))
         gap = xx - _dot(x, q)
         if gap <= _GAP_TOL * corr:
             break
         tol = _DROP_TOL * corr
-        if any(max(map(abs, map(sub, s, q))) <= tol for s in S):
-            break  # vertex already active: numerically optimal
+        if any(not any(map(tol.__lt__, map(abs, map(sub, s, q)))) for s in S):
+            break  # q within tol of a vertex, coordinate by coordinate: optimal
+        if not _append(R, z, S, q, qq):
+            break  # q in the affine hull of S: its gap is 0 but for rounding
         S.append(q)
         norms.append(qq)
         lam.append(0.0)
-        _extend(system, S[0], q)
 
         for _minor in range(10 * m + 100):
-            y, coeffs = _affine_minimizer(S[0], system)
+            coeffs = _affine_weights(R, z)
             if min(coeffs) >= -_DROP_TOL:
-                x, lam = y, [max(c, 0.0) for c in coeffs]
+                x, lam = _combination(coeffs, S), [max(c, 0.0) for c in coeffs]
                 break
-            # step toward y until the first coefficient hits zero
+            # step toward the affine minimizer until the first coefficient hits zero
             theta = min(a / (a - c) for a, c in zip(lam, coeffs) if c < -_DROP_TOL)
             lam = [(1.0 - theta) * a + theta * c for a, c in zip(lam, coeffs)]
             keep = [a > _DROP_TOL for a in lam]
             if not any(keep):
                 keep[lam.index(max(lam))] = True
+            for i in range(len(keep) - 1, -1, -1):
+                if not keep[i]:
+                    _drop(R, z, i)
             S, norms, lam = _kept(S, keep), _kept(norms, keep), _kept(lam, keep)
-            system = _normal_equations(S)  # rebuilt without the leaving vertices
             total = 0.0
             for a in lam:
                 total += a
             lam = [a / total for a in lam]
-            x = _combination(lam, S)
         else:
+            x = _combination(lam, S)
             break  # minor cycle stuck; x is the best affine point available
     else:
         raise RuntimeError(f"min-norm point did not converge (gap={gap:.3e})")

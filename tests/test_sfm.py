@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dsmin import GroundSet, SetFunctionOracle, build_function, memoized, min_norm_point
-from dsmin import sfm
+from dsmin import core, sfm
 from dsmin.core import (MemoizedOracle, brute_force_minimize, element_indexed, evaluate_table,
                         mask_of, set_of, set_sum)
 from dsmin.functions import modular_spec
@@ -323,13 +323,14 @@ class TestPerMemoWork:
             assert list(map(tuple, memo._cache)) == list(map(tuple, reference._cache))
 
     def test_the_order_of_first_evaluations_is_pinned(self):
-        # Recorded when Wolfe's loop moved to plain floats (1107 sets on numpy,
-        # 1192 before the duality certificate): the kind 1 weights tie f - w on
-        # a whole chain, and rounding at the last bit of x reorders near-tied
-        # coordinates of the next vertex.  Evaluating f(B) after the sets next
-        # to A, or one vertex more or less, changes the memo's order
+        # Recorded when the corral moved to its triangular factor (1117 sets with
+        # kept normal equations, 1107 on numpy, 1192 before the duality
+        # certificate): the kind 1 weights tie f - w on a whole chain, and
+        # rounding at the last bit of x reorders near-tied coordinates of the
+        # next vertex.  Evaluating f(B) after the sets next to A, or one vertex
+        # more or less, changes the memo's order
         assert _pinned_run() == (
-            1117, "7c4275e9d209d08ec33dd5b0ae907b8de22ad87d0864cf2c201b90b0a1c88954")
+            1111, "291e995784a30cb594c8bff962657094aa25328455d91f569e3531d9cff40f67")
 
 
 def _affine_minimizer(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -406,7 +407,8 @@ def _reference_min_norm_point(f, w):
 
 class TestDualityCertificate:
     """Wolfe's loop may stop at the first vertex that certifies the rounded
-    minimizers; it must return what the full loop returns, from fewer vertices."""
+    minimizers; it must return what the full loop returns, and never later
+    than the same loop without the certificate."""
 
     @pytest.mark.parametrize("family", ["cut", "facility", "concave", "table"])
     def test_the_certified_loop_returns_the_full_loops_minimizers(self, family, monkeypatch):
@@ -415,31 +417,41 @@ class TestDualityCertificate:
         vertex = sfm.greedy_base_vertex
         monkeypatch.setattr(sfm, "greedy_base_vertex",
                             lambda *args: vertices.append(1) or vertex(*args))
+        certify = sfm._certified
         full = certified = 0
         for trial in range(12):
             # a table costs 2^n evaluations to build: up to 12 elements there
             n = int(rng.integers(8, 13 if family == "table" else 17))
             f = helpers.FAMILY_BUILDERS[family](rng, n)
             w = _lattice_weights(rng, f, trial % 3)
+            X_ref, val_ref, Y_ref = _reference_min_norm_point(f, w)
+            # the same loop, in the same arithmetic, without the certificate
+            monkeypatch.setattr(sfm, "_certified", lambda x, q: False)
             vertices.clear()
-            X_full, val_full, Y_full = _reference_min_norm_point(f, w)
-            full += len(vertices)
+            X_full, val_full, Y_full = min_norm_point(f, w)
+            full_here = len(vertices)
+            monkeypatch.setattr(sfm, "_certified", certify)
             vertices.clear()
             X, val, Y = min_norm_point(f, w)
-            certified += len(vertices)
-            assert (X, Y) == (X_full, Y_full)
-            assert val == pytest.approx(val_full, abs=1e-9)
+            assert len(vertices) <= full_here
+            assert (X, Y) == (X_full, Y_full) == (X_ref, Y_ref)
+            assert val == pytest.approx(val_ref, abs=1e-9)
             if n <= 12:  # the minimal and the maximal minimizer
                 best_X, best, best_Y = helpers.sfm_brute_force(f, w)
                 assert (X, Y) == (best_X, best_Y)
                 assert val == pytest.approx(best, abs=1e-9)
+            # kind 1 ties f - w on a whole chain, so min F = 0 and x^-(E) reaches
+            # it only as the gap closes: the certificate does not fire there
+            if trial % 3 != 1:
+                full += full_here
+                certified += len(vertices)
         assert 0 < certified < full
 
 
 class TestPlainFloatLoop:
     """Wolfe's loop on float lists must find what the numpy reference finds,
-    also on ground sets past the 16 elements of the tests above, and its kept
-    system must solve degenerate corrals as least squares does."""
+    also on ground sets past the 16 elements of the tests above, and the
+    corral's triangular factor must stay the factor of the vertices it keeps."""
 
     @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
     def test_larger_ground_sets_match_the_numpy_reference(self, family):
@@ -452,6 +464,21 @@ class TestPlainFloatLoop:
             X_ref, val_ref, Y_ref = _reference_min_norm_point(f, w)
             assert (X, Y) == (X_ref, Y_ref)
             assert val == pytest.approx(val_ref, abs=1e-9)
+
+    def test_a_degenerate_corral_matches_the_numpy_reference(self):
+        # Trial 4 of the generator above on the concave family: n = 26 and
+        # weights on a base vertex, whose corral holds 20-25 vertices for
+        # thousands of major cycles, so an O(k^3) minor cycle takes seconds
+        rng = np.random.default_rng(97)
+        for trial in range(5):
+            n = int(rng.integers(20, 41))
+            f = helpers.FAMILY_BUILDERS["concave"](rng, n)
+            w = _lattice_weights(rng, f, trial % 3)
+        assert n == 26
+        X, val, Y = min_norm_point(f, w)
+        X_ref, val_ref, Y_ref = _reference_min_norm_point(f, w)
+        assert (X, Y) == (X_ref, Y_ref)
+        assert val == pytest.approx(val_ref, abs=1e-9)
 
     def test_one_free_element(self, monkeypatch):
         # element 2 has gain 0 in every context, so the lattice leaves it alone
@@ -467,17 +494,45 @@ class TestPlainFloatLoop:
         assert (X, val, Y) == (frozenset({1}), -1.0, frozenset({1, 2}))
         assert (X, Y) == helpers.sfm_brute_force(f)[::2]
 
-    def test_the_kept_system_solves_as_numpy_does(self):
+    def test_the_factor_gives_numpys_affine_minimizer(self):
         rng = np.random.default_rng(99)
         for k in range(1, 14):
-            S = rng.normal(0, 1, (k + 1, 17))
-            y, coeffs = sfm._affine_minimizer(S[0].tolist(), sfm._normal_equations(S.tolist()))
+            S = rng.normal(0, 1, (k, 17))
+            R, z, kept = [], [], []
+            for q in S.tolist():
+                assert sfm._append(R, z, kept, q, sfm._dot(q, q))
+                kept.append(q)
+            coeffs = sfm._affine_weights(R, z)
             y_ref, coeffs_ref = _affine_minimizer(S)
-            np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-9)
             np.testing.assert_allclose(coeffs, coeffs_ref, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(sfm._combination(coeffs, S.tolist()), y_ref,
+                                       rtol=0, atol=1e-9)
 
-    # Each corral below is exact in binary, so its singular system meets a
-    # pivot of exactly zero, in this elimination as in LAPACK's
+    def test_adds_and_drops_keep_the_factor_of_the_corral(self):
+        rng = np.random.default_rng(101)
+        S, R, z = [], [], []
+        for step in range(200):
+            if len(S) > 1 and (len(S) == 12 or rng.random() < 0.4):
+                i = 0 if step % 5 == 0 else int(rng.integers(len(S)))  # the first one too
+                sfm._drop(R, z, i)
+                del S[i]
+            else:
+                q = rng.normal(0, 2, 15).tolist()
+                assert sfm._append(R, z, S, q, sfm._dot(q, q))
+                S.append(q)
+            k = len(S)
+            assert [len(col) for col in R] == list(range(1, k + 1))  # upper triangular
+            assert min(col[-1] for col in R) > 0.0
+            U = np.zeros((k, k))
+            for j, col in enumerate(R):
+                U[:j + 1, j] = col
+            np.testing.assert_allclose(U.T @ U, 1.0 + np.array(S) @ np.array(S).T,
+                                       rtol=0, atol=1e-10)
+            np.testing.assert_allclose(U.T @ z, np.ones(k), rtol=0, atol=1e-10)
+
+    # Each corral below is exact in binary, and its last vertex lies in the
+    # affine hull of the ones before it: a repeat, which the loop's active-vertex
+    # test stops, or a point on their line or plane, which the factor refuses
     @pytest.mark.parametrize("S", [
         [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
         [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
@@ -485,16 +540,38 @@ class TestPlainFloatLoop:
         [[1.0, 2.0, 0.0, -1.0], [-1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 0.0],
          [1.0, 1.0, 1.0, 1.0]]],
         ids=["repeated", "repeated-first", "on-a-line", "mid-point-and-one-more"])
-    def test_a_dependent_vertex_gives_the_least_squares_point(self, S, monkeypatch):
-        calls = []
-        lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
-        D, G, r = system = sfm._normal_equations(S)
-        y, coeffs = sfm._affine_minimizer(S[0], system)
-        assert calls  # the zero pivot sent the system to least squares
-        mu = lstsq(np.array(G), np.array(r), rcond=None)[0]
-        y_ref = np.array(S[0]) + np.array(D).T @ mu
-        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(y, _affine_minimizer(np.array(S))[0], rtol=0, atol=1e-12)
-        assert sum(coeffs) == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(np.array(coeffs) @ np.array(S), y, rtol=0, atol=1e-12)
+    def test_a_dependent_vertex_ends_the_loop(self, S, monkeypatch):
+        kept, R, z = [], [], []
+        for q in S:
+            if q in kept or not sfm._append(R, z, kept, q, sfm._dot(q, q)):
+                break
+            kept.append(q)
+        assert len(kept) == 2
+        np.testing.assert_allclose(sfm._combination(sfm._affine_weights(R, z), kept),
+                                   _affine_minimizer(np.array(kept))[0], rtol=0, atol=1e-12)
+        # and Wolfe's loop, fed these vertices in this order, ends without an error
+        f = build_function(modular_spec([0.0] * len(S[0])))
+        rows = iter(S)
+        monkeypatch.setattr(sfm, "greedy_base_vertex", lambda *args: list(next(rows, S[-1])))
+        X, val, Y = min_norm_point(f)
+        assert X <= Y and math.isfinite(val)
+
+    def test_the_loop_adds_no_float_with_builtin_sum(self, monkeypatch):
+        # sum() over floats is compensated on Python >= 3.12, so a sum() in
+        # Wolfe's loop or the set sums it calls would change its bits there
+        def no_sum(*args):
+            raise AssertionError("builtin sum() called")
+
+        monkeypatch.setattr(sfm, "sum", no_sum, raising=False)
+        monkeypatch.setattr(core, "sum", no_sum, raising=False)
+        drops = []
+        drop = sfm._drop
+        monkeypatch.setattr(sfm, "_drop", lambda *args: drops.append(1) or drop(*args))
+        rng = np.random.default_rng(103)
+        for family in ("cut", "facility", "concave"):
+            f = helpers.FAMILY_BUILDERS[family](rng, 12)
+            for kind in range(3):
+                w = _lattice_weights(rng, f, kind)
+                X, val, Y = min_norm_point(f, w)
+                assert (X, Y) == helpers.sfm_brute_force(f, w)[::2]
+        assert drops  # Wolfe's loop ran, and dropped vertices
