@@ -88,15 +88,23 @@ def nonnegative(x, what: str) -> float:
     raise ValueError(f"{what} must be finite and >= 0, got {x!r}")
 
 
-def real_array(x, what: str) -> np.ndarray:
-    """x as a float array; ValueError naming ``what`` if an entry is a string, a
-    bool or any other object that is not a real number."""
-    a = np.asarray(x, dtype=object)
-    if not set(map(type, a.flat)) <= {float, int}:  # JSON numbers pass at once
-        for v in a.flat:
-            if isinstance(v, bool) or not isinstance(v, numbers.Real):
-                raise ValueError(f"{what!r} must hold real numbers, got {v!r}")
-    return a.astype(float)
+def real_array(x, what: str, shape: tuple | None = None) -> np.ndarray:
+    """x as a new float array, of ``shape`` if given; ValueError naming ``what``
+    if an entry is a string, a bool or any other object that is not a real
+    number, if the shape differs, or naming the first entry that is not finite."""
+    if not (isinstance(x, np.ndarray) and x.dtype == np.float64):  # as the bounds give
+        x = np.asarray(x, dtype=object)
+        if not set(map(type, x.flat)) <= {float, int}:  # JSON numbers pass at once
+            for v in x.flat:
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise ValueError(f"{what!r} must hold real numbers, got {v!r}")
+    a = np.array(x, dtype=float)
+    if shape is not None and a.shape != shape:
+        raise ValueError(f"{what!r} must have shape {shape}, got {a.shape}")
+    if not (finite := np.isfinite(a)).all():
+        at = np.unravel_index(np.argmin(finite), a.shape)
+        raise ValueError(f"{what!r} must be finite: entry {list(map(int, at))} is {float(a[at])!r}")
+    return a
 
 
 def subset_key(X: Iterable[int]) -> tuple:

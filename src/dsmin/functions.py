@@ -71,7 +71,6 @@ def _require(cond: bool, msg: str) -> None:
 def _weights_array(weights) -> np.ndarray:
     w = real_array(weights, "weights")
     _require(w.ndim == 1 and len(w) >= 1, "'weights' must be a non-empty vector")
-    _require(np.all(np.isfinite(w)), "'weights' must be finite")
     return w
 
 
@@ -124,8 +123,7 @@ def _build_graph_cut(*, n, edges=()):
 def _build_facility_location(*, benefits):
     B = real_array(benefits, "benefits")
     _require(B.ndim == 2 and B.shape[1] >= 1, "'benefits' must be a 2-D matrix")
-    _require(np.all(np.isfinite(B) & (B >= 0.0)),
-             "facility benefits must be finite and non-negative")
+    _require(np.all(B >= 0.0), "facility benefits must be non-negative")
 
     def fl(S):
         if not S:
@@ -139,9 +137,7 @@ def _build_facility_location(*, benefits):
 def _build_explicit_table(*, n, values):
     n = whole(n, "explicit_table 'n'")
     _require(1 <= n <= TABLE_MAX_N, f"explicit_table limited to 1 <= n <= {TABLE_MAX_N}")
-    vals = real_array(values, "values")
-    _require(vals.shape == (1 << n,), f"table needs exactly 2^{n} values")
-    _require(np.all(np.isfinite(vals)), "table values must be finite")
+    vals = real_array(values, "values", (1 << n,))
     vals = vals - vals[0]  # normalize at construction
     return n, lambda S: float(vals[mask_of(S)]), "table"
 

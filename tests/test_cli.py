@@ -137,6 +137,15 @@ class TestOptimize:
         assert main(["optimize", "--instance", instance, "--constraint", f"@{path}"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("doc", [{"kind": "cardinality_le", "k": 2, "bogus": 1}, [1, 2]],
+                             ids=["unknown-key", "not-an-object"])
+    def test_malformed_constraint_file_exits_1_naming_it(self, instance, tmp_path, capsys, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        assert main(["optimize", "--instance", instance, "--constraint", f"@{path}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: malformed constraint {path}: ")
+
     @pytest.mark.parametrize("doc", [
         {"kind": "cardinality_le", "k": "2"},
         {"kind": "cardinality_le", "k": True},

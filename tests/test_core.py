@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from dsmin import GroundSet, SetFunctionOracle, ds_decompose, memoized
 from dsmin.core import (FLOAT_TOL, AffineModular, best_flip, brute_force_minimize,
                         check_submodular, element_indexed, evaluate_table, mask_of, nonnegative,
-                        set_of, set_sum, subset_key, whole)
+                        real_array, set_of, set_sum, subset_key, whole)
 
 from dsmin.functions import build_function, modular_spec
 
@@ -352,6 +353,22 @@ def test_nonnegative_rejects_naming_the_field(x):
 def test_nonnegative_returns_a_float(x):
     out = nonnegative(x, "rate")
     assert type(out) is float and out == x
+
+
+def test_real_array_names_the_first_non_finite_entry():
+    message = "'benefits' must be finite: entry [1, 0] is nan"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        real_array([[1.0, 2.0], [math.nan, math.inf]], "benefits")
+    with pytest.raises(ValueError, match=re.escape("'w' must be finite: entry [2] is -inf")):
+        real_array(np.array([0.0, 1.0, -np.inf]), "w")
+
+
+def test_real_array_checks_the_shape_and_returns_a_copy():
+    with pytest.raises(ValueError, match=re.escape("'values' must have shape (4,), got (3,)")):
+        real_array([0.0, 1.0, 2.0], "values", (4,))
+    x = np.array([0.5, 2.0])
+    a = real_array(x, "weights", (2,))
+    assert a is not x and a.dtype == np.float64 and a.tolist() == [0.5, 2.0]
 
 
 def test_check_monotone():

@@ -132,7 +132,7 @@ class TestMinNormPoint:
             assert val == pytest.approx(best, abs=1e-9)
 
     def test_weights_of_the_wrong_length_are_rejected(self):
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=re.escape("'weights' must have shape (3,), got (4,)")):
             min_norm_point(helpers.triangle_cut(), np.zeros(4))
 
     @pytest.mark.parametrize("w, entry", [
@@ -154,7 +154,7 @@ class TestMinNormPoint:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_weights_are_rejected(self, bad):
         # an infinite weight would otherwise pin the lattice to a -inf "minimum"
-        with pytest.raises(ValueError, match=r"w\[1\] is"):
+        with pytest.raises(ValueError, match=r"must be finite: entry \[1\] is"):
             min_norm_point(helpers.triangle_cut(), [0.0, bad, 1.0])
 
     def test_crossing_lattice_runs_unreduced(self):
@@ -531,12 +531,16 @@ class TestPlainFloatLoop:
             np.testing.assert_allclose(U.T @ z, np.ones(k), rtol=0, atol=1e-10)
 
     # Each corral below is exact in binary, and its last vertex lies in the
-    # affine hull of the ones before it: a repeat, which the loop's active-vertex
-    # test stops, or a point on their line or plane, which the factor refuses
+    # affine hull of the ones before it: a repeat or a point on their line or
+    # plane, which the factor refuses (rounding lets the repeat of the first
+    # vertex through, so the first loop below skips repeats itself).  In Wolfe's
+    # loop such a vertex has gap 0, so the gap test stops it before the factor
+    # sees it.  The line's point of minimum norm lies between its first two
+    # points, so the loop keeps both until the third arrives.
     @pytest.mark.parametrize("S", [
         [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 1.0]],
         [[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 0.0, 1.0]],
-        [[1.0, 2.0, 0.0, -1.0], [2.0, 3.0, 1.0, 0.0], [3.0, 4.0, 2.0, 1.0]],
+        [[-1.0, -2.0, 0.0, 1.0], [0.0, -1.0, 1.0, 2.0], [1.0, 0.0, 2.0, 3.0]],
         [[1.0, 2.0, 0.0, -1.0], [-1.0, 0.0, 2.0, 1.0], [0.0, 1.0, 1.0, 0.0],
          [1.0, 1.0, 1.0, 1.0]]],
         ids=["repeated", "repeated-first", "on-a-line", "mid-point-and-one-more"])
@@ -555,6 +559,15 @@ class TestPlainFloatLoop:
         monkeypatch.setattr(sfm, "greedy_base_vertex", lambda *args: list(next(rows, S[-1])))
         X, val, Y = min_norm_point(f)
         assert X <= Y and math.isfinite(val)
+        # also with the gap test and the certificate off: then at the factor's refusal
+        monkeypatch.setattr(sfm, "_GAP_TOL", -math.inf)
+        monkeypatch.setattr(sfm, "_certified", lambda x, q: False)
+        appended, append = [], sfm._append
+        monkeypatch.setattr(sfm, "_append",
+                            lambda *args: appended.append(append(*args)) or appended[-1])
+        rows = iter(S)
+        X, val, Y = min_norm_point(f)
+        assert X <= Y and math.isfinite(val) and appended[-1] is False
 
     def test_the_loop_adds_no_float_with_builtin_sum(self, monkeypatch):
         # sum() over floats is compensated on Python >= 3.12, so a sum() in
