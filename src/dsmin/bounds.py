@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import (EQ_TOL, PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, chain_gains,
-                   evaluate_table, memoized, min_gain_drop, whole)
+from .core import (EQ_TOL, PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, evaluate_table,
+                   mask_of, memoized, min_gain_drop, whole)
 
 
 @dataclass(frozen=True)
@@ -56,13 +56,14 @@ def modular_lower_bound(g: SetFunctionOracle, Y: Iterable[int],
 
     Requires sigma's chain to contain Y and g to be normalized (0 at the
     empty set).  The result has offset 0, matches g on every chain prefix
-    (hence at Y), and lower-bounds g everywhere when g is submodular.
+    (hence at Y), and lower-bounds g everywhere when g is submodular.  g is
+    read through ``memoized``, one keyed read per prefix.
     """
     Y = g.ground.check_subset(Y)
     if not sigma.chain_contains(Y):
         raise ValueError(f"permutation chain {sigma.order} does not contain {sorted(Y)}")
     weights = [0.0] * g.ground.n
-    for j, gain in zip(sigma.order, chain_gains(g, sigma.order)):
+    for j, gain in zip(sigma.order, memoized(g).chain_gains(sigma.order)):
         weights[j - 1] = gain
     return AffineModular(0.0, np.array(weights))
 
@@ -81,17 +82,20 @@ def modular_upper_bound(f: SetFunctionOracle, X: Iterable[int],
         raise ValueError(f"variant must be 1 or 2, got {variant!r}")
     X = f.ground.check_subset(X)
     f = memoized(f)  # a one-element change of X can be a context
-    # gains of j in X are taken against `inside`, of j outside X against `outside`
-    inside, outside = (X, frozenset()) if variant == 1 else (f.ground.full, X)
-    offset = f(X)
-    f_inside, f_outside = f(inside), f(outside)
+    # gains of j in X are taken against `inside`, of j outside X against `outside`,
+    # each set read by its bitmask
+    x = mask_of(X)
+    inside, k_in, outside, k_out = ((X, x, frozenset(), 0) if variant == 1
+                                    else (f.ground.full, (1 << f.ground.n) - 1, X, x))
+    offset = f.at(x, X)
+    f_inside, f_outside = f.at(k_in, inside), f.at(k_out, outside)
     weights = np.empty(f.ground.n)
     for j in f.ground.elements():
         if j in X:
-            w = f_inside - f(inside - {j})
+            w = f_inside - f.flip(inside, k_in, j)
             offset -= w
         else:
-            w = f(outside | {j}) - f_outside
+            w = f.flip(outside, k_out, j) - f_outside
         weights[j - 1] = w
     return AffineModular(offset, weights)
 

@@ -3,9 +3,12 @@
 Elements of a ground set are the integers ``1..n`` and subsets are plain
 ``frozenset`` values.  Whenever a tie has to be broken between subsets, the
 canonical order is: smaller cardinality first, then lexicographically
-smaller sorted index tuple.  Bitmask representations (used by the
-exhaustive helpers) put element ``j`` on bit ``j - 1``.  Brute force reads
-the full value table, so like every table it refuses n > 20.
+smaller sorted index tuple.  Bitmask representations put element ``j`` on
+bit ``j - 1``: the exhaustive helpers index value tables by them, and a
+memo's keyed reads (``MemoizedOracle.at``, ``flip`` and ``chain_gains``) look
+sets up by them, so a chain or a flip scan builds a set only where the memo
+misses.  Brute force reads the full value table, so like every table it
+refuses n > 20.
 """
 
 from __future__ import annotations
@@ -118,25 +121,35 @@ def flips(X: frozenset, ground: GroundSet) -> list[frozenset]:
     return [X - {j} if j in X else X | {j} for j in ground.elements()]
 
 
-def best_flip(v: Callable[[frozenset], float], X: frozenset, ground: GroundSet,
-              tol: float = 0.0, feasible: Callable[[frozenset], bool] | None = None,
-              w: list[float] | None = None) -> frozenset | None:
-    """The flip of X lowest under v + w below v(X) - tol, ties to the lower
-    element, or None; w is a weight list indexed by ``j - 1``, no w is zero.
+def best_flip(v, X: frozenset, ground: GroundSet, tol: float = 0.0,
+              feasible: Callable[[frozenset], bool] | None = None,
+              w: list[float] | None = None, sign: float = 1.0) -> frozenset | None:
+    """The flip of X lowest under sign * v + w below sign * v(X) - tol, ties to
+    the lower element, or None; w is a weight list indexed by ``j - 1``, no w
+    is zero.
 
-    A flip X + j scores v(X + j) + w_j and X - j scores v(X - j) - w_j, so w is
-    never summed over a set.  Flips that ``feasible`` rejects are skipped
-    before v is evaluated."""
-    best_val, best = v(X) - tol, None
-    for j, T in zip(ground.elements(), flips(X, ground)):
-        if feasible is not None and not feasible(T):
-            continue
-        val = v(T)
+    v is read by the keyed reads ``at`` and ``flip``: a memo (``memoized``) or
+    a solve's f - g.  A flip X + j scores sign * v(X + j) + w_j and X - j
+    scores sign * v(X - j) - w_j, so w is never summed over a set.  Flips that
+    ``feasible`` rejects are skipped before v is evaluated; without
+    ``feasible`` a flip's set is built only where v misses, and for the
+    flip returned."""
+    key = mask_of(X)
+    best_val, best = sign * v.at(key, X) - tol, 0
+    for j in ground.elements():
+        if feasible is None:
+            val = v.flip(X, key, j)
+        else:
+            T = X - {j} if j in X else X | {j}
+            if not feasible(T):
+                continue
+            val = v.at(key ^ (1 << (j - 1)), T)
+        val *= sign
         if w is not None:
             val = val - w[j - 1] if j in X else val + w[j - 1]
         if val < best_val:
-            best_val, best = val, T
-    return best
+            best_val, best = val, j
+    return (X - {best} if best in X else X | {best}) if best else None
 
 
 def mask_of(X: Iterable[int]) -> int:
@@ -177,41 +190,107 @@ class SetFunctionOracle:
 
 
 class MemoizedOracle(SetFunctionOracle):
-    """Caching view of another oracle; ``call_count`` counts cache misses only.
+    """Caching view of another oracle; ``call_count`` counts cache misses only
+    and ``lookups`` every read, hit or miss, a chain one per prefix.
 
     A miss calls the viewed oracle's function directly, so the viewed
     oracle's own ``call_count`` does not move.  Every value it computes must
     be finite; a NaN or an infinity raises ``ValueError`` naming the set.  A
     frozenset is trusted to be a subset of the ground set, unchecked, as in
     ``SetFunctionOracle``: a check would run on every miss.
+
+    The library's solvers read a memo by bitmask (``mask_of``): ``at`` for a
+    set whose mask is known, ``flip`` for a one-element change of a set and
+    ``chain_gains`` along a chain.  These build a set only on a miss, the
+    object a caller of ``__call__`` would build in their place, so every sum
+    over it runs in the same order.  A call keys its value by the frozenset.
+    A miss under one kind of key looks under the other only once the memo
+    holds keys of that kind, so each set is evaluated once, whichever read
+    reaches it first.
     """
 
     def __init__(self, inner: SetFunctionOracle):
         super().__init__(inner.ground, inner._fn, inner.name)
-        self._cache: dict[frozenset, float] = {}
+        self._cache: dict[frozenset | int, float] = {}
+        self._sets = self._masks = False  # whether the cache holds keys of each kind
+        self.lookups = 0
         self._end_gains: tuple[list[float], list[float]] | None = None
 
     def __call__(self, X: Iterable[int]) -> float:
         S = X if isinstance(X, frozenset) else self.ground.check_subset(X)
+        self.lookups += 1
         hit = self._cache.get(S)
+        return self._miss(S, S) if hit is None else hit
+
+    def at(self, key: int, S: frozenset) -> float:
+        """f(S), for a set S whose bitmask ``key`` is known."""
+        self.lookups += 1
+        hit = self._cache.get(key)
+        return self._miss(key, S) if hit is None else hit
+
+    def flip(self, X, key: int, j: int) -> float:
+        """f(X - j) if j is in X, else f(X + j); ``key`` is X's bitmask.  Only a
+        miss builds ``frozenset(X - {j})`` or ``frozenset(X | {j})``, so X may
+        be a set or a frozenset."""
+        self.lookups += 1
+        bit = 1 << (j - 1)
+        hit = self._cache.get(key ^ bit)
         if hit is not None:
             return hit
+        return self._miss(key ^ bit, frozenset(X - {j} if key & bit else X | {j}))
+
+    def chain_gains(self, order, base: frozenset = frozenset()) -> list[float]:
+        """Telescoped gains of a normalized f along the chain base, base + order[0], ...
+
+        Entry i holds f(prefix ending at order[i]) minus f(the prefix before
+        it), starting from f(base), which is 0 without a read at the empty
+        set.  Reads f once per prefix, by a running bitmask beside the running
+        set; a miss evaluates ``frozenset`` of the running set.  Callers
+        scatter the gains onto elements.
+        """
+        key = mask_of(base)
+        prev = self.at(key, base) if base else 0.0
+        cache, gains, running = self._cache, [], set(base)
+        self.lookups += len(order)
+        for j in order:
+            running.add(j)
+            key |= 1 << (j - 1)
+            cur = cache.get(key)
+            if cur is None:
+                cur = self._miss(key, frozenset(running))
+            gains.append(cur - prev)
+            prev = cur
+        return gains
+
+    def _miss(self, key: frozenset | int, S: frozenset) -> float:
+        """f(S) after a miss under ``key``, S itself or S's bitmask: the value
+        kept under the other kind of key if the memo holds that kind, else
+        evaluated and kept under ``key``."""
+        if key is S:
+            if self._masks and (hit := self._cache.get(mask_of(S))) is not None:
+                return hit
+            self._sets = True
+        else:
+            if self._sets and (hit := self._cache.get(S)) is not None:
+                return hit
+            self._masks = True
         self.call_count += 1
         val = self._fn(S)
         if type(val) is not float:  # the built families return floats already
             val = float(val)
         if val - val != 0.0:  # NaN for a NaN or an infinity
             raise ValueError(f"{self.name} is not finite at {sorted(S)}: {val!r}")
-        self._cache[S] = val
+        self._cache[key] = val
         return val
 
     def end_gains(self) -> tuple[list[float], list[float]]:
         """f({j}) - f(empty) and f(V) - f(V - j) over j = 1..n, computed once per
         memo.  Evaluates f(empty), f(V), each {j}, then each V - j."""
         if self._end_gains is None:
-            f0, fV = self(frozenset()), self(V := self.ground.full)
-            self._end_gains = ([self(frozenset({j})) - f0 for j in self.ground.elements()],
-                               [fV - self(V - {j}) for j in self.ground.elements()])
+            full, elements = (1 << self.ground.n) - 1, self.ground.elements()
+            f0, fV = self.at(0, E := frozenset()), self.at(full, V := self.ground.full)
+            self._end_gains = ([self.flip(E, 0, j) - f0 for j in elements],
+                               [fV - self.flip(V, full, j) for j in elements])
         return self._end_gains
 
 
@@ -260,25 +339,6 @@ class AffineModular:
 
     def __sub__(self, other: "AffineModular") -> "AffineModular":
         return AffineModular(self.offset - other.offset, self.weights - other.weights)
-
-
-def chain_gains(f: SetFunctionOracle, order: Iterable[int],
-                base: frozenset = frozenset()) -> list[float]:
-    """Telescoped gains of a normalized f along the chain base, base + order[0], ...
-
-    Entry i holds f(prefix ending at order[i]) minus f(the prefix before it),
-    starting from f(base), which is 0 without a call at the empty set.
-    Evaluates f once per prefix; callers scatter the gains onto elements.
-    """
-    gains = []
-    prev = f(base) if base else 0.0
-    running = set(base)
-    for j in order:
-        running.add(j)
-        cur = f(frozenset(running))
-        gains.append(cur - prev)
-        prev = cur
-    return gains
 
 
 TABLE_MAX_N = 20

@@ -63,7 +63,7 @@ from __future__ import annotations
 import math
 from operator import sub
 
-from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, chain_gains, element_indexed,
+from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, element_indexed, mask_of,
                    memoized, real_array, set_sum)
 
 
@@ -77,14 +77,14 @@ def greedy_base_vertex(f: SetFunctionOracle, direction, w=None, base: frozenset 
     are f's telescoped gains along that order, minus the weights ``w`` if
     given.  Given ``elements`` E, an ascending list of elements outside
     ``base`` A, the same for S -> f(A | S) - f(A) - w(S) over E, indexed by
-    E's order.
+    E's order.  f is read through ``memoized``, along one chain.
     """
     E = range(1, f.ground.n + 1) if elements is None else elements
     if len(direction) != len(E):
         raise ValueError(f"direction must have length {len(E)}")
     by = sorted(range(len(E)), key=direction.__getitem__)
     q = [0.0] * len(E)
-    for i, gain in zip(by, chain_gains(f, [E[i] for i in by], base)):
+    for i, gain in zip(by, memoized(f).chain_gains([E[i] for i in by], base)):
         q[i] = gain
     return q if w is None else list(map(sub, q, w))
 
@@ -206,23 +206,26 @@ def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, fr
     be memo hits that move nothing, and evaluates f(A), then f(B), before any
     neighbour: B can be A + j, and the first set object to reach the memo
     fixes the order of that set's sums.  A and B are copied every round, moved
-    or not, as a copy's iteration order can differ from the original's.
+    or not, as a copy's iteration order can differ from the original's.  Their
+    bitmasks a and b are carried beside them, and every read is keyed.
     """
     lo, hi = f.end_gains()
     grow = {j for j, (g, wj) in enumerate(zip(lo, w), 1) if g - wj < -ROUND_TOL}
     shrink = {j for j, (g, wj) in enumerate(zip(hi, w), 1) if g - wj > ROUND_TOL}
     A, B = frozenset(), f.ground.full
+    a, b = 0, (1 << f.ground.n) - 1
     while grow or shrink:
         if grow & shrink:
             return frozenset(), f.ground.full
         A, B = A | grow, B - shrink
+        a, b = a | mask_of(grow), b & ~mask_of(shrink)
         if grow:
-            fA = f(A)
+            fA = f.at(a, A)
         if shrink:
-            fB = f(B)
+            fB = f.at(b, B)
         free = sorted(B - A)
-        grow = grow and {j for j in free if f(A | {j}) - fA - w[j - 1] < -ROUND_TOL}
-        shrink = shrink and {j for j in free if fB - f(B - {j}) - w[j - 1] > ROUND_TOL}
+        grow = grow and {j for j in free if f.flip(A, a, j) - fA - w[j - 1] < -ROUND_TOL}
+        shrink = shrink and {j for j in free if fB - f.flip(B, b, j) - w[j - 1] > ROUND_TOL}
     return A, B
 
 
@@ -252,11 +255,11 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     n = f.ground.n
     weights = [0.0] * n if w is None else real_array(w, "weights", (n,)).tolist()
     fm = memoized(f)
-    if not abs(f0 := fm(frozenset())) <= FLOAT_TOL:  # also rejects NaN
+    if not abs(f0 := fm.at(0, frozenset())) <= FLOAT_TOL:  # also rejects NaN
         raise ValueError(f"f must be normalized: value at empty set is {f0!r}")
     A, B = _minimizer_lattice(fm, weights)
     if A == B:
-        return A, fm(A) - set_sum(element_indexed(weights), A), A
+        return A, fm.at(mask_of(A), A) - set_sum(element_indexed(weights), A), A
 
     E = sorted(B - A)
     m = len(E)
@@ -304,4 +307,4 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
 
     X = A | frozenset([j for j, v in zip(E, x) if v < -ROUND_TOL])
     Y = A | frozenset([j for j, v in zip(E, x) if v < ROUND_TOL])
-    return X, fm(X) - set_sum(element_indexed(weights), X), Y
+    return X, fm.at(mask_of(X), X) - set_sum(element_indexed(weights), X), Y

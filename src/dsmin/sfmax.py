@@ -1,8 +1,10 @@
 """Approximate maximization of f - w, f (possibly non-monotone) submodular.
 
-Each maximizer takes a callable f and a weight list w of length n indexed
+Each maximizer takes an oracle f and a weight list w of length n indexed
 by ``j - 1`` (None means zero), as ``sfm.min_norm_point`` minimizes f - w:
 a step compares f's change with one weight, so w is never summed over a set.
+f is read through ``memoized`` by the memo's keyed reads, so a step builds
+a set only where the memo misses.
 Double greedy is the linear-time bi-directional pass of Buchbinder,
 Feldman, Naor and Schwartz; its deterministic form guarantees a third of
 the optimum and the randomized form half in expectation, for non-negative
@@ -16,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GroundSet, best_flip, whole
+from .core import GroundSet, SetFunctionOracle, best_flip, memoized, whole
 
 DG_MODES = ("deterministic", "randomized")
 
@@ -26,7 +28,7 @@ def _check_weights(w: list[float] | None, ground: GroundSet) -> None:
         raise ValueError(f"weights must have length {ground.n}, got {len(w)}")
 
 
-def double_greedy(f: Callable[[frozenset], float], w: list[float] | None, ground: GroundSet,
+def double_greedy(f: SetFunctionOracle, w: list[float] | None, ground: GroundSet,
                   mode: str = "deterministic", seed: int | None = None) -> frozenset:
     """One bi-directional pass of f - w over the elements in index order.
 
@@ -36,7 +38,7 @@ def double_greedy(f: Callable[[frozenset], float], w: list[float] | None, ground
     (ties add) and refuses a seed, which it would not read; randomized mode
     samples proportionally to the clipped gains, adding outright when both
     clip to zero.  f(A) and f(B) are carried from step to step, so f is
-    called exactly 2n + 2 times.
+    read exactly 2n + 2 times.
     """
     if mode not in DG_MODES:
         raise ValueError(f"mode must be one of {DG_MODES}, got {mode!r}")
@@ -46,11 +48,13 @@ def double_greedy(f: Callable[[frozenset], float], w: list[float] | None, ground
     _check_weights(w, ground)
     rng = np.random.default_rng(seed) if mode == "randomized" else None
     w = [0.0] * ground.n if w is None else w
+    f = memoized(f)
     A: set[int] = set()
     B: set[int] = set(ground.elements())
-    fA, fB = f(frozenset(A)), f(frozenset(B))
+    kA, kB = 0, (1 << ground.n) - 1  # the bitmasks of A and B
+    fA, fB = f.at(kA, frozenset(A)), f.at(kB, frozenset(B))
     for j in ground.elements():
-        fA_j, fB_j = f(frozenset(A | {j})), f(frozenset(B - {j}))
+        fA_j, fB_j = f.flip(A, kA, j), f.flip(B, kB, j)
         a = fA_j - fA - w[j - 1]
         b = fB_j - fB + w[j - 1]
         if rng is None:
@@ -60,14 +64,16 @@ def double_greedy(f: Callable[[frozenset], float], w: list[float] | None, ground
             take = True if ac + bc == 0.0 else rng.random() < ac / (ac + bc)
         if take:
             A.add(j)
+            kA |= 1 << (j - 1)
             fA = fA_j
         else:
             B.remove(j)
+            kB ^= 1 << (j - 1)
             fB = fB_j
     return frozenset(A)
 
 
-def greedy_cardinality_max(f: Callable[[frozenset], float], w: list[float] | None,
+def greedy_cardinality_max(f: SetFunctionOracle, w: list[float] | None,
                            ground: GroundSet, k: int) -> frozenset:
     """Up to k greedy additions to f - w of the best strictly-positive-gain
     element; k is a whole number in 0..n."""
@@ -76,14 +82,14 @@ def greedy_cardinality_max(f: Callable[[frozenset], float], w: list[float] | Non
     k = whole(k, "k", 0)
     if k > n:
         raise ValueError(f"k must lie in 0..{n}, got {k}")
-    S = frozenset()
-    while len(S) < k and (T := best_flip(lambda X: -f(X), S, ground,
-                                         feasible=lambda T: len(T) > len(S), w=w)) is not None:
+    f, S = memoized(f), frozenset()
+    while len(S) < k and (T := best_flip(f, S, ground, feasible=lambda T: len(T) > len(S),
+                                         w=w, sign=-1.0)) is not None:
         S = T
     return S
 
 
-def local_search_max(f: Callable[[frozenset], float], w: list[float] | None, start,
+def local_search_max(f: SetFunctionOracle, w: list[float] | None, start,
                      ground: GroundSet,
                      feasible: Callable[[frozenset], bool] | None = None) -> frozenset:
     """Hill-climb on f - w by single adds/deletes until no move strictly improves it.
@@ -92,7 +98,7 @@ def local_search_max(f: Callable[[frozenset], float], w: list[float] | None, sta
     Every step strictly raises f - w, so no set repeats and the climb ends.
     """
     _check_weights(w, ground)
-    S = ground.check_subset(start)
-    while (T := best_flip(lambda X: -f(X), S, ground, feasible=feasible, w=w)) is not None:
+    f, S = memoized(f), ground.check_subset(start)
+    while (T := best_flip(f, S, ground, feasible=feasible, w=w, sign=-1.0)) is not None:
         S = T
     return S

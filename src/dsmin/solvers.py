@@ -41,7 +41,7 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import (EQ_TOL, FLOAT_TOL, GroundSet, MemoizedOracle, SetFunctionOracle, best_flip,
-                   flips, nonnegative, subset_key, whole)
+                   flips, mask_of, nonnegative, subset_key, whole)
 from .sfm import min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
@@ -207,28 +207,32 @@ def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     return v_next <= v_prev - epsilon * abs(v_prev)
 
 
-def local_optimality_check(v: Callable[[frozenset], float], X: Iterable[int],
-                           ground: GroundSet) -> bool:
-    """True iff no single-element addition or deletion decreases v at X by more than FLOAT_TOL."""
+def local_optimality_check(v, X: Iterable[int], ground: GroundSet) -> bool:
+    """True iff no single-element addition or deletion decreases v at X by more
+    than FLOAT_TOL; v is a memo (``memoized``) or a solve's f - g, read by
+    ``best_flip``."""
     return best_flip(v, frozenset(X), ground, FLOAT_TOL) is None
 
 
-def choose_permutation(heuristic: str, X_t: Iterable[int], scorer: Callable[[frozenset], float],
-                       ground: GroundSet, rng: np.random.Generator) -> Permutation:
+def choose_permutation(heuristic: str, X_t: Iterable[int], scorer, ground: GroundSet,
+                       rng: np.random.Generator) -> Permutation:
     """Permutation whose chain contains X_t, ordered per the heuristic.
 
     Gain heuristics place the members of X_t first, sorted by decreasing
     within-gain scorer(j | X_t - j), followed by the outside elements by
     decreasing add-gain scorer(j | X_t); ties break toward the lower index.
-    ``random`` shuffles the two segments uniformly with draws from rng.
+    The scorer is a memo (``memoized``) or a solve's f - g, read at X_t and
+    its flips by its keyed reads.  ``random`` shuffles the two segments
+    uniformly with draws from rng.
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"heuristic must be one of {HEURISTICS}")
     X = ground.check_subset(X_t)
     if heuristic == "random":
         return _shuffled_chain(X, ground.n, rng)
-    base = scorer(X)
-    change = {j: scorer(T) - base for j, T in zip(ground.elements(), flips(X, ground))}
+    key = mask_of(X)
+    base = scorer.at(key, X)
+    change = {j: scorer.flip(X, key, j) - base for j in ground.elements()}
     inside = sorted(X, key=lambda j: (change[j], j))
     outside = sorted(ground.full - X, key=lambda j: (-change[j], j))
     return Permutation(tuple(inside + outside))
@@ -264,7 +268,14 @@ class _Run:
         self.t0 = time.perf_counter()
 
     def value(self, S: frozenset) -> float:
-        return self.f(S) - self.g(S)
+        return self.at(mask_of(S), S)
+
+    # f - g by the memos' keyed reads, one key for both
+    def at(self, key: int, S: frozenset) -> float:
+        return self.f.at(key, S) - self.g.at(key, S)
+
+    def flip(self, X: frozenset, key: int, j: int) -> float:
+        return self.f.flip(X, key, j) - self.g.flip(X, key, j)
 
     def calls(self) -> int:
         return self.f.call_count + self.g.call_count
@@ -275,7 +286,7 @@ class _Run:
 
     def chain(self, X: frozenset, heuristic: str | None = None) -> Permutation:
         heuristic = heuristic or self.opts.heuristic
-        scorer = self.value if heuristic == "v_gain" else self.g
+        scorer = self if heuristic == "v_gain" else self.g
         return choose_permutation(heuristic, X, scorer, self.ground, self.rng)
 
     def pinned_chains(self, X: frozenset) -> Iterator[Permutation]:
@@ -328,7 +339,7 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
                 if move is None and not eps_blocked and run.constraint.kind == "none":
                     # the sweeps miss improving flips when f or g is not submodular;
                     # when it finds none, this scan is also the final check below
-                    flip = best_flip(run.value, trace.final_set, run.ground, FLOAT_TOL)
+                    flip = best_flip(run, trace.final_set, run.ground, FLOAT_TOL)
                     if flip is not None:
                         if accept_step(v_cur, run.value(flip), opts.epsilon):
                             move, move_is_strict = flip, True
@@ -353,7 +364,7 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
         if run.constraint.kind == "none":
             # converging means the final scan above found no flip
             trace.locally_optimal = trace.termination == "converged" or local_optimality_check(
-                run.value, trace.final_set, ground=run.ground)
+                run, trace.final_set, ground=run.ground)
         trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
         return trace
     finally:
@@ -413,7 +424,7 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
     g - m, m the tight modular upper bound of f at the current set: the
     ``sfmax`` maximizers get the run's memo of g and m's weights, so m is
     never summed over a set.  The inner maximizer is double greedy (2n + 2
-    calls of g; a cardinality greedy when capped, so a cap refuses
+    reads of g; a cardinality greedy when capped, so a cap refuses
     ``dg_mode="randomized"``) polished by local search over feasible moves;
     a candidate is taken only if v does not increase.  On a stall both
     upper-bound variants are retried and then the full one-element

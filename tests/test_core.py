@@ -139,19 +139,19 @@ class TestBruteForceMinimize:
 
 class TestBestFlip:
     def test_lowest_flip_with_ties_to_the_lower_element(self):
-        v = build_function(modular_spec([-1.0, 2.0, -1.0]))
+        v = memoized(build_function(modular_spec([-1.0, 2.0, -1.0])))
         assert best_flip(v, frozenset(), v.ground) == frozenset({1})
         assert best_flip(v, frozenset({1}), v.ground) == frozenset({1, 3})
         assert best_flip(v, frozenset({1, 3}), v.ground) is None
 
     def test_must_beat_the_tolerance(self):
-        v = build_function(modular_spec([-1.0, 2.0, -1.0]))
+        v = memoized(build_function(modular_spec([-1.0, 2.0, -1.0])))
         assert best_flip(v, frozenset({1}), v.ground, tol=1.0) is None
         assert best_flip(v, frozenset({1}), v.ground, tol=0.5) == frozenset({1, 3})
 
     def test_infeasible_flips_are_never_evaluated(self):
         seen = []
-        v = SetFunctionOracle(GroundSet(3), lambda S: seen.append(S) or -float(len(S)))
+        v = memoized(SetFunctionOracle(GroundSet(3), lambda S: seen.append(S) or -float(len(S))))
         best = best_flip(v, frozenset({1}), v.ground, feasible=lambda T: len(T) <= 1)
         assert best is None
         assert seen == [frozenset({1}), frozenset()]
@@ -177,7 +177,7 @@ class TestBestFlip:
                 T = X ^ {j}
                 if (feasible is None or feasible(T)) and score(T) < bar:
                     want, bar = T, score(T)
-            assert best_flip(v, X, v.ground, tol, feasible, w) == want
+            assert best_flip(memoized(v), X, v.ground, tol, feasible, w) == want
 
 
 class TestCheckSubmodular:
@@ -286,6 +286,96 @@ def test_memoized_matches_inner():
     m = memoized(f)
     for S in helpers.all_subsets(5):
         assert m(S) == pytest.approx(f(S))
+
+
+def _logged(f, log):
+    """An oracle with f's values that logs the bitmask of each set it evaluates."""
+    return SetFunctionOracle(f.ground, lambda S: log.append(mask_of(S)) or f(S), f.name)
+
+
+class TestKeyedReads:
+    """A memo's keyed reads give what calls one set at a time give, bit for bit."""
+
+    @pytest.mark.parametrize("n", [20, 64, 128])
+    @pytest.mark.parametrize("family", ["cut", "facility", "concave"])
+    def test_chains_and_flips_match_calls_one_set_at_a_time(self, family, n):
+        # from n = 64 on, bits 63 and up make the masks big ints
+        rng = np.random.default_rng(131 + n)
+        f = helpers.FAMILY_BUILDERS[family](rng, n)
+        keyed_log, called_log = [], []
+        keyed, called = memoized(_logged(f, keyed_log)), memoized(_logged(f, called_log))
+        got, want = [], []
+        for trial in range(3):
+            order = [int(j) for j in rng.permutation(n) + 1]
+            base = frozenset(order[:trial * n // 4])
+            got += keyed.chain_gains(order[len(base):], base)
+            prev, running = called(base) if base else 0.0, set(base)
+            for j in order[len(base):]:
+                running.add(j)
+                cur = called(frozenset(running))
+                want.append(cur - prev)
+                prev = cur
+            # a flip scan at a chain prefix, twice: its deletions of the last
+            # element hit the chain, and the second scan hits throughout
+            X = frozenset(order[:n // 2])
+            for _ in range(2):
+                got.append(keyed.at(mask_of(X), X))
+                want.append(called(X))
+                got += [keyed.flip(X, mask_of(X), j) for j in range(1, n + 1)]
+                want += [called(X - {j} if j in X else X | {j}) for j in range(1, n + 1)]
+            # flips of a mutable set, as double greedy reads them
+            A = set(order[:trial + 1])
+            got += [keyed.flip(A, mask_of(A), j) for j in range(1, n + 1)]
+            want += [called(frozenset(A - {j} if j in A else A | {j})) for j in range(1, n + 1)]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert keyed.call_count == called.call_count < len(got)
+        assert keyed_log == called_log
+
+    @pytest.mark.parametrize("first", ["call", "keyed"])
+    def test_mixed_reads_evaluate_each_set_once(self, first):
+        rng = np.random.default_rng(137)
+        n = 20
+        f = helpers.random_concave(rng, n)
+        log = []
+        memo = memoized(_logged(f, log))
+        order = [int(j) for j in rng.permutation(n) + 1]
+        chain = [frozenset(order[:i]) for i in range(1, n + 1)]
+        X = chain[n // 2]
+        scan = [X - {j} if j in X else X | {j} for j in range(1, n + 1)]
+
+        def by_call():
+            return [memo(S) for S in chain + scan]
+
+        def keyed():
+            gains = memo.chain_gains(order)
+            values = [memo.at(mask_of(S), S) for S in chain]
+            assert gains == [b - a for a, b in zip([0.0] + values, values)]
+            return values + [memo.flip(X, mask_of(X), j) for j in range(1, n + 1)]
+
+        reads = (by_call, keyed) if first == "call" else (keyed, by_call)
+        values = [read() for read in reads] + [read() for read in reads]
+        assert all(v == values[0] for v in values)
+        assert sorted(log) == sorted(set(map(mask_of, chain + scan))) == sorted(set(log))
+        assert memo.call_count == len(log)
+
+    def test_lookups_are_hits_plus_misses(self):
+        rng = np.random.default_rng(139)
+        n = 12
+        memo = memoized(helpers.random_cut(rng, n))
+        hits = 0
+        for _ in range(6):
+            order = [int(j) for j in rng.permutation(n) + 1]
+            X = frozenset(order[:int(rng.integers(n + 1))])
+            key, rest = mask_of(X), order[len(X):]
+            # (reads, read): a chain reads each prefix, and its base unless empty
+            reads = [(1, lambda: memo(X)), (1, lambda: memo.at(key, X)),
+                     (len(rest) + bool(X), lambda: memo.chain_gains(rest, X)),
+                     *[(1, lambda j=j: memo.flip(X, key, j)) for j in order]]
+            for k, read in reads:
+                before = memo.call_count
+                read()
+                hits += k - (memo.call_count - before)
+        assert memo.lookups == hits + memo.call_count > 0
 
 
 class TestAffineModular:

@@ -230,8 +230,8 @@ class TestMinimizerLattice:
 def _pinned_run(seed: int = 85) -> tuple[int, str]:
     """Nine SFMs on one memo of a seeded cut, then nine on a facility location,
     both at n = 12: how many sets they evaluate, and a digest of each memo's
-    keys (as bitmasks, in insertion order) and of each result's sets, in their
-    iteration order, and value bits."""
+    keys (bitmasks, as the SFM's keyed reads keep them, in insertion order) and
+    of each result's sets, in their iteration order, and value bits."""
     rng = np.random.default_rng(seed)
     digest, count = hashlib.sha256(), 0
     for family in ("cut", "facility"):
@@ -240,7 +240,7 @@ def _pinned_run(seed: int = 85) -> tuple[int, str]:
         for trial in range(9):
             X, val, Y = min_norm_point(memo, _lattice_weights(rng, f, trial % 3))
             digest.update(repr((tuple(X), val.hex(), tuple(Y))).encode())
-        digest.update(np.array(list(map(mask_of, memo._cache)), dtype="<i8").tobytes())
+        digest.update(np.array(list(memo._cache), dtype="<i8").tobytes())
         count += len(memo._cache)
     return count, digest.hexdigest()
 
@@ -271,15 +271,29 @@ class TestPerMemoWork:
         f = helpers.random_cut(rng, n)
         memo = memoized(f)
         min_norm_point(memo, rng.normal(0, 1, n))
-        seen = []
-        call = MemoizedOracle.__call__
+        seen = []  # the bitmask of every set the second SFM looks up
+        call, at, flip, chain = (MemoizedOracle.__call__, MemoizedOracle.at, MemoizedOracle.flip,
+                                 MemoizedOracle.chain_gains)
+
+        def chain_gains(self, order, base=frozenset()):
+            key = mask_of(base)
+            for j in order:
+                key |= 1 << (j - 1)
+                seen.append(key)
+            return chain(self, order, base)
+
         monkeypatch.setattr(MemoizedOracle, "__call__",
-                            lambda self, X: seen.append(frozenset(X)) or call(self, X))
+                            lambda self, X: seen.append(mask_of(X)) or call(self, X))
+        monkeypatch.setattr(MemoizedOracle, "at",
+                            lambda self, key, S: seen.append(key) or at(self, key, S))
+        monkeypatch.setattr(MemoizedOracle, "flip", lambda self, X, key, j: seen.append(
+            key ^ 1 << (j - 1)) or flip(self, X, key, j))
+        monkeypatch.setattr(MemoizedOracle, "chain_gains", chain_gains)
         # weights far beyond every gain pin each element in the first round
         w = np.where(np.arange(n) % 2 == 0, 100.0, -100.0)
         X, val, Y = min_norm_point(memo, w)
         assert X == Y == frozenset({1, 3, 5, 7})
-        assert seen and not [S for S in seen if len(S) in (1, n - 1)]
+        assert seen and not [k for k in seen if k.bit_count() in (1, n - 1)]
         monkeypatch.undo()
         assert min_norm_point(f, w) == (X, val, Y)
 
@@ -315,12 +329,16 @@ class TestPerMemoWork:
             memo, reference = memoized(f), memoized(f)
             for trial in range(12):
                 w = _lattice_weights(rng, f, trial % 3).tolist()
-                for oracle in (memo, reference):
-                    oracle(frozenset())  # min_norm_point's normalization check
+                # min_norm_point's normalization check, keyed as it reads it
+                memo.at(0, frozenset())
+                reference(frozenset())
                 A, B = _minimizer_lattice(memo, w)
                 A_ref, B_ref = _reference_lattice(reference, w)
                 assert (tuple(A), tuple(B)) == (tuple(A_ref), tuple(B_ref))
-            assert list(map(tuple, memo._cache)) == list(map(tuple, reference._cache))
+            # the same sets first evaluated in the same order, to the same bits:
+            # the bits carry each set's iteration order when it was evaluated
+            assert [(key, val.hex()) for key, val in memo._cache.items()] == [
+                (mask_of(S), val.hex()) for S, val in reference._cache.items()]
 
     def test_the_order_of_first_evaluations_is_pinned(self):
         # Recorded when the corral moved to its triangular factor (1117 sets with

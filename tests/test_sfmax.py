@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dsmin import GroundSet, build_function
+from dsmin import GroundSet, SetFunctionOracle, build_function, memoized
 from dsmin.functions import modular_spec
 from dsmin.sfmax import double_greedy, greedy_cardinality_max, local_search_max
 
@@ -20,15 +20,14 @@ class TestDoubleGreedy:
         assert double_greedy(f, None, f.ground) == frozenset({1, 2, 3, 4})
 
     def test_exactly_2n_plus_2_oracle_calls(self):
-        # f(A) and f(B) are carried from step to step, not evaluated again
+        # f(A) and f(B) are carried from step to step, not read again
         rng = np.random.default_rng(31)
         for mode, seed in (("deterministic", None), ("randomized", 3)):
             for _ in range(10):
                 n = int(rng.integers(2, 8))
-                f = helpers.random_nonneg_submodular(rng, n)
-                f.call_count = 0
+                f = memoized(helpers.random_nonneg_submodular(rng, n))
                 double_greedy(f, rng.uniform(-1.0, 1.0, n).tolist(), f.ground, mode, seed)
-                assert f.call_count == 2 * n + 2
+                assert f.lookups == 2 * n + 2
 
     def test_deterministic_third_of_optimum(self):
         rng = np.random.default_rng(33)
@@ -107,8 +106,8 @@ class TestLocalSearch:
         seen = []
         def f(S):
             return seen.append(S) or float(len(S))
-        assert local_search_max(f, None, frozenset(), GroundSet(4),
-                                lambda T: len(T) <= 2) == frozenset({1, 2})
+        assert local_search_max(SetFunctionOracle(GroundSet(4), f), None, frozenset(),
+                                GroundSet(4), lambda T: len(T) <= 2) == frozenset({1, 2})
         assert max(map(len, seen)) == 2
 
     def test_result_is_locally_maximal(self):
@@ -139,7 +138,8 @@ class TestWeights:
                      for v in range(u + 1, n + 1) if rng.random() < 0.6]
             f = build_function(helpers.graph_cut_spec(n, edges or [[1, 2, 1.0]]))
             w = rng.integers(-3, 4, n).astype(float).tolist()
-            yield rng, f, w, lambda S, f=f, w=w: f(S) - sum(w[j - 1] for j in S)
+            yield rng, f, w, SetFunctionOracle(f.ground,
+                                               lambda S, f=f, w=w: f(S) - sum(w[j - 1] for j in S))
 
     def test_double_greedy(self):
         for rng, f, w, plain in self._instances(41):

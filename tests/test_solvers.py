@@ -52,7 +52,7 @@ class TestAcceptStep:
 
 class TestLocalOptimalityCheck:
     def test_modular_negative_set(self):
-        f = build_function(modular_spec([-1.0, 2.0, -3.0]))
+        f = memoized(build_function(modular_spec([-1.0, 2.0, -3.0])))
         assert local_optimality_check(f, {1, 3}, f.ground)
         assert not local_optimality_check(f, frozenset(), f.ground)
 
@@ -67,13 +67,13 @@ class TestLocalOptimalityCheck:
             expected = all(
                 v(X - {j} if j in X else X | {j}) >= base - 1e-9
                 for j in range(1, n + 1))
-            assert local_optimality_check(v, X, v.ground) == expected
+            assert local_optimality_check(memoized(v), X, v.ground) == expected
 
 
 class TestChoosePermutation:
     def test_gain_ordering_example(self):
         g = GroundSet(3)
-        scorer = SetFunctionOracle(g, lambda S: sum([3.0, 1.0, 2.0][j - 1] for j in S))
+        scorer = memoized(SetFunctionOracle(g, lambda S: sum([3.0, 1.0, 2.0][j - 1] for j in S)))
         sigma = choose_permutation("g_gain", {2, 3}, scorer, g, np.random.default_rng(0))
         assert sigma.order == (3, 2, 1)
 
@@ -87,7 +87,7 @@ class TestChoosePermutation:
 
     def test_full_set_orders_by_within_gain(self):
         g = GroundSet(3)
-        scorer = SetFunctionOracle(g, lambda S: sum([1.0, 5.0, 3.0][j - 1] for j in S))
+        scorer = memoized(SetFunctionOracle(g, lambda S: sum([1.0, 5.0, 3.0][j - 1] for j in S)))
         sigma = choose_permutation("g_gain", {1, 2, 3}, scorer, g, np.random.default_rng(0))
         assert sigma.order == (2, 3, 1)
         assert sigma.chain_contains({1, 2, 3})
@@ -99,7 +99,7 @@ class TestChoosePermutation:
 
     def test_chain_contains_base(self):
         rng = np.random.default_rng(53)
-        scorer = helpers.random_submodular(rng, 6)
+        scorer = memoized(helpers.random_submodular(rng, 6))
         for heur in ("random", "g_gain", "v_gain"):
             X = frozenset({2, 5})
             sigma = choose_permutation(heur, X, scorer, scorer.ground, rng)
@@ -379,7 +379,7 @@ class TestEpsilonRule:
         tr = sub_sup(DSInstance(f, g), SolverOptions(epsilon=0.5))
         assert (tr.termination, tr.locally_optimal) == ("epsilon_stop", False)
         v = DSInstance(f, g).v_oracle()
-        flip = best_flip(v, tr.final_set, v.ground)
+        flip = best_flip(memoized(v), tr.final_set, v.ground)
         assert flip is not None and not accept_step(tr.final_value, v(flip), 0.5)
 
     def test_iteration_cap_formula(self):
@@ -592,6 +592,36 @@ class TestCollectorPause:
                 gc.enable()
         assert trace.n_accepted >= 1
         assert len(made) == 2 and not alive
+
+
+class TestRunMemoKeys:
+    @pytest.mark.parametrize("solver, opts, constraint", [
+        (sub_sup, SolverOptions(heuristic="random"), Constraint.none()),
+        (sub_sup, SolverOptions(heuristic="g_gain"), Constraint.none()),
+        (sub_sup, SolverOptions(heuristic="v_gain"), Constraint.none()),
+        (sup_sub, SolverOptions(), Constraint.none()),
+        (sup_sub, SolverOptions(dg_mode="randomized"), Constraint.none()),
+        (sup_sub, SolverOptions(), Constraint.cardinality_le(3)),
+        (mod_mod, SolverOptions(), Constraint.none()),
+        (mod_mod, SolverOptions(), Constraint.cardinality_le(3))],
+        ids=["subsup_random", "subsup_g_gain", "subsup_v_gain", "supsub_deterministic",
+             "supsub_randomized", "supsub_capped", "modmod", "modmod_capped"])
+    def test_a_solve_reads_its_memos_by_bitmask_only(self, monkeypatch, solver, opts,
+                                                      constraint):
+        # a library path that calls a run memo with a frozenset builds and
+        # keeps sets the keyed reads avoid
+        made = []
+
+        class Recorded(MemoizedOracle):
+            def __init__(self, inner):
+                super().__init__(inner)
+                made.append(self)
+
+        monkeypatch.setattr(dsmin.solvers, "MemoizedOracle", Recorded)
+        trace = solver(TestBoundReuse._instance(), opts, constraint)
+        assert trace.n_accepted >= 1 and len(made) == 2
+        for memo in made:
+            assert memo._cache and all(type(key) is int for key in memo._cache)
 
 
 @pytest.mark.parametrize("algo", sorted(SOLVERS))
