@@ -79,7 +79,7 @@ def nonnegative(x, what: str) -> float:
     """x as a float; ValueError naming ``what`` unless a finite real number >= 0.
 
     bool and str are not real numbers here."""
-    if type(x) is float and 0.0 <= x < math.inf:  # every entropy query: skip the rest
+    if type(x) is float and 0.0 <= x < math.inf:  # most calls: skip the rest
         return x
     if not isinstance(x, bool) and isinstance(x, numbers.Real):
         try:

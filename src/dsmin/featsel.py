@@ -15,6 +15,12 @@ field (first feature most significant) and A's code masks it; otherwise
 each query builds a mixed-radix code over A's sorted columns.  Either code
 sorts in the lexicographic order of the rows on A, so every entropy comes
 out exactly as a sort of the rows would give it.
+
+``empirical_entropy`` and ``conditional_entropy`` check A and alpha unless
+called with ``check=False``.  ``build_objective`` checks alpha once, and its
+f and g call them unchecked on the frozensets their memos are given, which
+the memos trust as ``core.SetFunctionOracle`` does.
+
 The conditional entropy can be taken jointly ("non_factored") or as a
 per-feature sum ("factored", the class-conditional independence shortcut);
 the factored sum over-counts shared class-conditional information, which is
@@ -156,16 +162,18 @@ def parse_sparse_dataset(path: str) -> Dataset:
 
 
 def _entropy_from_counts(counts: np.ndarray, alpha: float, m: int) -> float:
-    """Entropy of the counts of m samples, with ``alpha`` pseudo-counts."""
+    """Entropy of the counts of m samples, with ``alpha`` pseudo-counts.
+
+    ``np.add.reduce`` is ``ndarray.sum`` without its Python wrapper.  Negating
+    the sum gives the bits of summing negated terms: rounding is symmetric."""
     if alpha == 0.0:
         p = counts / m
-        return float(-(p * np.log2(p)).sum()) + 0.0
+        return -float(np.add.reduce(p * np.log2(p))) + 0.0  # one run gives -0.0
     # pseudo-count on each observed configuration plus one pooled unseen cell
     total = m + alpha * (len(counts) + 1)
     p = (counts + alpha) / total
-    h = -(p * np.log2(p)).sum()
     q = alpha / total
-    return float(h - q * math.log2(q))
+    return -float(np.add.reduce(p * np.log2(p))) - q * math.log2(q)
 
 
 def _run_lengths(code: np.ndarray) -> np.ndarray:
@@ -208,19 +216,29 @@ def _row_codes(ds: Dataset, A: frozenset) -> np.ndarray:
     return code
 
 
-def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
-    """Plug-in joint entropy (bits) of the features A, H of the empty set is 0."""
-    alpha = nonnegative(alpha, "smoothing")
-    A = ds.ground.check_subset(A)
+def empirical_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0, *,
+                      check: bool = True) -> float:
+    """Plug-in joint entropy (bits) of the features A, H of the empty set is 0.
+
+    ``ValueError`` unless A is a subset of the features and alpha finite and
+    >= 0.  ``check=False`` skips both checks: A must then be a frozenset of
+    ints in ``1..n`` and alpha a float >= 0, as ``build_objective``'s oracles
+    pass them."""
+    if check:
+        alpha = nonnegative(alpha, "smoothing")
+        A = ds.ground.check_subset(A)
     if not A:
         return 0.0
     return _entropy_from_counts(_run_lengths(_row_codes(ds, A)), alpha, ds.n_rows)
 
 
-def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0) -> float:
-    """Class-weighted plug-in entropy H(X_A | C) in bits."""
-    alpha = nonnegative(alpha, "smoothing")
-    A = ds.ground.check_subset(A)
+def conditional_entropy(ds: Dataset, A: Iterable[int], alpha: float = 0.0, *,
+                        check: bool = True) -> float:
+    """Class-weighted plug-in entropy H(X_A | C) in bits, checked as
+    ``empirical_entropy`` is."""
+    if check:
+        alpha = nonnegative(alpha, "smoothing")
+        A = ds.ground.check_subset(A)
     if not A:
         return 0.0
     code = _row_codes(ds, A)
@@ -303,14 +321,24 @@ class FeatSelObjective:
     instance: DSInstance
 
     def value(self, A: Iterable[int]) -> float:
-        return self.instance.value(frozenset(A))
+        """The objective at A, a subset of the features (``ValueError`` otherwise).
+
+        A frozenset is evaluated as it is, not as the checked copy, so that
+        the factored objective's per-feature sum keeps A's order."""
+        A = frozenset(A)
+        self.instance.ground.check_subset(A)
+        return self.instance.value(A)
 
 
 def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
                     mode: str = "non_factored") -> FeatSelObjective:
-    """``[H(X_A | C) + cost(A)] - H(X_A)``; both sides are submodular only at alpha = 0."""
+    """``[H(X_A | C) + cost(A)] - H(X_A)``; both sides are submodular only at alpha = 0.
+
+    alpha is checked once, here; f and g call the entropies unchecked on their
+    memos' frozensets, as the module docstring says."""
     if mode not in ("factored", "non_factored"):
         raise ValueError(f"mode must be factored or non_factored, got {mode!r}")
+    alpha = nonnegative(alpha, "smoothing")
     ground = ds.ground
     if cost.kind == "partition_sqrt":
         union = frozenset().union(*cost.blocks)
@@ -321,7 +349,7 @@ def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
 
     if mode == "non_factored":
         def f_fn(S):
-            return conditional_entropy(ds, S, alpha) + evaluate_cost(cost, S)
+            return conditional_entropy(ds, S, alpha, check=False) + evaluate_cost(cost, S)
     else:
         per_feature = element_indexed(conditional_entropy(ds, frozenset({j}), alpha)
                                       for j in ground.elements())
@@ -330,8 +358,8 @@ def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,
             return set_sum(per_feature, S) + evaluate_cost(cost, S)
 
     f = memoized(SetFunctionOracle(ground, f_fn, name=f"cond_entropy_{mode}_plus_cost"))
-    g = memoized(SetFunctionOracle(ground, lambda S: empirical_entropy(ds, S, alpha),
-                                   name="joint_entropy"))
+    g = memoized(SetFunctionOracle(
+        ground, lambda S: empirical_entropy(ds, S, alpha, check=False), name="joint_entropy"))
     return FeatSelObjective(DSInstance(f, g))
 
 
@@ -356,7 +384,7 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
         return obj.instance.f.call_count + obj.instance.g.call_count
 
     S: frozenset = frozenset()
-    v = memoized(SetFunctionOracle(ds.ground, obj.value, "v"))  # for best_flip's keyed reads
+    v = memoized(obj.instance.v_oracle())  # for best_flip's keyed reads
     trace = OptimizationTrace(f"greedy_{tag}", 0, 0.0)
     trace.iterates.append(TracePoint(S, obj.value(S), calls(), time.perf_counter() - t0))
     while len(S) < budget and (T := best_flip(v, S, ds.ground, EQ_TOL,

@@ -452,6 +452,13 @@ class TestFeatsel:
         assert out == ""
         assert err.startswith("error: smoothing must be finite and >= 0")
 
+    @pytest.mark.parametrize("alpha", ["-1", "-1e-300"])
+    def test_negative_smoothing_exits_1_before_output(self, dataset, capsys, alpha):
+        assert main(["featsel", "--data", dataset, f"--alpha={alpha}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: smoothing must be finite and >= 0")
+
     def test_non_finite_block_weight_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "b.json"
         path.write_text('{"blocks": [[1, 2], [3]], "weights": [1.0, NaN, 1.0]}')

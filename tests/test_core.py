@@ -40,8 +40,9 @@ class TestGroundSet:
 
     @pytest.mark.parametrize("j", [2.0, np.int64(2), np.float64(2.0), Fraction(4, 2)])
     def test_whole_elements_are_read_as_ints(self, j):
-        S = GroundSet(3).check_subset([j, 3])
-        assert S == frozenset({2, 3}) and all(type(i) is int for i in S)
+        for X in ([j, 3], frozenset({j, 3})):
+            S = GroundSet(3).check_subset(X)
+            assert S == frozenset({2, 3}) and all(type(i) is int for i in S)
 
     @pytest.mark.parametrize("j, message", [
         (1.5, "element 1.5 outside"), (math.nan, "element nan outside"),
@@ -53,6 +54,13 @@ class TestGroundSet:
             GroundSet(3).check_subset([j])
         with pytest.raises(ValueError, match=message):
             SetFunctionOracle(GroundSet(3), len)([2, j])
+        with pytest.raises(ValueError, match=message):
+            GroundSet(3).check_subset(frozenset({2, j}))
+
+    @pytest.mark.parametrize("j", [0, 4, -1])
+    def test_frozensets_outside_the_ground_set_are_rejected(self, j):
+        with pytest.raises(ValueError, match=f"element {j} outside ground set 1..3"):
+            GroundSet(3).check_subset(frozenset({1, j}))
 
 
 def test_subset_key_orders_by_cardinality_then_lex():

@@ -1,13 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dsmin import (CostModel, Dataset, GroundSet, SetFunctionOracle,
                    build_objective, greedy_select, sub_sup, sup_sub, mod_mod, SolverOptions)
-from dsmin.core import brute_force_minimize, check_submodular
-from dsmin.featsel import (_run_lengths, conditional_entropy, empirical_entropy,
-                           evaluate_cost, naive_bayes_cv, parse_sparse_dataset)
+from dsmin import featsel
+from dsmin.core import brute_force_minimize, check_submodular, element_indexed, set_sum
+from dsmin.featsel import (_entropy_from_counts, _run_lengths, conditional_entropy,
+                           empirical_entropy, evaluate_cost, naive_bayes_cv,
+                           parse_sparse_dataset)
 
 import helpers
 from helpers import mutual_information
@@ -432,6 +435,168 @@ class TestObjective:
         for mode in ("grf", "grnf"):
             with pytest.raises(ValueError, match="cost weights for"):
                 greedy_select(ds, cost, mode)
+
+
+def _entropy_from_counts_by_sum(counts, alpha, m):
+    """The entropy as the terms negated one by one and summed by ``ndarray.sum``."""
+    if alpha == 0.0:
+        p = counts / m
+        return float(-(p * np.log2(p)).sum()) + 0.0
+    total = m + alpha * (len(counts) + 1)
+    p = (counts + alpha) / total
+    h = -(p * np.log2(p)).sum()
+    q = alpha / total
+    return float(h - q * math.log2(q))
+
+
+class TestUncheckedQueries:
+    """The objective's f and g call the entropies with ``check=False``; the
+    entropies' default and ``FeatSelObjective.value`` keep every check."""
+
+    @staticmethod
+    def datasets():
+        rng = np.random.default_rng(3205)
+        y = rng.integers(0, 3, 120)
+        packed = Dataset(rng.integers(0, 2, (120, 16)), y)  # one bit per feature
+        wide = Dataset(rng.integers(0, 7, (120, 30)), y)  # 90 bits: mixed-radix codes
+        assert packed._packing is not None and wide._packing is None
+        return rng, [packed, wide]
+
+    @staticmethod
+    def costs(n):
+        blocks = [list(range(1, n + 1, 3)), list(range(2, n + 1, 3)), list(range(3, n + 1, 3))]
+        return [CostModel.modular_cardinality(0.05),
+                CostModel.partition_sqrt(blocks, np.linspace(0.5, 2.0, n), 0.1)]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    @pytest.mark.parametrize("mode", ["non_factored", "factored"])
+    def test_oracles_equal_the_checked_functions_bit_for_bit(self, alpha, mode):
+        rng, datasets = self.datasets()
+        for ds in datasets:
+            n = ds.n_features
+            sets = [frozenset(), frozenset(range(1, n + 1))] + [
+                frozenset(int(j) + 1 for j in rng.choice(n, k, replace=False))
+                for k in rng.integers(1, n + 1, 12)]
+            per_feature = element_indexed(conditional_entropy(ds, {j}, alpha)
+                                          for j in range(1, n + 1))
+            for cost in self.costs(n):
+                obj = build_objective(ds, cost, alpha, mode)
+                for A in sets:
+                    cond = (conditional_entropy(ds, A, alpha) if mode == "non_factored"
+                            else set_sum(per_feature, A))
+                    assert obj.instance.f(A).hex() == (cond + evaluate_cost(cost, A)).hex()
+                    assert obj.instance.g(A).hex() == empirical_entropy(ds, A, alpha).hex()
+
+    def test_entropy_from_counts_keeps_the_bits_of_summing_negated_terms(self):
+        rng = np.random.default_rng(2052)
+        cases = [np.array([m]) for m in (1, 7, 256)]  # one run: -0.0 becomes 0.0
+        cases += [rng.integers(1, 40, k) for k in (2, 3, 7, 8, 9, 16, 129, 300) for _ in range(4)]
+        for counts in cases:
+            m = int(counts.sum())
+            for alpha in (0.0, 0.3, 1.0, 2.5):
+                got = _entropy_from_counts(counts, alpha, m)
+                assert type(got) is float
+                assert got.hex() == _entropy_from_counts_by_sum(counts, alpha, m).hex()
+        assert math.copysign(1.0, _entropy_from_counts(np.array([5]), 0.0, 5)) == 1.0
+
+    @pytest.mark.parametrize("j, message", [
+        (0, "element 0 outside ground set 1..4"), (5, "element 5 outside ground set 1..4"),
+        (1.5, "element 1.5 outside ground set 1..4"),
+        (True, "element must be an integer, got True"),
+        ("1", "element must be an integer, got '1'")])
+    @pytest.mark.parametrize("kind", [list, set, frozenset])
+    def test_checked_entry_points_reject_elements_outside_the_features(self, j, message, kind):
+        ds = Dataset(np.array([[0, 1, 0, 1], [1, 0, 1, 1], [1, 1, 0, 0]]), np.array([0, 1, 0]))
+        obj = build_objective(ds, CostModel.modular_cardinality(0.1))
+        A = kind([2, j])
+        for evaluate in (lambda A: empirical_entropy(ds, A, 1.0),
+                         lambda A: conditional_entropy(ds, A, 1.0), obj.value):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate(A)
+
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.nan, math.inf, True, False])
+    @pytest.mark.parametrize("mode", ["non_factored", "factored"])
+    def test_build_objective_checks_the_smoothing_itself(self, alpha, mode):
+        with pytest.raises(ValueError, match="smoothing must be finite and >= 0") as err:
+            build_objective(synthetic_complementary(), CostModel.modular_cardinality(0.1),
+                            alpha, mode)
+        assert err.traceback[-2].name == "build_objective"  # not a later f(∅)
+
+    @pytest.mark.parametrize("mode", ["non_factored", "factored"])
+    def test_queries_run_no_checks(self, monkeypatch, mode):
+        """f and g read the memos' frozensets with the alpha read at build time."""
+        calls = {"check_subset": 0, "nonnegative": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(GroundSet, "check_subset",
+                            counted("check_subset", GroundSet.check_subset))
+        monkeypatch.setattr(featsel, "nonnegative", counted("nonnegative", featsel.nonnegative))
+        rng, datasets = self.datasets()
+        for ds in datasets:
+            obj = build_objective(ds, CostModel.modular_cardinality(0.05), 1.0, mode)
+            assert calls["nonnegative"] > 0
+            calls.update(check_subset=0, nonnegative=0)
+            n = ds.n_features
+            for k in rng.integers(1, n + 1, 20):
+                A = frozenset(int(j) + 1 for j in rng.choice(n, k, replace=False))
+                obj.instance.f(A), obj.instance.g(A)
+            assert obj.instance.f.call_count > 1 and obj.instance.g.call_count > 1
+            assert calls == {"check_subset": 0, "nonnegative": 0}
+            obj.value([1, 2])  # the checked entry point still checks
+            assert calls["check_subset"] == 1
+
+    def test_queries_reach_the_module_entropy_functions(self, monkeypatch):
+        """f and g look the entropies up by their module names, where a
+        profiler wrapping them sees every query."""
+        seen = []
+
+        def recorder(fn):
+            def wrapper(ds, A, alpha, **kwargs):
+                seen.append((fn.__name__, A, kwargs))
+                return fn(ds, A, alpha, **kwargs)
+            return wrapper
+
+        for name in ("empirical_entropy", "conditional_entropy"):
+            monkeypatch.setattr(featsel, name, recorder(getattr(featsel, name)))
+        _, (ds, _) = self.datasets()
+        obj = build_objective(ds, CostModel.modular_cardinality(0.05), 1.0)
+        seen.clear()
+        A = frozenset({2, 5, 9})
+        obj.instance.f(A), obj.instance.g(A)
+        assert seen == [("conditional_entropy", A, {"check": False}),
+                        ("empirical_entropy", A, {"check": False})]
+        assert all(X is A for _, X, _ in seen)
+
+    def test_greedy_queries_run_no_checks(self, monkeypatch):
+        """Only the trace's one value per iterate goes through ``value``'s check."""
+        calls = []
+        check = GroundSet.check_subset
+        monkeypatch.setattr(GroundSet, "check_subset",
+                            lambda self, X: calls.append(X) or check(self, X))
+        ds = synthetic_complementary()
+        S, trace = greedy_select(ds, CostModel.modular_cardinality(0.01), "GrNF")
+        assert len(trace.iterates) == 5 and trace.oracle_calls > 5 * ds.n_features
+        assert len(calls) == len(trace.iterates)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_value_evaluates_a_frozenset_in_its_own_order(self, alpha):
+        """The factored sum runs over A itself, as the memos' unions build it,
+        on features past 16 where a copy of A can iterate in another order."""
+        rng = np.random.default_rng(3206)
+        ds = Dataset(rng.integers(0, 2, (150, 40)), rng.integers(0, 2, 150))
+        obj = build_objective(ds, CostModel.modular_cardinality(0.05), alpha, "factored")
+        per_feature = element_indexed(conditional_entropy(ds, {j}, alpha) for j in range(1, 41))
+        for _ in range(30):
+            A = frozenset()
+            for j in rng.choice(40, rng.integers(1, 12), replace=False):
+                A = A | {int(j) + 1}
+                want = (set_sum(per_feature, A) + 0.05 * len(A)) - empirical_entropy(ds, A, alpha)
+                assert obj.value(A).hex() == want.hex()
 
 
 class TestGreedySelect:
