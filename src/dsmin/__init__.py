@@ -21,6 +21,11 @@ and ``mod_mod`` take a ``DSInstance`` with ``SolverOptions`` and return an
 exact minimizer; ``Dataset``, ``CostModel``, ``build_objective`` and
 ``greedy_select`` set up feature selection.  Everything else is imported
 from its module.
+
+Every inner step reads its ground set from the oracle it is given.  A
+permutation chain is a plain tuple of 1..n (``Permutation`` is the alias
+``tuple[int, ...]``); ``modular_lower_bound`` checks it against g's ground
+set.
 """
 
 from .bounds import (Permutation, ds_decompose, minima_lower_bounds,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -23,47 +22,32 @@ from .core import (EQ_TOL, PAIRWISE_MAX_N, AffineModular, SetFunctionOracle, eva
                    mask_of, memoized, min_gain_drop, whole)
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """An ordering of 1..n with its chain of prefix sets.
-
-    Entries are read as ``core.whole`` reads them: 2.0 and numpy integers
-    become ints, and a bool or a fraction is rejected.  An order that is not
-    a tuple of ints is stored as one."""
-
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.order) is not tuple or set(map(type, self.order)) != {int}:
-            object.__setattr__(self, "order", tuple(whole(j, "permutation entry")
-                                                    for j in self.order))
-        n = len(self.order)
-        if sorted(self.order) != list(range(1, n + 1)):
-            raise ValueError(f"order must be a permutation of 1..{n}, got {self.order}")
-
-    def prefix(self, i: int) -> frozenset:
-        """The chain set holding the first i elements."""
-        return frozenset(self.order[:i])
-
-    def chain_contains(self, Y: Iterable[int]) -> bool:
-        Y = frozenset(Y)
-        return self.prefix(len(Y)) == Y
+# A chain through the ground set: an ordering of 1..n, whose prefixes are the
+# chain's sets.  ``modular_lower_bound`` checks it against g's ground set.
+Permutation = tuple[int, ...]
 
 
 def modular_lower_bound(g: SetFunctionOracle, Y: Iterable[int],
                         sigma: Permutation) -> AffineModular:
     """Tight modular lower bound on g from the gains along sigma's chain.
 
-    Requires sigma's chain to contain Y and g to be normalized (0 at the
-    empty set).  The result has offset 0, matches g on every chain prefix
-    (hence at Y), and lower-bounds g everywhere when g is submodular.  g is
-    read through ``memoized``, one keyed read per prefix.
+    sigma must order all of g's ground set 1..n, with Y as a prefix; its
+    entries are read as ``core.whole`` reads them (2.0 and numpy integers
+    become ints, a bool or a fraction is rejected), and a list is read as a
+    tuple.  g must be normalized (0 at the empty set).  The result has
+    offset 0, matches g on every chain prefix (hence at Y), and lower-bounds
+    g everywhere when g is submodular.  g is read through ``memoized``, one
+    keyed read per prefix.
     """
-    Y = g.ground.check_subset(Y)
-    if not sigma.chain_contains(Y):
-        raise ValueError(f"permutation chain {sigma.order} does not contain {sorted(Y)}")
-    weights = [0.0] * g.ground.n
-    for j, gain in zip(sigma.order, memoized(g).chain_gains(sigma.order)):
+    Y, n = g.ground.check_subset(Y), g.ground.n
+    if type(sigma) is not tuple or set(map(type, sigma)) != {int}:
+        sigma = tuple(whole(j, "permutation entry") for j in sigma)
+    if sorted(sigma) != list(range(1, n + 1)):
+        raise ValueError(f"order must be a permutation of 1..{n}, got {sigma}")
+    if frozenset(sigma[:len(Y)]) != Y:
+        raise ValueError(f"permutation chain {sigma} does not contain {sorted(Y)}")
+    weights = [0.0] * n
+    for j, gain in zip(sigma, memoized(g).chain_gains(sigma)):
         weights[j - 1] = gain
     return AffineModular(0.0, np.array(weights))
 

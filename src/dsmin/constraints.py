@@ -1,9 +1,9 @@
 """Combinatorial constraints and exact constrained minimization of modular functions.
 
-A modular (affine) function is trivially minimized under each supported
-constraint family: pick negatives, pick k smallest, per-block selection,
-minimum spanning tree (Kruskal), or a pseudo-polynomial knapsack dynamic
-program over integer costs.
+A modular function, given by its weight vector, is trivially minimized
+under each supported constraint family: pick negatives, pick k smallest,
+per-block selection, minimum spanning tree (Kruskal), or a
+pseudo-polynomial knapsack dynamic program over integer costs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import AffineModular, element_set, whole
+from .core import element_set, whole
 
 _READS = {"none": (), "cardinality_le": ("k",), "cardinality_eq": ("k",),
           "partition_matroid": ("blocks", "quotas"), "spanning_tree": ("n_vertices", "edges"),
@@ -221,12 +221,13 @@ def _lightest(w: np.ndarray, items: Iterable[int], k: int | None) -> list[int]:
     return sorted(items, key=lambda i: (wl[i - 1], i))[:k]
 
 
-def modular_minimize_constrained(m: AffineModular, constraint: Constraint) -> frozenset:
-    """Exactly minimize an affine-modular function over a constraint family.
+def modular_minimize_constrained(w: np.ndarray, constraint: Constraint) -> frozenset:
+    """Exactly minimize the modular function with weights w over a constraint
+    family; ``w[j - 1]`` is element j's weight, and an offset moves no minimizer.
 
     Deterministic tie-breaking throughout: by index for equal weights.
     """
-    w, kind = m.weights, constraint.kind
+    kind = constraint.kind
     constraint.validate(len(w))
     if kind in ("none", "cardinality_le"):
         negative = ((w < 0.0).nonzero()[0] + 1).tolist()
@@ -241,14 +242,15 @@ def modular_minimize_constrained(m: AffineModular, constraint: Constraint) -> fr
     return _knapsack_min(w, constraint.costs, constraint.budget)
 
 
-def modular_maximal_minimizer(m: AffineModular, constraint: Constraint) -> frozenset | None:
-    """Largest minimizer of the modular surrogate, where cheaply available.
+def modular_maximal_minimizer(w: np.ndarray, constraint: Constraint) -> frozenset | None:
+    """Largest minimizer of the modular function with weights w, where cheaply
+    available.
 
     For the unconstrained case this adds the zero-weight elements; under a
     cardinality cap it pads the negative selection with zero-weight
     elements up to the cap.  Other constraint kinds return ``None``.
     """
-    w, kind = m.weights, constraint.kind
+    kind = constraint.kind
     if kind not in ("none", "cardinality_le"):
         return None
     nonpositive = ((w <= 0.0).nonzero()[0] + 1).tolist()

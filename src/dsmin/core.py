@@ -116,12 +116,7 @@ def subset_key(X: Iterable[int]) -> tuple:
     return (len(t), t)
 
 
-def flips(X: frozenset, ground: GroundSet) -> list[frozenset]:
-    """The single-element additions and deletions at X, in element order."""
-    return [X - {j} if j in X else X | {j} for j in ground.elements()]
-
-
-def best_flip(v, X: frozenset, ground: GroundSet, tol: float = 0.0,
+def best_flip(v, X: frozenset, tol: float = 0.0,
               feasible: Callable[[frozenset], bool] | None = None,
               w: list[float] | None = None, sign: float = 1.0) -> frozenset | None:
     """The flip of X lowest under sign * v + w below sign * v(X) - tol, ties to
@@ -129,14 +124,15 @@ def best_flip(v, X: frozenset, ground: GroundSet, tol: float = 0.0,
     is zero.
 
     v is read by the keyed reads ``at`` and ``flip``: a memo (``memoized``) or
-    a solve's f - g.  A flip X + j scores sign * v(X + j) + w_j and X - j
-    scores sign * v(X - j) - w_j, so w is never summed over a set.  Flips that
+    a solve's f - g, and the flips run over v's own ground set, ``v.ground``.
+    A flip X + j scores sign * v(X + j) + w_j and X - j scores
+    sign * v(X - j) - w_j, so w is never summed over a set.  Flips that
     ``feasible`` rejects are skipped before v is evaluated; without
     ``feasible`` a flip's set is built only where v misses, and for the
     flip returned."""
     key = mask_of(X)
     best_val, best = sign * v.at(key, X) - tol, 0
-    for j in ground.elements():
+    for j in v.ground.elements():
         if feasible is None:
             val = v.flip(X, key, j)
         else:
@@ -327,8 +323,9 @@ class AffineModular:
     Plain floats added in Y's order are the IEEE additions of ``sum()`` over
     the float64 entries, bit for bit; ``sum()`` over floats (compensated on
     Python >= 3.12) and numpy reductions (reordered) differ in the last bits.
-    Represents the tight modular lower bounds, both tight modular upper
-    bounds, and every modular surrogate subproblem.
+    Represents the tight modular lower bounds and both tight modular upper
+    bounds.  It defines no arithmetic: an inner step takes a weight vector,
+    such as mod-mod's upper-bound weights minus lower-bound weights.
     """
 
     offset: float
@@ -336,9 +333,6 @@ class AffineModular:
 
     def value(self, Y: Iterable[int]) -> float:
         return float(self.offset + set_sum(element_indexed(self.weights.tolist()), Y))
-
-    def __sub__(self, other: "AffineModular") -> "AffineModular":
-        return AffineModular(self.offset - other.offset, self.weights - other.weights)
 
 
 TABLE_MAX_N = 20

@@ -387,7 +387,7 @@ def greedy_select(ds: Dataset, cost: CostModel, mode: str, budget: int | None = 
     v = memoized(obj.instance.v_oracle())  # for best_flip's keyed reads
     trace = OptimizationTrace(f"greedy_{tag}", 0, 0.0)
     trace.iterates.append(TracePoint(S, obj.value(S), calls(), time.perf_counter() - t0))
-    while len(S) < budget and (T := best_flip(v, S, ds.ground, EQ_TOL,
+    while len(S) < budget and (T := best_flip(v, S, EQ_TOL,
                                               lambda T: len(T) > len(S))) is not None:
         S = T
         trace.iterates.append(TracePoint(S, obj.value(S), calls(), time.perf_counter() - t0))

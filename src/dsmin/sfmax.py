@@ -3,8 +3,9 @@
 Each maximizer takes an oracle f and a weight list w of length n indexed
 by ``j - 1`` (None means zero), as ``sfm.min_norm_point`` minimizes f - w:
 a step compares f's change with one weight, so w is never summed over a set.
-f is read through ``memoized`` by the memo's keyed reads, so a step builds
-a set only where the memo misses.
+The ground set 1..n is f's own, ``f.ground``; a w of another length is
+refused.  f is read through ``memoized`` by the memo's keyed reads, so a
+step builds a set only where the memo misses.
 Double greedy is the linear-time bi-directional pass of Buchbinder,
 Feldman, Naor and Schwartz; its deterministic form guarantees a third of
 the optimum and the randomized form half in expectation, for non-negative
@@ -18,17 +19,17 @@ from typing import Callable
 
 import numpy as np
 
-from .core import GroundSet, SetFunctionOracle, best_flip, memoized, whole
+from .core import SetFunctionOracle, best_flip, memoized, whole
 
 DG_MODES = ("deterministic", "randomized")
 
 
-def _check_weights(w: list[float] | None, ground: GroundSet) -> None:
-    if w is not None and len(w) != ground.n:
-        raise ValueError(f"weights must have length {ground.n}, got {len(w)}")
+def _check_weights(w: list[float] | None, f: SetFunctionOracle) -> None:
+    if w is not None and len(w) != f.ground.n:
+        raise ValueError(f"weights must have length {f.ground.n}, got {len(w)}")
 
 
-def double_greedy(f: SetFunctionOracle, w: list[float] | None, ground: GroundSet,
+def double_greedy(f: SetFunctionOracle, w: list[float] | None,
                   mode: str = "deterministic", seed: int | None = None) -> frozenset:
     """One bi-directional pass of f - w over the elements in index order.
 
@@ -45,10 +46,10 @@ def double_greedy(f: SetFunctionOracle, w: list[float] | None, ground: GroundSet
     if mode == "deterministic" and seed is not None:
         raise ValueError(f"deterministic double greedy draws nothing: seed must be None, "
                          f"got {seed!r}")
-    _check_weights(w, ground)
+    _check_weights(w, f)
     rng = np.random.default_rng(seed) if mode == "randomized" else None
+    f, ground = memoized(f), f.ground
     w = [0.0] * ground.n if w is None else w
-    f = memoized(f)
     A: set[int] = set()
     B: set[int] = set(ground.elements())
     kA, kB = 0, (1 << ground.n) - 1  # the bitmasks of A and B
@@ -73,32 +74,29 @@ def double_greedy(f: SetFunctionOracle, w: list[float] | None, ground: GroundSet
     return frozenset(A)
 
 
-def greedy_cardinality_max(f: SetFunctionOracle, w: list[float] | None,
-                           ground: GroundSet, k: int) -> frozenset:
+def greedy_cardinality_max(f: SetFunctionOracle, w: list[float] | None, k: int) -> frozenset:
     """Up to k greedy additions to f - w of the best strictly-positive-gain
     element; k is a whole number in 0..n."""
-    n = ground.n
-    _check_weights(w, ground)
+    _check_weights(w, f)
     k = whole(k, "k", 0)
-    if k > n:
-        raise ValueError(f"k must lie in 0..{n}, got {k}")
+    if k > f.ground.n:
+        raise ValueError(f"k must lie in 0..{f.ground.n}, got {k}")
     f, S = memoized(f), frozenset()
-    while len(S) < k and (T := best_flip(f, S, ground, feasible=lambda T: len(T) > len(S),
+    while len(S) < k and (T := best_flip(f, S, feasible=lambda T: len(T) > len(S),
                                          w=w, sign=-1.0)) is not None:
         S = T
     return S
 
 
 def local_search_max(f: SetFunctionOracle, w: list[float] | None, start,
-                     ground: GroundSet,
                      feasible: Callable[[frozenset], bool] | None = None) -> frozenset:
     """Hill-climb on f - w by single adds/deletes until no move strictly improves it.
 
     With ``feasible`` given, only moves to sets it accepts are considered.
     Every step strictly raises f - w, so no set repeats and the climb ends.
     """
-    _check_weights(w, ground)
-    f, S = memoized(f), ground.check_subset(start)
-    while (T := best_flip(f, S, ground, feasible=feasible, w=w, sign=-1.0)) is not None:
+    _check_weights(w, f)
+    f, S = memoized(f), f.ground.check_subset(start)
+    while (T := best_flip(f, S, feasible=feasible, w=w, sign=-1.0)) is not None:
         S = T
     return S

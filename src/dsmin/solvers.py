@@ -49,7 +49,7 @@ from .bounds import Permutation, modular_lower_bound, modular_upper_bound
 from .constraints import (Constraint, modular_maximal_minimizer,
                           modular_minimize_constrained)
 from .core import (EQ_TOL, FLOAT_TOL, GroundSet, MemoizedOracle, SetFunctionOracle, best_flip,
-                   flips, mask_of, nonnegative, subset_key, whole)
+                   mask_of, nonnegative, subset_key, whole)
 from .sfm import min_norm_point
 from .sfmax import DG_MODES, double_greedy, greedy_cardinality_max, local_search_max
 
@@ -207,16 +207,17 @@ def accept_step(v_prev: float, v_next: float, epsilon: float) -> bool:
     return v_next <= v_prev - epsilon * abs(v_prev)
 
 
-def local_optimality_check(v, X: Iterable[int], ground: GroundSet) -> bool:
+def local_optimality_check(v, X: Iterable[int]) -> bool:
     """True iff no single-element addition or deletion decreases v at X by more
     than FLOAT_TOL; v is a memo (``memoized``) or a solve's f - g, read by
-    ``best_flip``."""
-    return best_flip(v, frozenset(X), ground, FLOAT_TOL) is None
+    ``best_flip`` over v's ground set."""
+    return best_flip(v, frozenset(X), FLOAT_TOL) is None
 
 
-def choose_permutation(heuristic: str, X_t: Iterable[int], scorer, ground: GroundSet,
+def choose_permutation(heuristic: str, X_t: Iterable[int], scorer,
                        rng: np.random.Generator) -> Permutation:
-    """Permutation whose chain contains X_t, ordered per the heuristic.
+    """A chain through the scorer's ground set that contains X_t, ordered per
+    the heuristic: a plain tuple of 1..n, which ``modular_lower_bound`` checks.
 
     Gain heuristics place the members of X_t first, sorted by decreasing
     within-gain scorer(j | X_t - j), followed by the outside elements by
@@ -227,6 +228,7 @@ def choose_permutation(heuristic: str, X_t: Iterable[int], scorer, ground: Groun
     """
     if heuristic not in HEURISTICS:
         raise ValueError(f"heuristic must be one of {HEURISTICS}")
+    ground = scorer.ground
     X = ground.check_subset(X_t)
     if heuristic == "random":
         return _shuffled_chain(X, ground.n, rng)
@@ -235,7 +237,7 @@ def choose_permutation(heuristic: str, X_t: Iterable[int], scorer, ground: Groun
     change = {j: scorer.flip(X, key, j) - base for j in ground.elements()}
     inside = sorted(X, key=lambda j: (change[j], j))
     outside = sorted(ground.full - X, key=lambda j: (-change[j], j))
-    return Permutation(tuple(inside + outside))
+    return tuple(inside + outside)
 
 
 def _shuffled_chain(X: frozenset, n: int, rng: np.random.Generator,
@@ -249,7 +251,7 @@ def _shuffled_chain(X: frozenset, n: int, rng: np.random.Generator,
     outside = sorted(set(range(1, n + 1)) - X - pin)
     rng.shuffle(inside)
     rng.shuffle(outside)
-    return Permutation(tuple(inside + list(pin) + outside))
+    return tuple(inside + list(pin) + outside)
 
 
 # -- shared descent driver ------------------------------------------------------
@@ -287,7 +289,7 @@ class _Run:
     def chain(self, X: frozenset, heuristic: str | None = None) -> Permutation:
         heuristic = heuristic or self.opts.heuristic
         scorer = self if heuristic == "v_gain" else self.g
-        return choose_permutation(heuristic, X, scorer, self.ground, self.rng)
+        return choose_permutation(heuristic, X, scorer, self.rng)
 
     def pinned_chains(self, X: frozenset) -> Iterator[Permutation]:
         return (_shuffled_chain(X, self.ground.n, self.rng, j) for j in self.ground.elements())
@@ -339,7 +341,7 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
                 if move is None and not eps_blocked and run.constraint.kind == "none":
                     # the sweeps miss improving flips when f or g is not submodular;
                     # when it finds none, this scan is also the final check below
-                    flip = best_flip(run, trace.final_set, run.ground, FLOAT_TOL)
+                    flip = best_flip(run, trace.final_set, FLOAT_TOL)
                     if flip is not None:
                         if accept_step(v_cur, run.value(flip), opts.epsilon):
                             move, move_is_strict = flip, True
@@ -363,8 +365,8 @@ def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
 
         if run.constraint.kind == "none":
             # converging means the final scan above found no flip
-            trace.locally_optimal = trace.termination == "converged" or local_optimality_check(
-                run, trace.final_set, ground=run.ground)
+            trace.locally_optimal = (trace.termination == "converged"
+                                     or local_optimality_check(run, trace.final_set))
         trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
         return trace
     finally:
@@ -386,11 +388,12 @@ def sub_sup(inst: DSInstance, opts: SolverOptions | None = None,
     """Descend on v = f - g by exactly minimizing f minus a lower bound of g.
 
     Starting from the empty set, each iteration picks a permutation chain
-    through the current set (by the configured heuristic), builds the tight
-    modular lower bound of g along it, and minimizes the submodular
-    surrogate exactly.  On a stall, the gain-ordered permutation not used by
-    the configured heuristic (both, for ``random``) plus one boundary-pinned
-    random permutation per element are retried.  For submodular f and g that
+    through the current set (by the configured heuristic; a tuple of 1..n
+    that ``modular_lower_bound`` checks), builds the tight modular lower
+    bound of g along it, and minimizes the submodular surrogate exactly.  On
+    a stall, the gain-ordered permutation not used by the configured
+    heuristic (both, for ``random``) plus one boundary-pinned random
+    permutation per element are retried.  For submodular f and g that
     certifies local optimality; for any other pair the final single-element
     scan of the descent guarantees it on convergence.  Each SFM yields the
     surrogate's minimal and maximal minimizers.  No constraints.
@@ -442,16 +445,14 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
                          "its capped step is a greedy, not double greedy")
     constraint.validate(inst.ground.n)
     run = _Run("supsub", inst, opts, constraint)
-    ground = run.ground
 
     def maximize(X: frozenset, variant: int) -> frozenset:
         w = modular_upper_bound(run.f, X, variant).weights.tolist()
         if constraint.kind == "cardinality_le":
-            start = greedy_cardinality_max(run.g, w, ground, constraint.k)
-            return local_search_max(run.g, w, start, ground, constraint.is_feasible)
+            start = greedy_cardinality_max(run.g, w, constraint.k)
+            return local_search_max(run.g, w, start, constraint.is_feasible)
         seed = int(run.rng.integers(2 ** 31)) if opts.dg_mode == "randomized" else None
-        return local_search_max(run.g, w, double_greedy(run.g, w, ground, opts.dg_mode, seed),
-                                ground)
+        return local_search_max(run.g, w, double_greedy(run.g, w, opts.dg_mode, seed))
 
     if opts.dg_mode == "deterministic":
         maximize = functools.lru_cache(maxsize=2)(maximize)  # no rng draw to keep
@@ -460,7 +461,8 @@ def sup_sub(inst: DSInstance, opts: SolverOptions | None = None,
         return [maximize(X, v) for v in _variants(opts.ub_strategy, t)]
 
     def sweep(X, t):
-        return [maximize(X, v) for v in (1, 2)] + flips(X, ground)
+        flips = [X - {j} if j in X else X | {j} for j in run.ground.elements()]
+        return [maximize(X, v) for v in (1, 2)] + flips
 
     return _descent(run, frozenset(), primary, sweep)
 
@@ -469,16 +471,18 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
             constraint: Constraint = Constraint.none()) -> OptimizationTrace:
     """Descend on v = f - g by minimizing a fully modular surrogate each step.
 
-    Both sides are replaced by tight modular bounds at the current set and
-    the resulting affine-modular function is minimized exactly, under any
-    supported constraint.  On a stall the procedure sweeps one permutation
-    per element (pinning that element at the chain boundary) crossed with
-    both upper-bound variants.  For submodular f and g that certifies local
-    optimality; for any other pair the final single-element scan of the
-    descent guarantees it on unconstrained convergence.  If the empty set
-    is infeasible the run bootstraps from the constrained surrogate
-    minimizer anchored at the empty set.  A lower bound is built once per
-    permutation and an upper bound once per set and variant.
+    Both sides are replaced by tight modular bounds at the current set, the
+    lower one along a chain (a tuple of 1..n that ``modular_lower_bound``
+    checks), and the modular function with the upper bound's weights minus
+    the lower bound's is minimized exactly, under any supported constraint.
+    On a stall the procedure sweeps one permutation per element (pinning
+    that element at the chain boundary) crossed with both upper-bound
+    variants.  For submodular f and g that certifies local optimality; for
+    any other pair the final single-element scan of the descent guarantees
+    it on unconstrained convergence.  If the empty set is infeasible the run
+    bootstraps from the constrained surrogate minimizer anchored at the
+    empty set.  A lower bound is built once per permutation and an upper
+    bound once per set and variant.
     """
     opts = opts or SolverOptions()
     constraint.validate(inst.ground.n)
@@ -491,7 +495,7 @@ def mod_mod(inst: DSInstance, opts: SolverOptions | None = None,
         h = modular_lower_bound(run.g, X, sigma)
         out: list[frozenset] = []
         for v in variants:
-            diff = upper(X, v) - h
+            diff = upper(X, v).weights - h.weights
             best = modular_minimize_constrained(diff, constraint)
             alt = modular_maximal_minimizer(diff, constraint)
             out += [best] if alt is None or alt == best else [best, alt]

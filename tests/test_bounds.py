@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from dsmin import (GroundSet, Permutation, SetFunctionOracle, build_function,
-                   ds_decompose, min_norm_point, minima_lower_bounds,
+                   ds_decompose, memoized, min_norm_point, minima_lower_bounds,
                    modular_lower_bound, modular_upper_bound)
 from dsmin.bounds import sqrt_curvature, totally_normalize
 from dsmin.core import (AffineModular, brute_force_minimize, check_submodular,
                         evaluate_table, mask_of)
 from dsmin.functions import decomposition_spec_pair, modular_spec
+from dsmin.solvers import HEURISTICS, _shuffled_chain, choose_permutation
 
 import helpers
 from helpers import check_monotone, sfm_brute_force, totally_normalize_instance
@@ -18,44 +19,54 @@ SQ2 = math.sqrt(2)
 SQ3 = math.sqrt(3)
 
 
-class TestPermutation:
-    def test_chain(self):
-        p = Permutation((2, 1, 3))
-        assert p.prefix(2) == frozenset({1, 2})
-        assert p.chain_contains({2})
-        assert p.chain_contains({1, 2})
-        assert not p.chain_contains({3})
+class TestChain:
+    """A chain is a plain tuple of 1..n; ``modular_lower_bound`` checks it
+    against g's ground set."""
+
+    def test_the_alias_and_the_solvers_give_plain_tuples(self):
+        assert Permutation((1, 2, 3)) == (1, 2, 3) and type(Permutation((1, 2, 3))) is tuple
+        g, rng = memoized(helpers.sqrt_card(3)), np.random.default_rng(0)
+        for heuristic in HEURISTICS:
+            assert type(choose_permutation(heuristic, {2}, g, rng)) is tuple
+        assert type(_shuffled_chain(frozenset({2}), 3, rng, 1)) is tuple
+
+    def test_the_chain_must_contain_y_as_a_prefix(self):
+        g = helpers.sqrt_card(3)
+        for Y in ({2}, {1, 2}, {1, 2, 3}, set()):
+            np.testing.assert_array_equal(modular_lower_bound(g, Y, (2, 1, 3)).weights,
+                                          [SQ2 - 1, 1.0, SQ3 - SQ2])
+        with pytest.raises(ValueError,
+                           match=r"permutation chain \(2, 1, 3\) does not contain \[3\]"):
+            modular_lower_bound(g, {3}, (2, 1, 3))
 
     def test_rejects_non_bijection(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 1, 3))
+        with pytest.raises(ValueError,
+                           match=r"order must be a permutation of 1..3, got \(1, 1, 3\)"):
+            modular_lower_bound(helpers.sqrt_card(3), set(), (1.0, 1, 3))
 
-    @pytest.mark.parametrize("order", [(1.0, 2, 3), (np.int64(1), 2, 3), [3.0, 1, 2]])
-    def test_whole_entries_are_read_as_ints(self, order):
-        p = Permutation(order)
-        assert all(type(j) is int for j in p.order)
-        assert p.order == tuple(int(j) for j in order)
-        h = modular_lower_bound(helpers.sqrt_card(3), {p.order[0]}, p)  # indexes by entry
-        assert h.weights[p.order[0] - 1] == 1.0
+    @pytest.mark.parametrize("sigma", [(1, 2), (1, 2, 3, 4)])
+    def test_a_chain_of_another_length_names_gs_n(self, sigma):
+        # a chain orders all of g's ground set, neither fewer elements nor more
+        with pytest.raises(ValueError, match=r"order must be a permutation of 1..3, got "):
+            modular_lower_bound(helpers.sqrt_card(3), {1}, sigma)
 
-    @pytest.mark.parametrize("order", [(True, 2, 3), (1.5, 2, 3), (1, "2", 3), (math.nan, 2, 3)])
-    def test_entries_that_are_not_whole_numbers_are_rejected(self, order):
+    @pytest.mark.parametrize("sigma", [(1.0, 2, 3), (np.int64(1), 2, 3), [3.0, 1, 2], [3, 1, 2]])
+    def test_whole_entries_and_lists_are_read_as_ints(self, sigma):
+        g = helpers.sqrt_card(3)
+        h = modular_lower_bound(g, {int(sigma[0])}, sigma)
+        assert h.weights[int(sigma[0]) - 1] == 1.0  # indexes by entry
+        ints = tuple(int(j) for j in sigma)
+        np.testing.assert_array_equal(h.weights, modular_lower_bound(g, set(), ints).weights)
+
+    @pytest.mark.parametrize("sigma", [(True, 2, 3), (1.5, 2, 3), (1, "2", 3), (math.nan, 2, 3)])
+    def test_entries_that_are_not_whole_numbers_are_rejected(self, sigma):
         with pytest.raises(ValueError, match="permutation entry must be an integer, got"):
-            Permutation(order)
-
-    def test_an_int_order_is_kept_as_given(self):
-        order = (3, 1, 2)
-        assert Permutation(order).order is order
-
-    def test_a_list_order_becomes_a_tuple(self):
-        p = Permutation([3, 1, 2])
-        assert type(p.order) is tuple and p.order == (3, 1, 2)
-        assert hash(p) == hash(Permutation((3, 1, 2)))
+            modular_lower_bound(helpers.sqrt_card(3), set(), sigma)
 
 
 class TestModularLowerBound:
     def test_sqrt_example(self):
-        h = modular_lower_bound(helpers.sqrt_card(3), {2}, Permutation((2, 1, 3)))
+        h = modular_lower_bound(helpers.sqrt_card(3), {2}, (2, 1, 3))
         assert h.offset == 0.0
         np.testing.assert_allclose(h.weights, [SQ2 - 1, 1.0, SQ3 - SQ2])
 
@@ -65,16 +76,16 @@ class TestModularLowerBound:
         w = np.array([f({j}) for j in range(1, 5)])
         for Y in (frozenset(), frozenset({2, 4})):
             order = sorted(Y) + sorted(set(range(1, 5)) - Y)
-            h = modular_lower_bound(f, Y, Permutation(tuple(order)))
+            h = modular_lower_bound(f, Y, tuple(order))
             np.testing.assert_allclose(h.weights, w, atol=1e-12)
 
     def test_triangle_cut_empty_base(self):
-        h = modular_lower_bound(helpers.triangle_cut(), frozenset(), Permutation((1, 2, 3)))
+        h = modular_lower_bound(helpers.triangle_cut(), frozenset(), (1, 2, 3))
         np.testing.assert_allclose(h.weights, [2.0, 0.0, -2.0])
 
     def test_chain_must_contain_base_set(self):
         with pytest.raises(ValueError):
-            modular_lower_bound(helpers.sqrt_card(3), {3}, Permutation((1, 2, 3)))
+            modular_lower_bound(helpers.sqrt_card(3), {3}, (1, 2, 3))
 
     def test_lower_bounds_everywhere_and_tight_on_chain(self):
         rng = np.random.default_rng(5)
@@ -84,11 +95,11 @@ class TestModularLowerBound:
             Y = frozenset(int(j) for j in range(1, n + 1) if rng.random() < 0.4)
             order = list(rng.permutation(sorted(Y))) + \
                 list(rng.permutation(sorted(set(range(1, n + 1)) - Y)))
-            sigma = Permutation(tuple(int(j) for j in order))
+            sigma = tuple(int(j) for j in order)
             h = modular_lower_bound(g, Y, sigma)
             for S in helpers.all_subsets(n):
                 assert h.value(S) <= g(S) + 1e-9
-            for P in map(sigma.prefix, range(n + 1)):
+            for P in (frozenset(sigma[:i]) for i in range(n + 1)):
                 assert h.value(P) == pytest.approx(g(P), abs=1e-9)
 
 

@@ -7,13 +7,11 @@ import pytest
 
 from dsmin import Constraint
 from dsmin.constraints import modular_maximal_minimizer, modular_minimize_constrained
-from dsmin.core import AffineModular
-
 import helpers
 
 
 def weights(*w):
-    return AffineModular(0.0, np.array(w, dtype=float))
+    return np.array(w, dtype=float)
 
 
 class TestUnconstrained:
@@ -91,10 +89,9 @@ def test_minimizers_keep_the_reference_iteration_order():
         k = int(rng.integers(0, n + 1))
         blocks = [b.tolist() for b in np.array_split(rng.permutation(n) + 1, min(n, 4))]
         quotas = [int(rng.integers(0, len(b) + 1)) for b in blocks]
-        m = AffineModular(0.0, w)
         for c in (Constraint.none(), Constraint.cardinality_le(k),
                   Constraint.cardinality_eq(k), Constraint.partition_matroid(blocks, quotas)):
-            got = (modular_minimize_constrained(m, c), modular_maximal_minimizer(m, c))
+            got = (modular_minimize_constrained(w, c), modular_maximal_minimizer(w, c))
             want = helpers.reference_minimizers(w, c)
             assert [None if s is None else list(s) for s in got] \
                 == [None if s is None else list(s) for s in want]
