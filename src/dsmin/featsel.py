@@ -16,6 +16,13 @@ each query builds a mixed-radix code over A's sorted columns.  Either code
 sorts in the lexicographic order of the rows on A, so every entropy comes
 out exactly as a sort of the rows would give it.
 
+The run counts' p log2 p terms are gathered from tables shared by every
+query of both entropies, one per pair (total, alpha), where total = m +
+alpha (K + 1) for K runs of m rows.  A table holds floats only, a function
+of its pair alone; it grows by doubling to cover the largest count, and all
+tables are dropped together before they would hold more than
+``_PLOGP_MAX_ENTRIES`` entries.  They are the module's one state.
+
 ``empirical_entropy`` and ``conditional_entropy`` check A and alpha unless
 called with ``check=False``.  ``build_objective`` checks alpha once, and its
 f and g call them unchecked on the frozensets their memos are given, which
@@ -161,19 +168,47 @@ def parse_sparse_dataset(path: str) -> Dataset:
     return Dataset(rows, np.asarray(labels))
 
 
+_PLOGP_FIRST_SIZE = 64
+_PLOGP_MAX_ENTRIES = 1 << 18  # 2 MB of float64 held across all tables
+_plogp_tables: dict[tuple[float, float], np.ndarray] = {}
+
+
+def _plogp_table(total: float, alpha: float, top: int) -> np.ndarray:
+    """The new table of (total, alpha): p log2 p at p = (c + alpha) / total in
+    entry c >= 1 and 0.0 in entry 0, with ``_PLOGP_FIRST_SIZE`` entries doubled
+    until they pass ``top``."""
+    size = _PLOGP_FIRST_SIZE
+    while size <= top:
+        size *= 2
+    if sum(map(len, _plogp_tables.values())) + size > _PLOGP_MAX_ENTRIES:
+        _plogp_tables.clear()
+    p = (np.arange(1, size) + alpha) / total
+    table = _plogp_tables[total, alpha] = np.concatenate(([0.0], p * np.log2(p)))
+    return table
+
+
 def _entropy_from_counts(counts: np.ndarray, alpha: float, m: int) -> float:
-    """Entropy of the counts of m samples, with ``alpha`` pseudo-counts.
+    """Entropy of the positive counts of m samples, with ``alpha`` pseudo-counts.
+
+    With K counts, count c has p = (c + alpha) / total, total = m + alpha (K + 1),
+    so its term p log2 p is entry c of the table of (total, alpha).  The gathered
+    terms are the floats ``p * np.log2(p)`` gives, in the same order, so their sum
+    keeps its bits.  A missing table, or a count past a table's end, builds the table
+    anew with the first size, doubled until it covers the largest count: tables
+    are sized from the counts, never from total, which can be huge.
 
     ``np.add.reduce`` is ``ndarray.sum`` without its Python wrapper.  Negating
     the sum gives the bits of summing negated terms: rounding is symmetric."""
-    if alpha == 0.0:
-        p = counts / m
-        return -float(np.add.reduce(p * np.log2(p))) + 0.0  # one run gives -0.0
     # pseudo-count on each observed configuration plus one pooled unseen cell
-    total = m + alpha * (len(counts) + 1)
-    p = (counts + alpha) / total
+    total = m + alpha * (len(counts) + 1)  # float(m) at alpha = 0
+    try:
+        terms = _plogp_tables[total, alpha][counts]
+    except (KeyError, IndexError):  # no table yet, or a count past its end
+        terms = _plogp_table(total, alpha, int(counts.max()))[counts]
+    if alpha == 0.0:
+        return -float(np.add.reduce(terms)) + 0.0  # one run gives -0.0
     q = alpha / total
-    return -float(np.add.reduce(p * np.log2(p))) - q * math.log2(q)
+    return -float(np.add.reduce(terms)) - q * math.log2(q)
 
 
 def _run_lengths(code: np.ndarray) -> np.ndarray:
@@ -323,11 +358,13 @@ class FeatSelObjective:
     def value(self, A: Iterable[int]) -> float:
         """The objective at A, a subset of the features (``ValueError`` otherwise).
 
-        A frozenset is evaluated as it is, not as the checked copy, so that
-        the factored objective's per-feature sum keeps A's order."""
-        A = frozenset(A)
-        self.instance.ground.check_subset(A)
-        return self.instance.value(A)
+        The checked copy of A is evaluated, whose elements are ints, so 2.0 and
+        numpy integers count as 2.  A frozenset of ints is evaluated as it is,
+        so that the factored objective's per-feature sum keeps A's order."""
+        S = self.instance.ground.check_subset(A)
+        if type(A) is frozenset and all(type(j) is int for j in A):
+            S = A
+        return self.instance.value(S)
 
 
 def build_objective(ds: Dataset, cost: CostModel, alpha: float = 1.0,

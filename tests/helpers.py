@@ -10,7 +10,7 @@ from dsmin import DSInstance, GroundSet, SetFunctionOracle, build_function
 from dsmin.bounds import totally_normalize
 from dsmin.core import (FLOAT_TOL, PAIRWISE_MAX_N, AffineModular, evaluate_table,
                         element_indexed, set_of, set_sum)
-from dsmin.featsel import _entropy_from_counts, conditional_entropy, empirical_entropy
+from dsmin.featsel import conditional_entropy, empirical_entropy
 from dsmin.functions import modular_spec
 
 
@@ -228,6 +228,19 @@ def _row_sort_counts(rows):
     return np.unique(rows, axis=0, return_counts=True)[1]
 
 
+def entropy_from_counts_by_sum(counts, alpha, m):
+    """The entropy of positive counts as the terms negated one by one and summed
+    by ``ndarray.sum``: the reference ``featsel._entropy_from_counts`` must match."""
+    if alpha == 0.0:
+        p = counts / m
+        return float(-(p * np.log2(p)).sum()) + 0.0
+    total = m + alpha * (len(counts) + 1)
+    p = (counts + alpha) / total
+    h = -(p * np.log2(p)).sum()
+    q = alpha / total
+    return float(h - q * math.log2(q))
+
+
 def row_sort_entropies(ds, A, alpha):
     """H(X_A) and H(X_A | C) from counts taken by sorting the rows themselves.
 
@@ -236,11 +249,11 @@ def row_sort_entropies(ds, A, alpha):
     if not A:
         return 0.0, 0.0
     sub = ds.rows[:, sorted(j - 1 for j in A)]
-    joint = _entropy_from_counts(_row_sort_counts(sub), alpha, len(sub))
+    joint = entropy_from_counts_by_sum(_row_sort_counts(sub), alpha, len(sub))
     cond = 0.0
     for idx in ds._class_rows:
         counts = _row_sort_counts(sub[idx])
-        cond += (len(idx) / ds.n_rows) * _entropy_from_counts(counts, alpha, len(idx))
+        cond += (len(idx) / ds.n_rows) * entropy_from_counts_by_sum(counts, alpha, len(idx))
     return joint, cond
 
 

@@ -437,18 +437,6 @@ class TestObjective:
                 greedy_select(ds, cost, mode)
 
 
-def _entropy_from_counts_by_sum(counts, alpha, m):
-    """The entropy as the terms negated one by one and summed by ``ndarray.sum``."""
-    if alpha == 0.0:
-        p = counts / m
-        return float(-(p * np.log2(p)).sum()) + 0.0
-    total = m + alpha * (len(counts) + 1)
-    p = (counts + alpha) / total
-    h = -(p * np.log2(p)).sum()
-    q = alpha / total
-    return float(h - q * math.log2(q))
-
-
 class TestUncheckedQueries:
     """The objective's f and g call the entropies with ``check=False``; the
     entropies' default and ``FeatSelObjective.value`` keep every check."""
@@ -487,17 +475,53 @@ class TestUncheckedQueries:
                     assert obj.instance.f(A).hex() == (cond + evaluate_cost(cost, A)).hex()
                     assert obj.instance.g(A).hex() == empirical_entropy(ds, A, alpha).hex()
 
-    def test_entropy_from_counts_keeps_the_bits_of_summing_negated_terms(self):
+    def test_entropy_from_counts_keeps_the_bits_of_summing_negated_terms(self, monkeypatch):
+        """Also where counts share, grow and drop the p log2 p tables."""
+        tables = {}
+        monkeypatch.setattr(featsel, "_plogp_tables", tables)
+
+        def check(counts, alpha):
+            counts = np.asarray(counts)
+            m = int(counts.sum())
+            got = _entropy_from_counts(counts, alpha, m)
+            assert type(got) is float
+            assert got.hex() == helpers.entropy_from_counts_by_sum(counts, alpha, m).hex()
+
         rng = np.random.default_rng(2052)
         cases = [np.array([m]) for m in (1, 7, 256)]  # one run: -0.0 becomes 0.0
         cases += [rng.integers(1, 40, k) for k in (2, 3, 7, 8, 9, 16, 129, 300) for _ in range(4)]
         for counts in cases:
-            m = int(counts.sum())
             for alpha in (0.0, 0.3, 1.0, 2.5):
-                got = _entropy_from_counts(counts, alpha, m)
-                assert type(got) is float
-                assert got.hex() == _entropy_from_counts_by_sum(counts, alpha, m).hex()
+                check(counts, alpha)
         assert math.copysign(1.0, _entropy_from_counts(np.array([5]), 0.0, 5)) == 1.0
+
+        first = featsel._PLOGP_FIRST_SIZE
+        tables.clear()  # m = 10 with K = 3 and m = 9 with K = 4: total 14 at alpha 1
+        check([2, 3, 5], 1.0)
+        check([1, 2, 3, 3], 1.0)
+        assert list(tables) == [(14.0, 1.0)]
+        tables.clear()  # at alpha 0 the total is m, whatever K
+        for counts in ([12], [6, 6], [3, 4, 5], [1] * 12):
+            check(counts, 0.0)
+        assert list(tables) == [(12.0, 0.0)]
+        tables.clear()  # a count past a table's size rebuilds it, doubling until it fits
+        check([1] * 201, 0.0)
+        assert len(tables[201.0, 0.0]) == first
+        check([1, 200], 0.0)
+        assert len(tables[201.0, 0.0]) == 4 * first
+        check([3, 5], 1e300)  # sized from the counts, not from the huge total
+        assert len(tables[8 + 3e300, 1e300]) == first
+
+        monkeypatch.setattr(featsel, "_PLOGP_MAX_ENTRIES", 2 * first)
+        tables.clear()  # every table goes before one would pass the entries cap
+        check([1, 2], 1.0)
+        check([1, 3], 1.0)
+        assert list(tables) == [(6.0, 1.0), (7.0, 1.0)]
+        check([1, 4], 1.0)
+        assert list(tables) == [(8.0, 1.0)]
+        check([1, 8 * first], 0.0)  # a table larger than the cap is still built
+        assert list(tables) == [(8 * first + 1.0, 0.0)]
+        assert len(tables[8 * first + 1.0, 0.0]) == 16 * first
 
     @pytest.mark.parametrize("j, message", [
         (0, "element 0 outside ground set 1..4"), (5, "element 5 outside ground set 1..4"),
@@ -582,6 +606,19 @@ class TestUncheckedQueries:
         S, trace = greedy_select(ds, CostModel.modular_cardinality(0.01), "GrNF")
         assert len(trace.iterates) == 5 and trace.oracle_calls > 5 * ds.n_features
         assert len(calls) == len(trace.iterates)
+
+    @pytest.mark.parametrize("mode", ["non_factored", "factored"])
+    @pytest.mark.parametrize("A", [[2.0, 3.0], frozenset({2.0, 3.0}),
+                                   [np.int64(2), np.int64(3)], frozenset(np.arange(2, 4))])
+    def test_value_evaluates_the_checked_set_on_a_fresh_objective(self, A, mode):
+        """Whole floats and numpy integers are evaluated as ints, with no
+        earlier query of the set in the memos."""
+        _, (ds, wide) = self.datasets()
+        for data in (ds, wide):
+            def value(X):
+                return build_objective(data, CostModel.modular_cardinality(0.05), 1.0,
+                                       mode).value(X)
+            assert value(A).hex() == value({2, 3}).hex()
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_value_evaluates_a_frozenset_in_its_own_order(self, alpha):
