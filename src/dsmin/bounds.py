@@ -118,7 +118,8 @@ def ds_decompose(v: SetFunctionOracle,
     submodular sqrt-cardinality term.  With ``scale = |alpha| / beta`` the
     pair ``f = v + scale * sqrt|X|`` and ``g = scale * sqrt|X|`` is
     submodular and reconstructs v exactly; a non-negative alpha gives scale
-    0 (v is submodular already).
+    0 (v is submodular already), and so does n < 2, where every set function
+    is modular and beta is undefined (NaN).
 
     Computing ``alpha`` exhaustively is exponential, so it is guarded to
     n <= 16; for larger ground sets a valid lower bound ``alpha_lb``, a
@@ -142,7 +143,7 @@ def ds_decompose(v: SetFunctionOracle,
         raise ValueError(f"n={n} > {PAIRWISE_MAX_N}: supply alpha_lb to decompose")
 
     beta = sqrt_curvature(n) if n >= 2 else math.nan
-    scale = 0.0 if alpha >= 0.0 else abs(alpha) / beta
+    scale = 0.0 if alpha >= 0.0 or n < 2 else abs(alpha) / beta
     return alpha, beta, scale
 
 

@@ -18,8 +18,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from .bounds import ds_decompose, minima_lower_bounds
 from .constraints import Constraint
 from .core import (TABLE_MAX_N, GroundSet, SetFunctionOracle, brute_force_minimize,
@@ -82,7 +80,8 @@ def _build_parser() -> _Parser:
     fs.add_argument("--methods", default="all",
                     help=f"'all' or comma list of {','.join(FEATSEL_METHODS)}")
     fs.add_argument("--cost", choices=("modular", "partition_sqrt"), default="modular")
-    fs.add_argument("--blocks", help="JSON file {blocks: [[...]], weights?: [...]}")
+    fs.add_argument("--blocks", help="JSON file {blocks: [[...]], weights?: [...]}; "
+                    "given exactly when --cost is partition_sqrt")
     fs.add_argument("--alpha", type=float, default=1.0,
                     help="entropy and naive Bayes smoothing; f and g are submodular only at 0")
     fs.add_argument("--folds", type=int, default=10)
@@ -245,10 +244,10 @@ def cmd_featsel(args: argparse.Namespace) -> int:
         whole(args.budget, "budget", 0)
         if "subsup" in methods:
             raise UsageError("--budget cannot constrain subsup; leave subsup out of --methods")
+    if (args.blocks is not None) != (args.cost == "partition_sqrt"):
+        raise UsageError("--blocks is given exactly when --cost is partition_sqrt")
     if args.cost == "modular":
         costs = [CostModel.modular_cardinality(lam) for lam in lambdas]
-    elif not args.blocks:
-        raise UsageError("partition_sqrt cost needs --blocks")
     else:
         doc = _read_json(args.blocks, "blocks")
         try:  # the keys of the blocks object are arguments of partition_sqrt
@@ -262,8 +261,6 @@ def cmd_featsel(args: argparse.Namespace) -> int:
     constraint = (Constraint.none() if args.budget is None
                   else Constraint.cardinality_le(min(args.budget, ds.n_features)))
     objectives = [build_objective(ds, cost, args.alpha, "non_factored") for cost in costs]
-    majority = float(np.max(np.bincount(
-        np.unique(ds.labels, return_inverse=True)[1])) / ds.n_rows)
 
     print(f"dataset: {args.data} ({ds.n_rows} rows, {ds.n_features} features)")
     print(f"seed: {args.seed}")
@@ -277,8 +274,7 @@ def cmd_featsel(args: argparse.Namespace) -> int:
                 selected = SOLVERS[method](objective.instance, opts, constraint).final_set
             obj_val = objective.value(selected)
             cost_val = evaluate_cost(cost, selected)
-            acc = (naive_bayes_cv(ds, selected, args.folds, args.alpha, args.seed)
-                   if selected else majority)
+            acc = naive_bayes_cv(ds, selected, args.folds, args.alpha, args.seed)
             rows.append({"lambda": lam, "method": method,
                          "selected_features": sorted(selected),
                          "objective": obj_val, "cost": cost_val, "accuracy": acc})

@@ -389,10 +389,10 @@ def min_gain_drop(table: np.ndarray, n: int) -> float:
     return alpha
 
 
-def check_submodular(f: SetFunctionOracle, tol: float = FLOAT_TOL) -> bool:
-    """True iff no gain of f grows by more than tol from a context to a bigger
-    one: ``min_gain_drop`` of f's full table is >= -tol.  Refuses n > 16."""
+def check_submodular(f: SetFunctionOracle) -> bool:
+    """True iff ``min_gain_drop`` of f's full table is >= -``FLOAT_TOL``: no gain
+    grows by more than that from a context to a bigger one.  Refuses n > 16."""
     n = f.ground.n
     if n > PAIRWISE_MAX_N:
         raise ValueError(f"submodularity check refused for n={n} > {PAIRWISE_MAX_N}")
-    return min_gain_drop(evaluate_table(f), n) >= -tol
+    return min_gain_drop(evaluate_table(f), n) >= -FLOAT_TOL

@@ -307,11 +307,8 @@ class CostModel:
                 if seen & b:
                     raise ValueError("cost blocks must be disjoint")
                 seen |= b
-            try:
-                weights = tuple(nonnegative(w, "cost weight") for w in self.weights)
-            except ValueError:
-                raise ValueError("cost weights must be finite and non-negative") from None
-            object.__setattr__(self, "weights", weights)
+            object.__setattr__(self, "weights",
+                               tuple(nonnegative(w, "cost weight") for w in self.weights))
 
     @staticmethod
     def modular_cardinality(lam: float) -> "CostModel":
@@ -439,13 +436,12 @@ def naive_bayes_cv(ds: Dataset, A: Iterable[int], folds: int = 10,
 
     Laplace smoothing ``alpha`` on both class priors and per-feature
     likelihoods; fold assignment is stratified by class and deterministic
-    in the seed.  Prediction ties go to the lower class value.
+    in the seed.  Prediction ties go to the lower class value.  An empty A
+    scores the class prior alone (each fold's most frequent training class).
     """
     alpha = nonnegative(alpha, "smoothing")
     A = ds.ground.check_subset(A)
     folds = whole(folds, "folds", 2)
-    if not A:
-        raise ValueError("feature set must be non-empty")
     cols = sorted(j - 1 for j in A)
     X = ds.rows[:, cols].astype(np.int64)
     _, y = np.unique(ds.labels, return_inverse=True)

@@ -67,26 +67,23 @@ from .core import (FLOAT_TOL, MemoizedOracle, SetFunctionOracle, element_indexed
                    memoized, real_array, set_sum)
 
 
-def greedy_base_vertex(f: SetFunctionOracle, direction, w=None, base: frozenset = frozenset(),
-                       elements=None) -> list[float]:
-    """Linear optimization over the base polytope of a normalized submodular f - w.
+def greedy_base_vertex(f: SetFunctionOracle, direction, w, base: frozenset, E) -> list[float]:
+    """Linear optimization over the base polytope of F: S -> f(A | S) - f(A) - w(S)
+    over E, an ascending list of elements outside ``base`` A.
 
-    Returns the coordinate list of the argmin over the base polytope of the
-    inner product with the sequence ``direction``: elements are sorted by
-    ascending direction value (ties by position) and the vertex coordinates
-    are f's telescoped gains along that order, minus the weights ``w`` if
-    given.  Given ``elements`` E, an ascending list of elements outside
-    ``base`` A, the same for S -> f(A | S) - f(A) - w(S) over E, indexed by
-    E's order.  f is read through ``memoized``, along one chain.
+    Returns the coordinate list, in E's order, of the argmin over that
+    polytope of the inner product with the sequence ``direction``: E is
+    sorted by ascending direction value (ties by position) and the vertex
+    coordinates are f's telescoped gains from A along that order, minus w.
+    f is read through ``memoized``, along one chain.
     """
-    E = range(1, f.ground.n + 1) if elements is None else elements
     if len(direction) != len(E):
         raise ValueError(f"direction must have length {len(E)}")
     by = sorted(range(len(E)), key=direction.__getitem__)
     q = [0.0] * len(E)
     for i, gain in zip(by, memoized(f).chain_gains([E[i] for i in by], base)):
         q[i] = gain
-    return q if w is None else list(map(sub, q, w))
+    return list(map(sub, q, w))
 
 
 def _dot(a: list[float], b: list[float]) -> float:
@@ -235,7 +232,8 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
 
     Narrows the minimizers to a lattice [A, B] (``_minimizer_lattice``), then
     runs Wolfe's major/minor cycle on F: S -> f(A | S) - f(A) - w(S) over
-    E = B - A, m = |E|, on float lists (module docstring); none if A = B.
+    E = B - A, m = |E|, on float lists (module docstring); none if A = B,
+    the one minimizer, returned as both X and Y.
     Each major cycle makes the greedy vertex q at the iterate x and stops,
     in this order: if q sums to at most x^-(E) + ``ROUND_TOL`` on both
     {x < -ROUND_TOL} and {x < ROUND_TOL} (prefixes of q's chain, so q sums
@@ -258,53 +256,52 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     if not abs(f0 := fm.at(0, frozenset())) <= FLOAT_TOL:  # also rejects NaN
         raise ValueError(f"f must be normalized: value at empty set is {f0!r}")
     A, B = _minimizer_lattice(fm, weights)
-    if A == B:
-        return A, fm.at(mask_of(A), A) - set_sum(element_indexed(weights), A), A
+    X = Y = A  # A = B: the lattice settles the SFM
+    if A != B:
+        E = sorted(B - A)
+        m = len(E)
+        wE = [weights[j - 1] for j in E]
+        x = greedy_base_vertex(fm, [0.0] * m, wE, A, E)
+        xx = _dot(x, x)
+        # the corral, its squared norms, x's weights and the corral's factor (``_append``)
+        S, norms, lam, R, z = [x], [xx], [1.0], [], []
+        _append(R, z, [], x, xx)
 
-    E = sorted(B - A)
-    m = len(E)
-    wE = [weights[j - 1] for j in E]
-    x = greedy_base_vertex(fm, [0.0] * m, wE, A, E)
-    xx = _dot(x, x)
-    # the corral, its squared norms, x's weights and the corral's factor (``_append``)
-    S, norms, lam, R, z = [x], [xx], [1.0], [], []
-    _append(R, z, [], x, xx)
-
-    for _ in range(100 * m * m):
-        q = greedy_base_vertex(fm, x, wE, A, E)
-        if _certified(x, q):
-            break
-        xx, qq = _dot(x, x), _dot(q, q)
-        corr = max(1.0, xx, qq, max(norms))
-        gap = xx - _dot(x, q)
-        if gap <= _GAP_TOL * corr:
-            break
-        if not _append(R, z, S, q, qq):
-            break  # q in the affine hull of S: its gap is 0 but for rounding
-        S.append(q)
-        norms.append(qq)
-        lam.append(0.0)
-
-        while True:  # each pass that does not accept drops a vertex
-            coeffs = _affine_weights(R, z)
-            if min(coeffs) >= -_DROP_TOL:
-                x, lam = _combination(coeffs, S), [max(c, 0.0) for c in coeffs]
+        for _ in range(100 * m * m):
+            q = greedy_base_vertex(fm, x, wE, A, E)
+            if _certified(x, q):
                 break
-            # step toward the affine minimizer until the first coefficient hits zero
-            theta = min(a / (a - c) for a, c in zip(lam, coeffs) if c < -_DROP_TOL)
-            lam = [(1.0 - theta) * a + theta * c for a, c in zip(lam, coeffs)]
-            keep = [a > _DROP_TOL for a in lam]
-            for i in range(len(keep) - 1, -1, -1):
-                if not keep[i]:
-                    _drop(R, z, i)
-            S, norms, lam = _kept(S, keep), _kept(norms, keep), _kept(lam, keep)
-            total = 0.0
-            for a in lam:
-                total += a
-            lam = [a / total for a in lam]
-    else:
-        raise RuntimeError(f"min-norm point did not converge (gap={gap:.3e})")
+            xx, qq = _dot(x, x), _dot(q, q)
+            corr = max(1.0, xx, qq, max(norms))
+            gap = xx - _dot(x, q)
+            if gap <= _GAP_TOL * corr:
+                break
+            if not _append(R, z, S, q, qq):
+                break  # q in the affine hull of S: its gap is 0 but for rounding
+            S.append(q)
+            norms.append(qq)
+            lam.append(0.0)
 
-    X = A | frozenset([j for j, v in zip(E, x) if v < -ROUND_TOL])
-    Y = A | frozenset([j for j, v in zip(E, x) if v < ROUND_TOL])
+            while True:  # each pass that does not accept drops a vertex
+                coeffs = _affine_weights(R, z)
+                if min(coeffs) >= -_DROP_TOL:
+                    x, lam = _combination(coeffs, S), [max(c, 0.0) for c in coeffs]
+                    break
+                # step toward the affine minimizer until the first coefficient hits zero
+                theta = min(a / (a - c) for a, c in zip(lam, coeffs) if c < -_DROP_TOL)
+                lam = [(1.0 - theta) * a + theta * c for a, c in zip(lam, coeffs)]
+                keep = [a > _DROP_TOL for a in lam]
+                for i in range(len(keep) - 1, -1, -1):
+                    if not keep[i]:
+                        _drop(R, z, i)
+                S, norms, lam = _kept(S, keep), _kept(norms, keep), _kept(lam, keep)
+                total = 0.0
+                for a in lam:
+                    total += a
+                lam = [a / total for a in lam]
+        else:
+            raise RuntimeError(f"min-norm point did not converge (gap={gap:.3e})")
+
+        X = A | frozenset([j for j, v in zip(E, x) if v < -ROUND_TOL])
+        Y = A | frozenset([j for j, v in zip(E, x) if v < ROUND_TOL])
     return X, fm.at(mask_of(X), X) - set_sum(element_indexed(weights), X), Y

@@ -1,7 +1,7 @@
 """Approximate maximization of f - w, f (possibly non-monotone) submodular.
 
 Each maximizer takes an oracle f and a weight list w of length n indexed
-by ``j - 1`` (None means zero), as ``sfm.min_norm_point`` minimizes f - w:
+by ``j - 1``, as ``sfm.min_norm_point`` minimizes f - w:
 a step compares f's change with one weight, so w is never summed over a set.
 The ground set 1..n is f's own, ``f.ground``; a w of another length is
 refused.  f is read through ``memoized`` by the memo's keyed reads, so a
@@ -24,12 +24,12 @@ from .core import SetFunctionOracle, best_flip, memoized, whole
 DG_MODES = ("deterministic", "randomized")
 
 
-def _check_weights(w: list[float] | None, f: SetFunctionOracle) -> None:
-    if w is not None and len(w) != f.ground.n:
+def _check_weights(w: list[float], f: SetFunctionOracle) -> None:
+    if len(w) != f.ground.n:
         raise ValueError(f"weights must have length {f.ground.n}, got {len(w)}")
 
 
-def double_greedy(f: SetFunctionOracle, w: list[float] | None,
+def double_greedy(f: SetFunctionOracle, w: list[float],
                   mode: str = "deterministic", seed: int | None = None) -> frozenset:
     """One bi-directional pass of f - w over the elements in index order.
 
@@ -49,7 +49,6 @@ def double_greedy(f: SetFunctionOracle, w: list[float] | None,
     _check_weights(w, f)
     rng = np.random.default_rng(seed) if mode == "randomized" else None
     f, ground = memoized(f), f.ground
-    w = [0.0] * ground.n if w is None else w
     A: set[int] = set()
     B: set[int] = set(ground.elements())
     kA, kB = 0, (1 << ground.n) - 1  # the bitmasks of A and B
@@ -74,7 +73,7 @@ def double_greedy(f: SetFunctionOracle, w: list[float] | None,
     return frozenset(A)
 
 
-def greedy_cardinality_max(f: SetFunctionOracle, w: list[float] | None, k: int) -> frozenset:
+def greedy_cardinality_max(f: SetFunctionOracle, w: list[float], k: int) -> frozenset:
     """Up to k greedy additions to f - w of the best strictly-positive-gain
     element; k is a whole number in 0..n."""
     _check_weights(w, f)
@@ -88,15 +87,18 @@ def greedy_cardinality_max(f: SetFunctionOracle, w: list[float] | None, k: int) 
     return S
 
 
-def local_search_max(f: SetFunctionOracle, w: list[float] | None, start,
+def local_search_max(f: SetFunctionOracle, w: list[float], start,
                      feasible: Callable[[frozenset], bool] | None = None) -> frozenset:
     """Hill-climb on f - w by single adds/deletes until no move strictly improves it.
 
-    With ``feasible`` given, only moves to sets it accepts are considered.
-    Every step strictly raises f - w, so no set repeats and the climb ends.
+    With ``feasible`` given, only moves to sets it accepts are considered,
+    and a start it rejects is a ``ValueError``.  Every step strictly raises
+    f - w, so no set repeats and the climb ends.
     """
     _check_weights(w, f)
     f, S = memoized(f), f.ground.check_subset(start)
+    if feasible is not None and not feasible(S):
+        raise ValueError(f"start {sorted(S)} is not feasible")
     while (T := best_flip(f, S, feasible=feasible, w=w, sign=-1.0)) is not None:
         S = T
     return S

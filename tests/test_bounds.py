@@ -279,6 +279,13 @@ class TestDSDecompose:
         assert scale == pytest.approx(2.0 / sqrt_curvature(3))
         assert check_submodular(decomposition(v, scale)[0])
 
+    def test_one_element_has_scale_zero_under_a_negative_alpha_lb(self):
+        # every set function on one element is modular; beta is undefined
+        # there, and the scale was |alpha_lb| / NaN
+        v = SetFunctionOracle(GroundSet(1), lambda S: float(len(S)))
+        alpha, beta, scale = ds_decompose(v, alpha_lb=-1.0)
+        assert alpha == -1.0 and math.isnan(beta) and scale == 0.0
+
     def test_large_n_requires_lower_bound(self):
         v = SetFunctionOracle(GroundSet(17), lambda S: float(len(S)))
         with pytest.raises(ValueError):

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dsmin import GroundSet, build_function, instance_from_dict
 from dsmin.cli import FEATSEL_METHODS, main
+from dsmin.featsel import naive_bayes_cv, parse_sparse_dataset
 from dsmin.functions import modular_spec, sqrt_cardinality_spec
 
 from helpers import graph_cut_spec, table_spec
@@ -218,6 +223,19 @@ class TestOptimize:
         assert main(["optimize", "--instance", instance, "--out", out]) == 2
         assert capsys.readouterr().err.startswith("runtime error: ")
 
+    @pytest.mark.parametrize("args,status", [
+        (["--help"], 0), (["optimize"], 0), (["optimize", "--bogus"], 1),
+        (["optimize", "--out", "no-such-dir/run"], 2)])
+    def test_the_module_entry_point_exits_with_mains_status(self, instance, tmp_path,
+                                                            args, status):
+        # what the shell sees from `python -m dsmin.cli`, not main()'s return value
+        if args[0] == "optimize":
+            args = [*args, "--instance", instance]
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        done = subprocess.run([sys.executable, "-m", "dsmin.cli", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == status, done.stderr
+
     def test_oracle_calls_are_run_totals(self, instance, tmp_path, capsys):
         out = str(tmp_path / "run")
         assert main(["optimize", "--instance", instance, "--algo", "subsup", "--out", out]) == 0
@@ -332,6 +350,21 @@ class TestDecompose:
         pair = json.loads(out.read_text(), parse_constant=reject)
         assert (pair["alpha"], pair["beta"], pair["scale"]) == (None, None, 0.0)
         assert _rebuilds(pair, modular_spec([2.0]), [frozenset(), {1}])
+
+    def test_one_element_under_a_negative_alpha_lb_pairs_v_with_zero(self, tmp_path, capsys):
+        # the scale was |alpha_lb| / NaN, written as NaN into both specs
+        doc = tmp_path / "v.json"
+        doc.write_text(json.dumps({"n": 1, "v": modular_spec([1.0]), "alpha_lb": -1.0}))
+        out = tmp_path / "fg.json"
+        assert main(["decompose", "--instance", str(doc), "--out", str(out)]) == 0
+        assert "scale: 0.000000" in capsys.readouterr().out
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        pair = json.loads(out.read_text(), parse_constant=reject)
+        assert (pair["alpha"], pair["beta"], pair["scale"]) == (-1.0, None, 0.0)
+        assert (pair["f"], pair["g"]) == (modular_spec([1.0]), modular_spec([0.0]))
 
     def test_bad_document_exits_1(self, tmp_path):
         doc = tmp_path / "v.json"
@@ -464,7 +497,20 @@ class TestFeatsel:
         path.write_text('{"blocks": [[1, 2], [3]], "weights": [1.0, NaN, 1.0]}')
         assert main(["featsel", "--data", dataset, "--cost", "partition_sqrt",
                      "--blocks", str(path)]) == 1
-        assert capsys.readouterr().err.startswith("error: cost weights must be finite")
+        assert capsys.readouterr().err == "error: cost weight must be finite and >= 0, got nan\n"
+
+    @pytest.mark.parametrize("cost", [[], ["--cost", "modular"], ["--cost", "partition_sqrt"]])
+    def test_blocks_go_with_partition_sqrt_and_only_with_it(self, dataset, tmp_path, capsys,
+                                                             cost):
+        # a blocks file that does not even cover the features was ignored
+        # under the modular cost
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"blocks": [[1]]}))
+        blocks = [] if cost[-1:] == ["partition_sqrt"] else ["--blocks", str(path)]
+        assert main(["featsel", "--data", dataset, *cost, *blocks]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: --blocks is given exactly when --cost is partition_sqrt\n"
 
     def test_blocks_file_without_blocks_exits_1(self, dataset, tmp_path, capsys):
         path = tmp_path / "b.json"
@@ -491,6 +537,21 @@ class TestFeatsel:
                      "--blocks", str(path)]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: malformed blocks")
+
+    def test_an_empty_selection_is_scored_by_naive_bayes(self, tmp_path):
+        # the prior alone: two folds train on a 1:1 tie (all labelled 0, 1 of 3
+        # right) and on two 1s and one 0 (1 of 2 right); the whole-data
+        # majority fraction that used to stand in for it is 3/5
+        path = tmp_path / "d.libsvm"
+        path.write_text("1 1:1\n1 2:1\n1\n0 1:1\n0 2:1\n")
+        out = str(tmp_path / "fs")
+        assert main(["featsel", "--data", str(path), "--folds", "2", "--lambdas", "50",
+                     "--out", out]) == 0
+        results = json.loads((tmp_path / "fs.json").read_text())["results"]
+        prior = naive_bayes_cv(parse_sparse_dataset(str(path)), frozenset(), 2, 1.0, 0)
+        assert prior == pytest.approx(5 / 12)
+        assert len(results) == 5
+        assert all(r["selected_features"] == [] and r["accuracy"] == prior for r in results)
 
     def test_label_only_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "labels.libsvm"

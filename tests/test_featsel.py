@@ -368,7 +368,7 @@ class TestCostModel:
 
     @pytest.mark.parametrize("w", [math.nan, math.inf, -1.0, True, "1.5"])
     def test_rejects_bad_partition_weights(self, w):
-        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        with pytest.raises(ValueError, match=re.escape(f"cost weight must be finite and >= 0, got {w!r}")):
             CostModel.partition_sqrt([[1, 2]], [1.0, w], 1.0)
 
     @pytest.mark.parametrize("element", [True, 1.5, "1", math.nan])
@@ -384,7 +384,7 @@ class TestCostModel:
         assert all(type(i) is int for b in cm.blocks for i in b)
 
     def test_hand_built_weights_are_checked_and_stored_as_floats(self):
-        with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        with pytest.raises(ValueError, match="cost weight must be finite and >= 0, got True"):
             CostModel("partition_sqrt", 1.0, (frozenset({1, 2}),), (1.0, True))
         cm = CostModel("partition_sqrt", 1.0, (frozenset({1, 2}),), (1, np.float64(2.5)))
         assert cm.weights == (1.0, 2.5) and all(type(w) is float for w in cm.weights)
@@ -718,10 +718,13 @@ class TestNaiveBayes:
         b = naive_bayes_cv(ds, {1, 2}, folds=4, alpha=1.0, seed=9)
         assert a == b
 
-    def test_requires_nonempty_features(self):
-        ds = synthetic_complementary()
-        with pytest.raises(ValueError):
-            naive_bayes_cv(ds, frozenset())
+    def test_the_empty_set_scores_the_class_prior(self):
+        # each training fold of three holds four class-0 rows and two class-1
+        # rows, so the prior alone labels every test row 0; a constant feature
+        # has likelihood 1 in every class and adds nothing to it
+        ds = Dataset(np.zeros((9, 1), dtype=int), np.array([0] * 6 + [1] * 3))
+        assert naive_bayes_cv(ds, frozenset(), folds=3) == pytest.approx(2 / 3)
+        assert naive_bayes_cv(ds, frozenset(), folds=3) == naive_bayes_cv(ds, {1}, folds=3)
 
     def test_folds_must_be_whole(self):
         ds = synthetic_complementary()

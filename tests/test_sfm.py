@@ -20,19 +20,25 @@ SQ2 = math.sqrt(2)
 SQ3 = math.sqrt(3)
 
 
+def _vertex(f, direction, w=None):
+    """The greedy base vertex of f - w over f's whole ground set, w zero by default."""
+    E = list(f.ground.elements())
+    return greedy_base_vertex(f, direction, [0.0] * len(E) if w is None else w, frozenset(), E)
+
+
 class TestGreedyBaseVertex:
     def test_zero_direction_tie_breaks_by_index(self):
-        x = greedy_base_vertex(helpers.sqrt_card(3), np.zeros(3))
+        x = _vertex(helpers.sqrt_card(3), np.zeros(3))
         np.testing.assert_allclose(x, [1.0, SQ2 - 1, SQ3 - SQ2])
 
     def test_modular_is_a_point(self):
         w = [-1.0, 2.0, 0.5]
         f = build_function(modular_spec(w))
         for d in (np.zeros(3), np.array([3.0, -1.0, 0.2])):
-            np.testing.assert_allclose(greedy_base_vertex(f, d), w, atol=1e-12)
+            np.testing.assert_allclose(_vertex(f, d), w, atol=1e-12)
 
     def test_cut_descending_direction(self):
-        x = greedy_base_vertex(helpers.triangle_cut(), np.array([3.0, 2.0, 1.0]))
+        x = _vertex(helpers.triangle_cut(), np.array([3.0, 2.0, 1.0]))
         np.testing.assert_allclose(x, [-2.0, 0.0, 2.0])
 
     def test_weights_are_subtracted_exactly(self):
@@ -41,12 +47,26 @@ class TestGreedyBaseVertex:
             n = int(rng.integers(2, 9))
             f = helpers.random_submodular(rng, n)
             d, w = rng.normal(0, 1, n), rng.normal(0, 1, n)
-            np.testing.assert_array_equal(greedy_base_vertex(f, d, w),
-                                          greedy_base_vertex(f, d) - w)
+            np.testing.assert_array_equal(_vertex(f, d, w), np.asarray(_vertex(f, d)) - w)
 
     def test_bad_direction_length(self):
-        with pytest.raises(ValueError):
-            greedy_base_vertex(helpers.sqrt_card(3), np.zeros(4))
+        with pytest.raises(ValueError, match="direction must have length 3"):
+            _vertex(helpers.sqrt_card(3), np.zeros(4))
+
+    def test_contraction_telescopes_gains_from_the_base(self):
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            n = int(rng.integers(3, 8))
+            f = helpers.random_submodular(rng, n)
+            A = frozenset(j for j in f.ground.elements() if rng.random() < 0.4)
+            E = sorted(f.ground.full - A)
+            d, w = rng.normal(0, 1, len(E)), rng.normal(0, 1, len(E)).tolist()
+            q = greedy_base_vertex(f, d, w, A, E)
+            prev, P = f(A), set(A)
+            for i in np.argsort(d, kind="stable"):
+                P.add(E[i])
+                assert q[i] == pytest.approx(f(frozenset(P)) - prev - w[i], abs=1e-12)
+                prev = f(frozenset(P))
 
     def test_vertex_lies_in_base_polytope(self):
         rng = np.random.default_rng(21)
@@ -54,7 +74,7 @@ class TestGreedyBaseVertex:
             n = int(rng.integers(2, 7))
             f = helpers.random_submodular(rng, n)
             d = rng.normal(0, 1, n)
-            x = greedy_base_vertex(f, d)
+            x = _vertex(f, d)
             assert sum(x) == pytest.approx(f(f.ground.full), abs=1e-9)
             for S in helpers.all_subsets(n):
                 assert sum(x[j - 1] for j in S) <= f(S) + 1e-9
@@ -69,7 +89,7 @@ class TestGreedyBaseVertex:
             n = int(rng.integers(2, 6))
             f = helpers.random_submodular(rng, n)
             d = rng.normal(0, 1, n)
-            x = greedy_base_vertex(f, d)
+            x = _vertex(f, d)
             # compare against every vertex from every permutation
             import itertools
             for order in itertools.permutations(range(1, n + 1)):
@@ -110,7 +130,7 @@ class TestMinNormPoint:
         for n, family in ((12, "facility"), (13, "scaled_sum"), (14, "facility"),
                           (14, "scaled_sum")):
             h = helpers.FAMILY_BUILDERS[family](rng, n)
-            w = greedy_base_vertex(h, rng.normal(0, 1, n)) + rng.normal(0, 0.3, n)
+            w = _vertex(h, rng.normal(0, 1, n)) + rng.normal(0, 0.3, n)
             cases.append(SetFunctionOracle(
                 h.ground, lambda S, h=h, w=w: h(S) - sum(w[j - 1] for j in S)))
         for f in cases:
@@ -125,7 +145,7 @@ class TestMinNormPoint:
         for _ in range(8):
             n = int(rng.integers(2, 11))
             f = helpers.FAMILY_BUILDERS[family](rng, n)
-            w = greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
+            w = _vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
             X, val, Y = min_norm_point(f, w)
             best_X, best, best_Y = helpers.sfm_brute_force(f, w)
             assert (X, Y) == (best_X, best_Y)  # the minimal and maximal minimizers
@@ -198,8 +218,8 @@ def _lattice_weights(rng, f, kind):
     chain), or ties on some elements only (2)."""
     n = f.ground.n
     if kind == 0:
-        return greedy_base_vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
-    w = np.asarray(greedy_base_vertex(f, rng.normal(0, 1, n)))
+        return _vertex(f, rng.normal(0, 1, n)) + rng.normal(0, 0.5, n)
+    w = np.asarray(_vertex(f, rng.normal(0, 1, n)))
     return w if kind == 1 else w + np.where(rng.random(n) < 0.5, rng.normal(0, 0.5, n), 0.0)
 
 

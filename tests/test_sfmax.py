@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,18 @@ from dsmin.sfmax import double_greedy, greedy_cardinality_max, local_search_max
 import helpers
 
 
+def _zeros(f):
+    return [0.0] * f.ground.n
+
+
 class TestDoubleGreedy:
     def test_modular_is_exact(self):
         f = build_function(modular_spec([1.0, -2.0, 3.0]))
-        assert double_greedy(f, None) == frozenset({1, 3})
+        assert double_greedy(f, _zeros(f)) == frozenset({1, 3})
 
     def test_monotone_takes_everything(self):
         f = helpers.sqrt_card(4)
-        assert double_greedy(f, None) == frozenset({1, 2, 3, 4})
+        assert double_greedy(f, _zeros(f)) == frozenset({1, 2, 3, 4})
 
     def test_exactly_2n_plus_2_oracle_calls(self):
         # f(A) and f(B) are carried from step to step, not read again
@@ -35,52 +40,52 @@ class TestDoubleGreedy:
             n = int(rng.integers(2, 8))
             f = helpers.random_nonneg_submodular(rng, n)
             _, opt = helpers.exhaustive_max(f, n)
-            assert f(double_greedy(f, None)) >= opt / 3.0 - 1e-9
+            assert f(double_greedy(f, _zeros(f))) >= opt / 3.0 - 1e-9
 
     def test_randomized_reproducible_and_near_half(self):
         rng = np.random.default_rng(35)
         f = helpers.random_nonneg_submodular(rng, 7)
-        r1 = double_greedy(f, None, "randomized", seed=5)
-        r2 = double_greedy(f, None, "randomized", seed=5)
+        r1 = double_greedy(f, _zeros(f), "randomized", seed=5)
+        r2 = double_greedy(f, _zeros(f), "randomized", seed=5)
         assert r1 == r2
         _, opt = helpers.exhaustive_max(f, 7)
         if opt > 1e-9:
-            mean = np.mean([f(double_greedy(f, None, "randomized", seed=s))
+            mean = np.mean([f(double_greedy(f, _zeros(f), "randomized", seed=s))
                             for s in range(200)])
             assert mean >= 0.49 * opt
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
-            double_greedy(helpers.sqrt_card(2), None, "other")
+            double_greedy(helpers.sqrt_card(2), [0.0] * 2, "other")
 
     def test_deterministic_mode_refuses_a_seed(self):
         # the deterministic pass draws nothing, so a seed would be ignored
         with pytest.raises(ValueError, match="seed"):
-            double_greedy(helpers.sqrt_card(2), None, "deterministic", seed=0)
+            double_greedy(helpers.sqrt_card(2), [0.0] * 2, "deterministic", seed=0)
 
 
 class TestGreedyCardinality:
     def test_modular(self):
         f = build_function(modular_spec([3.0, 1.0, 2.0]))
-        assert greedy_cardinality_max(f, None, 2) == frozenset({1, 3})
+        assert greedy_cardinality_max(f, _zeros(f), 2) == frozenset({1, 3})
 
     def test_sqrt_tie_break(self):
         f = helpers.sqrt_card(3)
-        assert greedy_cardinality_max(f, None, 2) == frozenset({1, 2})
+        assert greedy_cardinality_max(f, _zeros(f), 2) == frozenset({1, 2})
 
     def test_stops_without_positive_gain(self):
         f = build_function(modular_spec([-1.0, -2.0]))
-        assert greedy_cardinality_max(f, None, 2) == frozenset()
+        assert greedy_cardinality_max(f, _zeros(f), 2) == frozenset()
 
     def test_bad_k(self):
         with pytest.raises(ValueError):
-            greedy_cardinality_max(helpers.sqrt_card(3), None, 4)
+            greedy_cardinality_max(helpers.sqrt_card(3), [0.0] * 3, 4)
 
     @pytest.mark.parametrize("k", [2.5, True])
     def test_k_must_be_a_whole_number(self, k):
         # 2.5 used to select 3 elements and True to read as 1
         with pytest.raises(ValueError, match="k must be an integer"):
-            greedy_cardinality_max(helpers.sqrt_card(3), None, k)
+            greedy_cardinality_max(helpers.sqrt_card(3), [0.0] * 3, k)
 
     def test_one_minus_inv_e_on_monotone_instances(self):
         rng = np.random.default_rng(37)
@@ -88,7 +93,7 @@ class TestGreedyCardinality:
             n = int(rng.integers(3, 8))
             f = helpers.random_facility(rng, n)
             k = int(rng.integers(1, n))
-            val = f(greedy_cardinality_max(f, None, k))
+            val = f(greedy_cardinality_max(f, _zeros(f), k))
             opt_k = max(f(S) for S in helpers.all_subsets(n) if len(S) <= k)
             assert val >= (1 - 1 / math.e) * opt_k - 1e-9
 
@@ -96,19 +101,25 @@ class TestGreedyCardinality:
 class TestLocalSearch:
     def test_modular(self):
         f = build_function(modular_spec([-1.0, 2.0]))
-        assert local_search_max(f, None, frozenset()) == frozenset({2})
+        assert local_search_max(f, _zeros(f), frozenset()) == frozenset({2})
 
     def test_triangle_cut_from_empty(self):
-        assert (local_search_max(helpers.triangle_cut(), None, frozenset())
+        assert (local_search_max(helpers.triangle_cut(), [0.0] * 3, frozenset())
                 == frozenset({1}))
 
     def test_only_feasible_moves_are_evaluated(self):
         seen = []
         def f(S):
             return seen.append(S) or float(len(S))
-        assert local_search_max(SetFunctionOracle(GroundSet(4), f), None, frozenset(),
+        assert local_search_max(SetFunctionOracle(GroundSet(4), f), [0.0] * 4, frozenset(),
                                 lambda T: len(T) <= 2) == frozenset({1, 2})
         assert max(map(len, seen)) == 2
+
+    def test_an_infeasible_start_is_refused(self):
+        # it used to come back unchanged, although feasible rejects it
+        with pytest.raises(ValueError, match=re.escape("start [1, 2, 3] is not feasible")):
+            local_search_max(helpers.sqrt_card(3), [0.0] * 3, frozenset({1, 2, 3}),
+                             lambda T: len(T) <= 1)
 
     def test_result_is_locally_maximal(self):
         rng = np.random.default_rng(39)
@@ -116,7 +127,7 @@ class TestLocalSearch:
             n = int(rng.integers(2, 7))
             f = helpers.random_submodular(rng, n)
             start = frozenset(int(j) for j in range(1, n + 1) if rng.random() < 0.5)
-            res = local_search_max(f, None, start)
+            res = local_search_max(f, _zeros(f), start)
             for j in range(1, n + 1):
                 T = res - {j} if j in res else res | {j}
                 assert f(T) <= f(res) + 1e-9
@@ -143,16 +154,16 @@ class TestWeights:
 
     def test_double_greedy(self):
         for rng, f, w, plain in self._instances(41):
-            assert double_greedy(f, w) == double_greedy(plain, None)
+            assert double_greedy(f, w) == double_greedy(plain, _zeros(plain))
             seed = int(rng.integers(100))
             assert (double_greedy(f, w, "randomized", seed)
-                    == double_greedy(plain, None, "randomized", seed))
+                    == double_greedy(plain, _zeros(plain), "randomized", seed))
 
     def test_greedy_cardinality_max(self):
         for rng, f, w, plain in self._instances(43):
             k = int(rng.integers(0, f.ground.n + 1))
             assert (greedy_cardinality_max(f, w, k)
-                    == greedy_cardinality_max(plain, None, k))
+                    == greedy_cardinality_max(plain, _zeros(plain), k))
 
     def test_local_search_max(self):
         for rng, f, w, plain in self._instances(47):
@@ -163,7 +174,7 @@ class TestWeights:
                 if feasible is not None and len(start) > cap:
                     continue
                 assert (local_search_max(f, w, start, feasible)
-                        == local_search_max(plain, None, start, feasible))
+                        == local_search_max(plain, _zeros(plain), start, feasible))
 
 
 class TestWeightLength:
