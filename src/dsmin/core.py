@@ -4,15 +4,16 @@ Elements of a ground set are the integers ``1..n`` and subsets are plain
 ``frozenset`` values.  Whenever a tie has to be broken between subsets, the
 canonical order is: smaller cardinality first, then lexicographically
 smaller sorted index tuple.  Bitmask representations put element ``j`` on
-bit ``j - 1``: the exhaustive helpers index value tables by them, and a
-memo's keyed reads (``MemoizedOracle.at``, ``flip`` and ``chain_gains``) look
-sets up by them, so a chain or a flip scan builds a set only where the memo
-misses.  Brute force reads the full value table, so like every table it
-refuses n > 20.
+bit ``j - 1``: the exhaustive helpers index value tables by them, and a memo
+keys every value by one.  Its keyed reads (``MemoizedOracle.at``, ``flip``
+and ``chain_gains``) look sets up by them, so a chain or a flip scan builds a
+set only where the memo misses.  Brute force reads the full value table, so
+like every table it refuses n > 20.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,6 +41,10 @@ class GroundSet:
     @property
     def full(self) -> frozenset:
         return frozenset(self.elements())
+
+    @functools.cached_property
+    def _bits(self) -> dict[int, int]:  # by element j, 1 << (j - 1), for every memo over it
+        return {j: 1 << (j - 1) for j in self.elements()}
 
     def check_subset(self, X: Iterable[int]) -> frozenset:
         S = element_set(X)
@@ -191,32 +196,36 @@ class MemoizedOracle(SetFunctionOracle):
 
     A miss calls the viewed oracle's function directly, so the viewed
     oracle's own ``call_count`` does not move.  Every value it computes must
-    be finite; a NaN or an infinity raises ``ValueError`` naming the set.  A
-    frozenset is trusted to be a subset of the ground set, unchecked, as in
-    ``SetFunctionOracle``: a check would run on every miss.
+    be finite; a NaN or an infinity raises ``ValueError`` naming the set.
 
-    The library's solvers read a memo by bitmask (``mask_of``): ``at`` for a
-    set whose mask is known, ``flip`` for a one-element change of a set and
-    ``chain_gains`` along a chain.  These build a set only on a miss, the
-    object a caller of ``__call__`` would build in their place, so every sum
-    over it runs in the same order.  A call keys its value by the frozenset.
-    A miss under one kind of key looks under the other only once the memo
-    holds keys of that kind, so each set is evaluated once, whichever read
-    reaches it first.
+    Every value is kept under its set's bitmask (``mask_of``): ``at`` reads a
+    set whose mask is known, ``flip`` a one-element change of a set and
+    ``chain_gains`` a chain, and each builds a set only on a miss, the object
+    a caller of ``__call__`` would build in its place, so every sum over it
+    runs in the same order.  A call reads the mask from the ground set's table
+    of bits, where whole floats and numpy integers find their ints and an
+    element outside 1..n raises ``check_subset``'s ``ValueError``.  Each set is
+    evaluated once, as the first read to reach it built it.
     """
 
     def __init__(self, inner: SetFunctionOracle):
         super().__init__(inner.ground, inner._fn, inner.name)
-        self._cache: dict[frozenset | int, float] = {}
-        self._sets = self._masks = False  # whether the cache holds keys of each kind
+        self._cache: dict[int, float] = {}
         self.lookups = 0
         self._end_gains: tuple[list[float], list[float]] | None = None
 
     def __call__(self, X: Iterable[int]) -> float:
         S = X if isinstance(X, frozenset) else self.ground.check_subset(X)
+        bits, key = self.ground._bits, 0
+        try:  # distinct elements have distinct bits, so the sum is their union
+            for j in S:
+                key += bits[j]
+        except KeyError:  # outside 1..n: check_subset names the element
+            self.ground.check_subset(S)
+            raise
         self.lookups += 1
-        hit = self._cache.get(S)
-        return self._miss(S, S) if hit is None else hit
+        hit = self._cache.get(key)
+        return self._miss(key, S) if hit is None else hit
 
     def at(self, key: int, S: frozenset) -> float:
         """f(S), for a set S whose bitmask ``key`` is known."""
@@ -258,18 +267,8 @@ class MemoizedOracle(SetFunctionOracle):
             prev = cur
         return gains
 
-    def _miss(self, key: frozenset | int, S: frozenset) -> float:
-        """f(S) after a miss under ``key``, S itself or S's bitmask: the value
-        kept under the other kind of key if the memo holds that kind, else
-        evaluated and kept under ``key``."""
-        if key is S:
-            if self._masks and (hit := self._cache.get(mask_of(S))) is not None:
-                return hit
-            self._sets = True
-        else:
-            if self._sets and (hit := self._cache.get(S)) is not None:
-                return hit
-            self._masks = True
+    def _miss(self, key: int, S: frozenset) -> float:
+        """f(S), evaluated and kept under S's bitmask ``key`` after a miss."""
         self.call_count += 1
         val = self._fn(S)
         if type(val) is not float:  # the built families return floats already

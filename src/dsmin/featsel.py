@@ -25,8 +25,8 @@ tables are dropped together before they would hold more than
 
 ``empirical_entropy`` and ``conditional_entropy`` check A and alpha unless
 called with ``check=False``.  ``build_objective`` checks alpha once, and its
-f and g call them unchecked on the frozensets their memos are given, which
-the memos trust as ``core.SetFunctionOracle`` does.
+f and g call them unchecked on the frozensets their memos are given; a
+memo's call rejects an element outside 1..n as it reads the set's bitmask.
 
 The conditional entropy can be taken jointly ("non_factored") or as a
 per-feature sum ("factored", the class-conditional independence shortcut);

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from fractions import Fraction
@@ -384,6 +385,66 @@ class TestKeyedReads:
                 read()
                 hits += k - (memo.call_count - before)
         assert memo.lookups == hits + memo.call_count > 0
+
+
+class TestOneKeyKind:
+    """A memo keeps every value under its set's int bitmask, whatever read
+    reaches the set first."""
+
+    @pytest.mark.parametrize("kinds", list(itertools.permutations(["call", "at", "flip", "chain"])),
+                             ids="-".join)
+    def test_each_set_is_evaluated_once_under_an_int_key(self, kinds):
+        rng = np.random.default_rng(149)
+        n = 10
+        log = []
+        memo = memoized(_logged(helpers.random_concave(rng, n), log))
+        order = [int(j) for j in rng.permutation(n) + 1]
+        chain = [frozenset(order[:i]) for i in range(1, n + 1)]
+        X = chain[n // 2]
+        sets = chain + [X - {j} if j in X else X | {j} for j in range(1, n + 1)]
+        reads = {  # each reads every set of chain + flips of X; a chain also its base
+            "call": lambda: [memo(S) for S in sets],
+            "at": lambda: [memo.at(mask_of(S), S) for S in sets],
+            "flip": lambda: [memo.flip(P, mask_of(P), j)
+                             for P, j in zip([frozenset()] + chain, order)] + [
+                memo.flip(X, mask_of(X), j) for j in range(1, n + 1)],
+            "chain": lambda: [memo.chain_gains(order)] + [
+                memo.chain_gains([j], X - {j} if j in X else X) for j in range(1, n + 1)]}
+        for kind in kinds:
+            before = memo.lookups
+            got = reads[kind]()
+            assert memo.lookups - before == (3 if kind == "chain" else 2) * n
+            if kind != "chain":
+                assert got == [memo._cache[mask_of(S)] for S in sets]
+        assert sorted(log) == sorted(set(log)) == sorted(set(map(mask_of, sets)))
+        assert memo.call_count == len(log) and memo._cache.keys() == set(log)
+        assert all(type(key) is int for key in memo._cache)
+
+    @pytest.mark.parametrize("first", ["numpy", "int"])
+    def test_numpy_and_int_elements_share_one_evaluation_past_bit_63(self, first):
+        log = []
+        memo = memoized(SetFunctionOracle(GroundSet(100), lambda S: log.append(S) or len(S) ** 0.5))
+        sets = {"numpy": frozenset(np.arange(60, 101)), "int": frozenset(range(60, 101))}
+        key = mask_of(sets["int"])
+        assert key.bit_length() == 100
+        for S in (sets[first], sets["int" if first == "numpy" else "numpy"]):
+            assert memo(S) == math.sqrt(41)
+        assert memo(np.arange(60.0, 101.0)) == memo.at(key, sets["int"]) == math.sqrt(41)
+        assert len(log) == 1 and log[0] is sets[first]  # a miss evaluates the set it was given
+        assert list(memo._cache) == [key] and type(key) is int
+        assert memo.lookups == 4
+
+    @pytest.mark.parametrize("element", [0, -1, 4, 2.5, np.int64(0), "1"])
+    @pytest.mark.parametrize("kind", [frozenset, list])
+    def test_a_call_rejects_an_element_outside_the_ground_set(self, element, kind):
+        f = build_function({"kind": "concave_of_modular", "shape": "sqrt", "weights": [1, 4, 9]})
+        memo = memoized(f)
+        message = (f"element {element} outside ground set 1..3" if element != "1"
+                   else "element must be an integer, got '1'")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            memo(kind([2, element]))
+        assert memo.call_count == 0 and not memo._cache
+        assert memo(frozenset({3})) == 3.0
 
 
 class TestAffineModular:

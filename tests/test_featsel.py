@@ -538,6 +538,23 @@ class TestUncheckedQueries:
             with pytest.raises(ValueError, match=re.escape(message)):
                 evaluate(A)
 
+    @pytest.mark.parametrize("j", [0, -1, "n + 1", 2.5])
+    @pytest.mark.parametrize("mode", ["non_factored", "factored"])
+    def test_the_oracles_reject_frozensets_outside_the_features(self, j, mode):
+        """f and g read each set's bitmask first, which finds an element outside
+        1..n before the unchecked entropies would read the rows at {n}."""
+        _, datasets = self.datasets()
+        for ds in datasets:
+            n = ds.n_features
+            outside = n + 1 if j == "n + 1" else j
+            obj = build_objective(ds, CostModel.modular_cardinality(0.05), 1.0, mode)
+            for oracle in (obj.instance.f, obj.instance.g):
+                calls = oracle.call_count
+                with pytest.raises(ValueError, match=re.escape(
+                        f"element {outside} outside ground set 1..{n}")):
+                    oracle(frozenset({2, outside}))
+                assert oracle.call_count == calls
+
     @pytest.mark.parametrize("alpha", [-1.0, -1e-300, math.nan, math.inf, True, False])
     @pytest.mark.parametrize("mode", ["non_factored", "factored"])
     def test_build_objective_checks_the_smoothing_itself(self, alpha, mode):

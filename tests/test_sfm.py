@@ -358,7 +358,7 @@ class TestPerMemoWork:
             # the same sets first evaluated in the same order, to the same bits:
             # the bits carry each set's iteration order when it was evaluated
             assert [(key, val.hex()) for key, val in memo._cache.items()] == [
-                (mask_of(S), val.hex()) for S, val in reference._cache.items()]
+                (key, val.hex()) for key, val in reference._cache.items()]
 
     def test_the_order_of_first_evaluations_is_pinned(self):
         # Recorded when the corral moved to its triangular factor (1117 sets with
