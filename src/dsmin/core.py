@@ -223,9 +223,7 @@ class MemoizedOracle(SetFunctionOracle):
         except KeyError:  # outside 1..n: check_subset names the element
             self.ground.check_subset(S)
             raise
-        self.lookups += 1
-        hit = self._cache.get(key)
-        return self._miss(key, S) if hit is None else hit
+        return self.at(key, S)
 
     def at(self, key: int, S: frozenset) -> float:
         """f(S), for a set S whose bitmask ``key`` is known."""

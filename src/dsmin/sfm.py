@@ -226,9 +226,8 @@ def _minimizer_lattice(f: MemoizedOracle, w: list[float]) -> tuple[frozenset, fr
     return A, B
 
 
-def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, frozenset]:
-    """Minimize f - w exactly; f must be submodular and 0 at the empty set, and
-    w defaults to 0.
+def min_norm_point(f: SetFunctionOracle, w) -> tuple[frozenset, float, frozenset]:
+    """Minimize f - w exactly; f must be submodular and 0 at the empty set.
 
     Narrows the minimizers to a lattice [A, B] (``_minimizer_lattice``), then
     runs Wolfe's major/minor cycle on F: S -> f(A | S) - f(A) - w(S) over
@@ -251,7 +250,7 @@ def min_norm_point(f: SetFunctionOracle, w=None) -> tuple[frozenset, float, froz
     |f(empty)| > ``FLOAT_TOL``.
     """
     n = f.ground.n
-    weights = [0.0] * n if w is None else real_array(w, "weights", (n,)).tolist()
+    weights = real_array(w, "weights", (n,)).tolist()
     fm = memoized(f)
     if not abs(f0 := fm.at(0, frozenset())) <= FLOAT_TOL:  # also rejects NaN
         raise ValueError(f"f must be normalized: value at empty set is {f0!r}")

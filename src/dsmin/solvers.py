@@ -19,10 +19,6 @@ exactly equal value are taken at most once each (never revisiting a set
 since the last strict decrease), which lets the bound-based procedures
 walk off weak plateaus without losing termination.
 
-The cyclic garbage collector is paused while a descent runs; cyclic
-garbage that a user oracle makes during a solve is freed after the solve
-returns.
-
 On a stall each procedure retries a linear-size family of permutations
 and/or bound variants before declaring convergence.  When f and g are
 submodular that family certifies that no single-element change improves v.
@@ -36,7 +32,6 @@ a local minimum whatever the oracles.
 from __future__ import annotations
 
 import functools
-import gc
 import itertools
 import json
 import time
@@ -296,82 +291,74 @@ class _Run:
 
 
 def _descent(run: _Run, start: frozenset, primary, sweep) -> OptimizationTrace:
-    # every set the descent makes stays alive as a memo key, so each young
-    # collection would re-walk all the sets made since the one before
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        opts = run.opts
-        trace = OptimizationTrace(run.algo, opts.seed, opts.epsilon)
-        X = start
-        trace.iterates.append(run.point(X))
-        plateau_seen = {X}
+    opts = run.opts
+    trace = OptimizationTrace(run.algo, opts.seed, opts.epsilon)
+    X = start
+    trace.iterates.append(run.point(X))
+    plateau_seen = {X}
 
-        try:
-            t = 0
-            while True:
-                v_cur = run.value(X)
-                move = None
-                move_is_strict = False
-                eps_blocked = False
-                plateau_pool: list[frozenset] = []
-                for phase in (primary, sweep):
-                    strict: list[tuple[float, frozenset]] = []
-                    for cand in phase(X, t):
-                        if cand == X or not run.constraint.is_feasible(cand):
-                            continue
-                        val = run.value(cand)
-                        if val < v_cur - EQ_TOL:
-                            if accept_step(v_cur, val, opts.epsilon):
-                                strict.append((val, cand))
-                            else:
-                                eps_blocked = True
-                        elif abs(val - v_cur) <= EQ_TOL:
-                            plateau_pool.append(cand)
-                    if strict:
-                        _, move = min(strict, key=lambda p: (p[0], subset_key(p[1])))
-                        move_is_strict = True
-                        break
-                # the raw non-increase rule v_next <= v_prev*(1+eps) admits
-                # equal-value moves exactly when eps == 0 or the current value is 0
-                if move is None and (opts.epsilon == 0.0 or v_cur == 0.0):
-                    fresh = [c for c in plateau_pool if c not in plateau_seen]
-                    if fresh:
-                        move = min(fresh, key=subset_key)
-                if move is None and not eps_blocked and run.constraint.kind == "none":
-                    # the sweeps miss improving flips when f or g is not submodular;
-                    # when it finds none, this scan is also the final check below
-                    flip = best_flip(run, trace.final_set, FLOAT_TOL)
-                    if flip is not None:
-                        if accept_step(v_cur, run.value(flip), opts.epsilon):
-                            move, move_is_strict = flip, True
+    try:
+        t = 0
+        while True:
+            v_cur = run.value(X)
+            move = None
+            move_is_strict = False
+            eps_blocked = False
+            plateau_pool: list[frozenset] = []
+            for phase in (primary, sweep):
+                strict: list[tuple[float, frozenset]] = []
+                for cand in phase(X, t):
+                    if cand == X or not run.constraint.is_feasible(cand):
+                        continue
+                    val = run.value(cand)
+                    if val < v_cur - EQ_TOL:
+                        if accept_step(v_cur, val, opts.epsilon):
+                            strict.append((val, cand))
                         else:
                             eps_blocked = True
-                if move is None:
-                    trace.termination = "epsilon_stop" if eps_blocked else "converged"
+                    elif abs(val - v_cur) <= EQ_TOL:
+                        plateau_pool.append(cand)
+                if strict:
+                    _, move = min(strict, key=lambda p: (p[0], subset_key(p[1])))
+                    move_is_strict = True
                     break
-                if move_is_strict:
-                    plateau_seen = {move}
-                else:
-                    plateau_seen.add(move)
-                X = move
-                trace.iterates.append(run.point(X))
-                t += 1
-                if t >= opts.max_iters:
-                    trace.termination = "iter_cap"
-                    break
-        except Exception as exc:
-            raise SolverError(f"{run.algo} inner solver failed: {exc}", trace) from exc
+            # the raw non-increase rule v_next <= v_prev*(1+eps) admits
+            # equal-value moves exactly when eps == 0 or the current value is 0
+            if move is None and (opts.epsilon == 0.0 or v_cur == 0.0):
+                fresh = [c for c in plateau_pool if c not in plateau_seen]
+                if fresh:
+                    move = min(fresh, key=subset_key)
+            if move is None and not eps_blocked and run.constraint.kind == "none":
+                # the sweeps miss improving flips when f or g is not submodular;
+                # when it finds none, this scan is also the final check below
+                flip = best_flip(run, trace.final_set, FLOAT_TOL)
+                if flip is not None:
+                    if accept_step(v_cur, run.value(flip), opts.epsilon):
+                        move, move_is_strict = flip, True
+                    else:
+                        eps_blocked = True
+            if move is None:
+                trace.termination = "epsilon_stop" if eps_blocked else "converged"
+                break
+            if move_is_strict:
+                plateau_seen = {move}
+            else:
+                plateau_seen.add(move)
+            X = move
+            trace.iterates.append(run.point(X))
+            t += 1
+            if t >= opts.max_iters:
+                trace.termination = "iter_cap"
+                break
+    except Exception as exc:
+        raise SolverError(f"{run.algo} inner solver failed: {exc}", trace) from exc
 
-        if run.constraint.kind == "none":
-            # converging means the final scan above found no flip
-            trace.locally_optimal = (trace.termination == "converged"
-                                     or local_optimality_check(run, trace.final_set))
-        trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
-        return trace
-    finally:
-        if collecting:
-            gc.enable()
+    if run.constraint.kind == "none":
+        # converging means the final scan above found no flip
+        trace.locally_optimal = (trace.termination == "converged"
+                                 or local_optimality_check(run, trace.final_set))
+    trace.oracle_calls, trace.elapsed = run.calls(), time.perf_counter() - run.t0
+    return trace
 
 
 # -- the three procedures --------------------------------------------------------

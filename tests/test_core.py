@@ -281,7 +281,7 @@ def test_memo_miss_rejects_a_value_that_is_not_finite(bad):
     assert m(frozenset({1})) == 0.5
     with pytest.raises(ValueError, match=r"h is not finite at \[1, 3\]: "):
         m(frozenset({3, 1}))
-    assert m.call_count == 2 and frozenset({1, 3}) not in m._cache
+    assert m.call_count == 2 and mask_of({1, 3}) not in m._cache
 
 
 def test_memoized_passes_a_memo_through():

@@ -106,19 +106,19 @@ class TestGreedyBaseVertex:
 class TestMinNormPoint:
     def test_modular(self):
         f = build_function(modular_spec([-1.0, 2.0, -3.0]))
-        X, val, Y = min_norm_point(f)
+        X, val, Y = min_norm_point(f, np.zeros(f.ground.n))
         assert X == Y == frozenset({1, 3})  # the lattice pins it; no vertex is made
         assert val == pytest.approx(-4.0)
 
     def test_triangle_cut_minimal_minimizer(self):
-        X, val, Y = min_norm_point(helpers.triangle_cut())
+        X, val, Y = min_norm_point(helpers.triangle_cut(), np.zeros(3))
         assert (X, Y) == (frozenset(), frozenset({1, 2, 3}))
         assert val == 0.0
 
     def test_sqrt_minus_linear(self):
         g = GroundSet(3)
         f = SetFunctionOracle(g, lambda S: math.sqrt(len(S)) - 0.8 * len(S))
-        X, val, _ = min_norm_point(f)
+        X, val, _ = min_norm_point(f, np.zeros(f.ground.n))
         assert X == frozenset({1, 2, 3})
         assert val == pytest.approx(math.sqrt(3) - 2.4)
 
@@ -134,7 +134,7 @@ class TestMinNormPoint:
             cases.append(SetFunctionOracle(
                 h.ground, lambda S, h=h, w=w: h(S) - sum(w[j - 1] for j in S)))
         for f in cases:
-            X, val, Y = min_norm_point(f)
+            X, val, Y = min_norm_point(f, np.zeros(f.ground.n))
             best_X, best, best_Y = helpers.sfm_brute_force(f)
             assert val == pytest.approx(best, abs=1e-6)
             assert (X, Y) == (best_X, best_Y)
@@ -181,7 +181,7 @@ class TestMinNormPoint:
         # not submodular: element 1 has gain -1 at the empty set and +1 at {2}
         f = build_function(helpers.table_spec(2, [0.0, -1.0, 0.0, 1.0]))
         assert _minimizer_lattice(memoized(f), [0.0, 0.0]) == (frozenset(), frozenset({1, 2}))
-        X, val, Y = min_norm_point(f)
+        X, val, Y = min_norm_point(f, np.zeros(f.ground.n))
         assert X <= Y and val == f(X)
 
     def test_unnormalized_f_is_rejected(self):
@@ -190,11 +190,11 @@ class TestMinNormPoint:
         w = (-1.0, 2.0, -3.0)
         f = SetFunctionOracle(GroundSet(3), lambda S: 10.0 + sum(w[j - 1] for j in S))
         with pytest.raises(ValueError, match="normalized"):
-            min_norm_point(f)
+            min_norm_point(f, np.zeros(f.ground.n))
 
     def test_zero_function(self):
         f = SetFunctionOracle(GroundSet(4), lambda S: 0.0)
-        X, val, _ = min_norm_point(f)
+        X, val, _ = min_norm_point(f, np.zeros(f.ground.n))
         assert X == frozenset()
         assert val == 0.0
 
@@ -207,7 +207,7 @@ class TestMinNormPoint:
             w = rng.normal(0, 1.5, n)
             g = GroundSet(n)
             sur = SetFunctionOracle(g, lambda S, _f=f, _w=w: _f(S) - sum(_w[j - 1] for j in S))
-            X, val, _ = min_norm_point(sur)
+            X, val, _ = min_norm_point(sur, np.zeros(sur.ground.n))
             _, best = brute_force_minimize(sur)
             assert val == pytest.approx(best, abs=1e-6)
 
@@ -527,7 +527,7 @@ class TestPlainFloatLoop:
         vertex = sfm.greedy_base_vertex
         monkeypatch.setattr(sfm, "greedy_base_vertex",
                             lambda *args: vertices.append(args) or vertex(*args))
-        X, val, Y = min_norm_point(f)
+        X, val, Y = min_norm_point(f, np.zeros(f.ground.n))
         assert vertices and all(args[4] == [2] for args in vertices)  # Wolfe ran on m = 1
         assert (X, val, Y) == (frozenset({1}), -1.0, frozenset({1, 2}))
         assert (X, Y) == helpers.sfm_brute_force(f)[::2]
@@ -595,7 +595,7 @@ class TestPlainFloatLoop:
         f = build_function(modular_spec([0.0] * len(S[0])))
         rows = iter(S)
         monkeypatch.setattr(sfm, "greedy_base_vertex", lambda *args: list(next(rows, S[-1])))
-        X, val, Y = min_norm_point(f)
+        X, val, Y = min_norm_point(f, np.zeros(f.ground.n))
         assert X <= Y and math.isfinite(val)
         # also with the gap test and the certificate off: then at the factor's refusal
         monkeypatch.setattr(sfm, "_GAP_TOL", -math.inf)
@@ -604,7 +604,7 @@ class TestPlainFloatLoop:
         monkeypatch.setattr(sfm, "_append",
                             lambda *args: appended.append(append(*args)) or appended[-1])
         rows = iter(S)
-        X, val, Y = min_norm_point(f)
+        X, val, Y = min_norm_point(f, np.zeros(f.ground.n))
         assert X <= Y and math.isfinite(val) and appended[-1] is False
 
     def test_the_loop_adds_no_float_with_builtin_sum(self, monkeypatch):
