@@ -534,6 +534,24 @@ class TestCollectorState:
         solver(inst, SolverOptions(seed=0))
         assert seen and all(seen)
 
+    @pytest.mark.parametrize("solver", [sub_sup, sup_sub, mod_mod])
+    def test_on_again_after_a_failed_solve(self, solver):
+        # a solve that raises midway has left the collector on at every call
+        seen: list[bool] = []
+
+        def g(S):
+            seen.append(gc.isenabled())
+            if len(S) == 2:
+                raise RuntimeError("boom")
+            return 2.0 * math.sqrt(len(S))
+
+        inst = DSInstance(helpers.triangle_cut(), SetFunctionOracle(GroundSet(3), g))
+        seen.clear()  # the instance evaluates g at the empty set
+        with pytest.raises(SolverError, match="boom"):
+            solver(inst, SolverOptions(seed=0))
+        assert seen and all(seen)
+        assert gc.isenabled()
+
     def test_a_caller_that_disabled_it_keeps_it_off(self):
         was_enabled = gc.isenabled()
         gc.disable()
